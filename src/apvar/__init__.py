@@ -7,13 +7,11 @@ for the identities tying them together.
 """
 
 from .arith import (
-    ErrorExponents,
     FactorTable,
     PrimePower,
     build_factor_table,
     d_k_of,
     divisors,
-    error_exponents,
     euler_phi,
     factorize,
     mobius,
@@ -25,14 +23,12 @@ from .farey import (
     FareyArc,
     denominator_counts,
     dissection,
-    farey_length,
     farey_sequence,
     verify_containment,
 )
 from .residues import (
     LaurentSeries,
     LogPoly,
-    StieltjesTable,
     ap_main_term,
     constrained_dirichlet_correction,
     correction_value_at,

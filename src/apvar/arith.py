@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -166,27 +165,3 @@ def ramanujan_sum(q: int, n: int) -> int:
         raise DomainError(f"modulus must be >= 1, got {q}")
     g = math.gcd(q, n)
     return sum(mobius(q // d) * d for d in divisors(g))
-
-
-@dataclass(frozen=True)
-class ErrorExponents:
-    """The power-saving exponents attached to a fold parameter k >= 2.
-
-    theta = 2/(k+1), delta_cap = 1/(k-1), delta = 2/(2k-1), all exact.
-    """
-
-    k: int
-    theta: Fraction
-    delta_cap: Fraction
-    delta: Fraction
-
-
-def error_exponents(k: int) -> ErrorExponents:
-    if k < 2:
-        raise DomainError(f"error exponents need k >= 2, got {k}")
-    return ErrorExponents(
-        k=k,
-        theta=Fraction(2, k + 1),
-        delta_cap=Fraction(1, k - 1),
-        delta=Fraction(2, 2 * k - 1),
-    )

@@ -1,0 +1,147 @@
+"""The verification checks shared by `apvar verify` and the acceptance suite.
+
+Each function runs one check over a fixed case set and returns one JSON row
+(`check`, `lhs`, `rhs`, `rel_diff`, `pass`) that also names its worst case.
+Library functions are called through their modules, so that wrappers set on
+those modules at run time (such as a tracer's) see the calls made here.
+"""
+
+from __future__ import annotations
+
+from . import arith, farey, stats
+from .errors import DomainError
+
+IDENTITY_TOL = 1e-9
+DIRICHLET_TOL = 1e-3
+
+
+def _check_row(name: str, lhs: float, rhs: float, tol: float, **where) -> dict:
+    denom = max(abs(lhs), abs(rhs))
+    rel = abs(lhs - rhs) / denom if denom else 0.0
+    return {
+        "check": name,
+        "lhs": lhs,
+        "rhs": rhs,
+        "rel_diff": rel,
+        "pass": bool(rel <= tol),
+        **where,
+    }
+
+
+def _count_row(name: str, bad: list, **where) -> dict:
+    """lhs counts the failed cases, which must be none; `where` names the first."""
+    n = float(len(bad))
+    return {"check": name, "lhs": n, "rhs": 0.0, "rel_diff": n, "pass": not bad} | where
+
+
+def _worst(rows, name: str) -> dict:
+    """The first row with the largest rel_diff, renamed; it keeps its location."""
+    return {**max(rows, key=lambda r: r["rel_diff"]), "check": name}
+
+
+def parseval(table, x: int) -> dict:
+    """Plancherel identity for the class errors at cutoff x, worst q <= 50."""
+    rows = (
+        _check_row("", *stats.parseval_check(table, q, x), IDENTITY_TOL, q=q)
+        for q in range(1, 51)
+    )
+    return _worst(rows, "parseval worst (q<=50)")
+
+
+def variance_expansion(table, x: int, Q: int, *, budget: int) -> dict:
+    """V(x, Q) computed directly against its three-term expansion."""
+    direct, expanded = stats.variance_expansion_check(table, x, Q, budget=budget)
+    return _check_row(f"variance expansion Q={Q}", direct, expanded, IDENTITY_TOL)
+
+
+def density_square_sum(x: int, k: int) -> dict:
+    """sum_a f(q, a)^2 against q f*(q) at x, worst q <= 60."""
+    rows = (
+        _check_row(
+            "", *stats.density_square_sum_check(q, float(x), k), IDENTITY_TOL, q=q
+        )
+        for q in range(1, 61)
+    )
+    return _worst(rows, "density square sum worst (q<=60)")
+
+
+def ramanujan_orthogonality() -> dict:
+    """sum_a c_d1(a) c_d2(a) = q phi(d1) [d1 = d2] exactly for d1, d2 | q <= 100,
+    with each Ramanujan sum evaluated once per (q, d, a)."""
+    bad = []
+    for q in range(1, 101):
+        ds = arith.divisors(q)
+        cols = {d: [arith.ramanujan_sum(d, a) for a in range(1, q + 1)] for d in ds}
+        for d1 in ds:
+            for d2 in ds:
+                got = sum(u * v for u, v in zip(cols[d1], cols[d2]))
+                if got != (q * arith.euler_phi(d1) if d1 == d2 else 0):
+                    bad.append((q, d1, d2))
+    q, d1, d2 = bad[0] if bad else (None, None, None)
+    return _count_row("ramanujan orthogonality q<=100", bad, q=q, d1=d1, d2=d2)
+
+
+def farey_containment(gamma: int) -> dict:
+    """Exact containment and tiling of the Farey arcs at orders 2..gamma."""
+    reports = [farey.verify_containment(g) for g in range(2, gamma + 1)]
+    arcs = sum(rep.arcs_checked for rep in reports)
+    bad = [rep.gamma for rep in reports if not rep.ok]
+    return _count_row(
+        f"farey containment+tiling gamma<={gamma} ({arcs} arcs)",
+        bad,
+        gamma=bad[0] if bad else None,
+    )
+
+
+def farey_histogram() -> dict:
+    """F_1000 has 2 fractions of denominator 1 and phi(q) of each q >= 2."""
+    counts = farey.denominator_counts(1000)
+    want = [0, 2] + [arith.euler_phi(q) for q in range(2, 1001)]
+    bad = [q for q in range(1, 1001) if counts[q] != want[q]]
+    return _check_row(
+        "farey length histogram gamma<=1000",
+        0.0 if bad else 1.0,
+        1.0,
+        0.0,
+        q=bad[0] if bad else None,
+    )
+
+
+def growth(k: int, top: int, *, threads: int) -> dict:
+    """Slope of log V(x, x^0.75) against log(xQ), x = 2^14..2^18 up to top,
+    which must lie in [0.85, 1.2]; `rows` holds the (x, Q, V, V/(xQ)) points."""
+    grid = [2**j for j in range(14, 19) if 2**j <= top]
+    if len(grid) < 2:
+        raise DomainError(f"growth check needs x >= 2^15, got {top}")
+    study = stats.growth_study(k, grid, ("power", 0.75), threads=threads)
+    return {
+        "check": "growth slope log V vs log(xQ)",
+        "lhs": study.slope,
+        "rhs": 1.0,
+        "rel_diff": abs(study.slope - 1.0),
+        "pass": bool(0.85 <= study.slope <= 1.2),
+        "rows": [list(row) for row in study.rows],
+    }
+
+
+def dirichlet(table) -> dict:
+    """Partial sums of d_k(n)/n^2 over n <= table.x, gcd(n, q) = delta, plus
+    their predicted tail, against the full series; worst of q <= 30, delta | q.
+    The raw_* keys describe the same comparison without the tail."""
+    rows, raw = [], []
+    for q in range(1, 31):
+        for delta in arith.divisors(q):
+            lhs, rhs = stats.dirichlet_partial_sum_check(table, q, delta)
+            full = lhs + stats.dirichlet_tail(table, q, delta)
+            rows.append(_check_row("", full, rhs, DIRICHLET_TOL, q=q, delta=delta))
+            raw.append(_check_row("", lhs, rhs, DIRICHLET_TOL, q=q, delta=delta))
+    worst_raw = _worst(raw, "")
+    return {
+        **_worst(rows, f"dirichlet with tail worst (q<=30, N={table.x})"),
+        "failing": sum(not r["pass"] for r in rows),
+        "cases": len(rows),
+        "raw_rel_diff": worst_raw["rel_diff"],
+        "raw_q": worst_raw["q"],
+        "raw_delta": worst_raw["delta"],
+        "raw_failing": sum(not r["pass"] for r in raw),
+    }

@@ -14,8 +14,8 @@ import json
 import os
 import sys
 
+from . import checks, stats
 from . import farey as farey_mod
-from . import stats
 from .errors import DomainError, ResourceError
 from .residues import ap_main_term, eval_logpoly, logpoly_json, m_poly
 from .sieve import ap_sums, exp_sum, read_table, sieve_dk, total_sum, write_table
@@ -93,7 +93,7 @@ def cmd_variance(args) -> int:
         raise DomainError(f"Q={args.Q} exceeds x={args.x}")
     threads = _resolve_threads(args.threads)
     table = _load_or_sieve(args, args.x, args.k, threads)
-    report = stats.variance_total(table, args.x, args.Q, args.k, threads=threads)
+    report = stats.variance_total(table, args.x, args.Q, args.k)
     if args.format == "json":
         payload = {
             "x": report.x,
@@ -137,161 +137,26 @@ def cmd_farey(args) -> int:
     return EXIT_OK
 
 
-def _check_row(name: str, lhs: float, rhs: float, tol: float) -> dict:
-    denom = max(abs(lhs), abs(rhs))
-    rel = abs(lhs - rhs) / denom if denom else 0.0
-    return {
-        "check": name,
-        "lhs": lhs,
-        "rhs": rhs,
-        "rel_diff": rel,
-        "pass": bool(rel <= tol),
-    }
-
-
-def _suite_identities(args, threads: int) -> list[dict]:
-    from .arith import divisors, euler_phi, ramanujan_sum
-
-    x = args.x or 10**4
-    k = args.k
-    Q = args.Q or min(100, x)
-    table = _load_or_sieve(args, x, k, threads)
-    rows = []
-    worst = None
-    for q in range(1, 51):
-        lhs, rhs = stats.parseval_check(table, q, x, k)
-        row = _check_row(f"parseval q={q}", lhs, rhs, 1e-9)
-        if worst is None or row["rel_diff"] > worst["rel_diff"]:
-            worst = row
-    rows.append({**worst, "check": "parseval worst (q<=50)"})
-    direct, expanded = stats.variance_expansion_check(
-        table, x, Q, k, budget=args.budget
-    )
-    rows.append(_check_row(f"variance expansion Q={Q}", direct, expanded, 1e-9))
-    worst = None
-    for q in range(1, 61):
-        lhs, rhs = stats.density_square_sum_check(q, float(x), k)
-        row = _check_row(f"density square sum q={q}", lhs, rhs, 1e-9)
-        if worst is None or row["rel_diff"] > worst["rel_diff"]:
-            worst = row
-    rows.append({**worst, "check": "density square sum worst (q<=60)"})
-    ortho_bad = 0
-    for q in range(1, 101):
-        ds = divisors(q)
-        for d1 in ds:
-            for d2 in ds:
-                got = sum(
-                    ramanujan_sum(d1, a) * ramanujan_sum(d2, a) for a in range(1, q + 1)
-                )
-                want = q * euler_phi(d1) if d1 == d2 else 0
-                if got != want:
-                    ortho_bad += 1
-    rows.append(
-        {
-            "check": "ramanujan orthogonality q<=100",
-            "lhs": float(ortho_bad),
-            "rhs": 0.0,
-            "rel_diff": float(ortho_bad),
-            "pass": ortho_bad == 0,
-        }
-    )
-    return rows
-
-
-def _suite_dirichlet(args, threads: int) -> list[dict]:
-    k = args.k
-    n = args.x or 10**5
-    table = _load_or_sieve(args, n, k, threads)
-    from .arith import divisors
-
-    worst = None
-    failing = cases = 0
-    for q in range(1, 31):
-        for delta in divisors(q):
-            lhs, rhs = stats.dirichlet_partial_sum_check(table, q, delta)
-            row = _check_row(f"dirichlet q={q} delta={delta}", lhs, rhs, 1e-3)
-            row.update(q=q, delta=delta)
-            cases += 1
-            failing += not row["pass"]
-            if worst is None or row["rel_diff"] > worst["rel_diff"]:
-                worst = row
-    return [
-        {
-            **worst,
-            "check": f"dirichlet worst (q<=30, N={n})",
-            "failing": failing,
-            "cases": cases,
-        }
-    ]
-
-
-def _suite_farey(args, threads: int) -> list[dict]:
-    gamma = args.gamma or 300
-    bad = 0
-    arcs = 0
-    for g in range(2, gamma + 1):
-        rep = farey_mod.verify_containment(g)
-        arcs += rep.arcs_checked
-        if not rep.ok:
-            bad += 1
-    counts = farey_mod.denominator_counts(1000)
-    from .arith import euler_phi
-
-    length_ok = counts[1] == 2 and all(
-        counts[q] == euler_phi(q) for q in range(2, 1001)
-    )
-    return [
-        {
-            "check": f"farey containment+tiling gamma<={gamma} ({arcs} arcs)",
-            "lhs": float(bad),
-            "rhs": 0.0,
-            "rel_diff": float(bad),
-            "pass": bad == 0,
-        },
-        {
-            "check": "farey length histogram gamma<=1000",
-            "lhs": 1.0 if length_ok else 0.0,
-            "rhs": 1.0,
-            "rel_diff": 0.0 if length_ok else 1.0,
-            "pass": length_ok,
-        },
-    ]
-
-
-def _suite_growth(args, threads: int) -> list[dict]:
-    top = args.x or 2**18
-    grid = [2**j for j in range(14, 19) if 2**j <= top]
-    if len(grid) < 2:
-        raise DomainError("growth suite needs --x of at least 2^15")
-    study = stats.growth_study(
-        args.k,
-        grid,
-        ("power", 0.75),
-        threads=threads,
-    )
-    lo, hi = 0.85, 1.2
-    return [
-        {
-            "check": "growth slope log V vs log(xQ)",
-            "lhs": study.slope,
-            "rhs": 1.0,
-            "rel_diff": abs(study.slope - 1.0),
-            "pass": bool(lo <= study.slope <= hi),
-        }
-    ]
-
-
 def cmd_verify(args) -> int:
     threads = _resolve_threads(args.threads)
     rows = []
     if args.suite in ("identities", "all"):
-        rows += _suite_identities(args, threads)
+        x = args.x or 10**4
+        table = _load_or_sieve(args, x, args.k, threads)
+        Q = args.Q or min(100, x)
+        rows += [
+            checks.parseval(table, x),
+            checks.variance_expansion(table, x, Q, budget=args.budget),
+            checks.density_square_sum(x, args.k),
+            checks.ramanujan_orthogonality(),
+        ]
     if args.suite in ("dirichlet", "all"):
-        rows += _suite_dirichlet(args, threads)
+        table = _load_or_sieve(args, args.x or 10**5, args.k, threads)
+        rows.append(checks.dirichlet(table))
     if args.suite in ("farey", "all"):
-        rows += _suite_farey(args, threads)
+        rows += [checks.farey_containment(args.gamma or 300), checks.farey_histogram()]
     if args.suite in ("growth", "all"):
-        rows += _suite_growth(args, threads)
+        rows.append(checks.growth(args.k, args.x or 2**18, threads=threads))
     text = "\n".join(json.dumps(r) for r in rows) + "\n"
     _emit(text, args.out)
     return EXIT_OK if all(r["pass"] for r in rows) else EXIT_CHECK_FAILED

@@ -161,13 +161,6 @@ def verify_containment(gamma: int) -> ContainmentReport:
     )
 
 
-def farey_length(gamma: int) -> int:
-    """Number of fractions in F_gamma, by direct enumeration."""
-    if gamma < 1:
-        raise DomainError(f"order must be >= 1, got {gamma}")
-    return sum(1 for _ in _farey_pairs(gamma))
-
-
 def denominator_counts(gamma: int) -> list[int]:
     """counts[q] = number of F_gamma fractions with denominator q.
 

@@ -52,13 +52,6 @@ MAX_SERIES_ORDER = len(_STIELTJES) - 1
 
 
 @dataclass(frozen=True)
-class StieltjesTable:
-    """Expansion constants g_0..g_15 for zeta about s=1."""
-
-    gamma: tuple[float, ...] = _STIELTJES
-
-
-@dataclass(frozen=True)
 class LaurentSeries:
     """Truncated Laurent series in u = s-1.
 

@@ -187,7 +187,8 @@ def write_table(table: DkTable, path) -> None:
 
 
 def read_table(path) -> DkTable:
-    """Read a table written by write_table; validates header and size."""
+    """Read a table written by write_table; validates the header, the size
+    and that every value fits in int64."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -197,10 +198,14 @@ def read_table(path) -> DkTable:
             raise DomainError(f"{path}: bad magic {magic!r}")
         if version != _VERSION:
             raise DomainError(f"{path}: unsupported version {version}")
+        if not 1 <= k <= 8:
+            raise DomainError(f"{path}: fold parameter {k} outside 1..8")
         payload = fh.read()
     if len(payload) != 8 * x:
         raise DomainError(f"{path}: expected {8 * x} payload bytes, got {len(payload)}")
     raw = np.frombuffer(payload, dtype="<u8")
+    if raw.size and int(raw.max()) >= 2**63:
+        raise DomainError(f"{path}: value {int(raw.max())} does not fit in int64")
     values = np.zeros(x + 1, dtype=np.int64)
     values[1:] = raw.astype(np.int64)
     return DkTable(x=int(x), k=int(k), values=values)

@@ -13,12 +13,11 @@ last step; long float reductions go through math.fsum.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import divisors
+from .arith import divisors, euler_phi
 from .errors import DomainError, ResourceError
 from .residues import (
     LogPoly,
@@ -129,8 +128,8 @@ def variance_total(
 ) -> VarianceReport:
     """V(x, Q) plus the three expansion terms, reduced in ascending q order.
 
-    Per-q work may run on a thread pool; the final reduction is serial and
-    ordered, so results do not depend on the thread count.
+    The per-q loop runs serially (a thread pool over q measured slower);
+    `threads` is accepted for existing callers and has no effect.
     """
     k = table.k if k is None else k
     if k != table.k:
@@ -151,15 +150,7 @@ def variance_total(
         main = (x / q) ** 2 * float(np.sum(f_vals * f_vals))
         return v, congr, cross, main
 
-    rows = [None] * Q
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, row in enumerate(pool.map(per_q, range(1, Q + 1))):
-                rows[i] = row
-    else:
-        for i in range(Q):
-            rows[i] = per_q(i + 1)
-
+    rows = [per_q(q) for q in range(1, Q + 1)]
     per_q_v = tuple(r[0] for r in rows)
     return VarianceReport(
         x=x,
@@ -227,7 +218,7 @@ def dirichlet_partial_sum_check(
     `rhs` is the value of the full series, so `lhs` falls short of it by
     the positive tail over n > table.x.  That tail shrinks like
     q (log x)^(k-1) / x; a fixed-tolerance comparison of the pair must
-    account for it.
+    account for it, as `dirichlet_tail` does.
     """
     if s != 2.0:
         raise DomainError("only s=2 is supported (zeta value known in closed form)")
@@ -239,6 +230,27 @@ def dirichlet_partial_sum_check(
     zeta_s = math.pi**2 / 6.0
     rhs = zeta_s**table.k * correction_value_at(q, delta, table.k, s)
     return lhs, rhs
+
+
+def dirichlet_tail(table: DkTable, q: int, delta: int) -> float:
+    """Predicted tail sum_{n>N, gcd(n,q)=delta} d_k(n)/n^2 beyond N = table.x.
+
+    Abel summation over the constrained count A(t) = sum_{n<=t} d_k(n) gives
+    tail = -A(N)/N^2 + 2 int_N^oo A(t) t^-3 dt.  A(N) is exact from the class
+    sums; inside the integral A(t) is replaced by its main term t P(log t),
+    P = (phi(q/delta)/q) f(q, delta) = sum_j r_j (log t)^j, and
+        2 int_N^oo (log t)^j t^-2 dt = (2/N) sum_{i<=j} (j!/i!) (log N)^i.
+    """
+    N = table.x
+    sums = ap_sums(table, q, N).sums
+    count = sum(int(sums[a]) for a in range(1, q + 1) if math.gcd(a, q) == delta)
+    poly = (euler_phi(q // delta) / q) * ap_main_term(q, delta, table.k)
+    L = math.log(N)
+    integral = sum(
+        r * sum(math.factorial(j) / math.factorial(i) * L**i for i in range(j + 1))
+        for j, r in enumerate(poly.coeffs)
+    )
+    return -count / N**2 + 2.0 * integral / N
 
 
 def regression_slope(xs, ys) -> float:
@@ -317,7 +329,7 @@ def growth_study(
     rows = []
     for x in xs:
         Q = max(1, min(rule(x), x))
-        rep = variance_total(table, x, Q, k, threads=threads)
+        rep = variance_total(table, x, Q, k)
         rows.append((x, Q, rep.total, rep.total / (x * Q)))
     if len(rows) < 2:
         slope = math.nan  # a slope needs at least two grid points

@@ -13,23 +13,17 @@ import numpy as np
 from apvar import (
     ap_main_term,
     ap_sums,
-    denominator_counts,
+    checks,
     deviation_decay_slope,
-    dirichlet_partial_sum_check,
     divisors,
-    euler_phi,
     eval_logpoly,
-    farey_length,
     growth_study,
     m_poly,
-    parseval_check,
     ramanujan_sum,
     sieve_dk,
     square_sum,
     total_sum,
     variance_expansion_check,
-    variance_total,
-    verify_containment,
 )
 from apvar.cli import main as cli_main
 
@@ -78,15 +72,18 @@ def test_criterion_02_hyperbola_checkpoint():
 def test_criterion_03_parseval_identity(table_k2_1e4, table_k3_1e4):
     """Class-error energy equals deviation energy / q, q<=50, x=1e4, k=2,3."""
     start = time.perf_counter()
-    worst = 0.0
-    for table in (table_k2_1e4, table_k3_1e4):
-        for q in range(1, 51):
-            lhs, rhs = parseval_check(table, q, 10**4)
-            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
+    rows = {t.k: checks.parseval(t, 10**4) for t in (table_k2_1e4, table_k3_1e4)}
     elapsed = time.perf_counter() - start
-    ok = worst < 1e-9 and elapsed < 30.0
-    report(3, ok, f"worst rel diff {worst:.2e} (< 1e-9), {elapsed:.1f}s (< 30 s)")
-    assert worst < 1e-9
+    k, worst = max(rows.items(), key=lambda item: item[1]["rel_diff"])
+    passed = all(row["pass"] for row in rows.values())
+    ok = passed and elapsed < 30.0
+    report(
+        3,
+        ok,
+        f"worst rel diff {worst['rel_diff']:.2e} at k={k} q={worst['q']} "
+        f"(<= 1e-9), {elapsed:.1f}s (< 30 s)",
+    )
+    assert passed
     assert elapsed < 30.0
 
 
@@ -141,27 +138,6 @@ def test_criterion_05_main_term_reconstruction():
     assert elapsed < 10.0
 
 
-def _series_tail(table, q, delta):
-    """Predicted tail sum_{n>N, gcd(n,q)=delta} d_k(n)/n^2 beyond N = table.x.
-
-    Abel summation over the constrained count A(t) = sum_{n<=t} d_k(n) gives
-    tail = -A(N)/N^2 + 2 int_N^oo A(t) t^-3 dt.  A(N) is exact from the class
-    sums; inside the integral A(t) is replaced by its main term t P(log t),
-    P = (phi(q/delta)/q) f(q, delta) = sum_j r_j (log t)^j, and
-        2 int_N^oo (log t)^j t^-2 dt = (2/N) sum_{i<=j} (j!/i!) (log N)^i.
-    """
-    N = table.x
-    sums = ap_sums(table, q, N).sums
-    count = sum(int(sums[a]) for a in range(1, q + 1) if math.gcd(a, q) == delta)
-    poly = (euler_phi(q // delta) / q) * ap_main_term(q, delta, table.k)
-    L = math.log(N)
-    integral = sum(
-        r * sum(math.factorial(j) / math.factorial(i) * L**i for i in range(j + 1))
-        for j, r in enumerate(poly.coeffs)
-    )
-    return -count / N**2 + 2.0 * integral / N
-
-
 def test_criterion_06_dirichlet_series_correction():
     """Partial sums at s=2, n<=1e5, plus their predicted tail, against
     zeta(2)^k times the directly evaluated correction product: relative
@@ -170,45 +146,34 @@ def test_criterion_06_dirichlet_series_correction():
     The partial sum alone stops short of the full series by the positive
     tail beyond n=1e5, which shrinks like q (log n)^(k-1)/n and exceeds 1e-3
     in the classes where delta carries all of q.  The tail comes from Abel
-    summation (`_series_tail`): the exact constrained count at the cutoff
+    summation (`stats.dirichlet_tail`): the exact constrained count at the cutoff
     plus the residue polynomial that criterion 05 verifies.  The corrected
     residual is then of size n^-1/2, far inside the tolerance, so a
     correction product off by 1e-3 in any single class fails.  The report
     shows the worst raw deficit beside the worst corrected residual.
     """
     start = time.perf_counter()
-    failing = []
-    cases = 0
-    raw_worst = (0.0, None)
-    worst = (0.0, None)
-    for k in (1, 2, 3, 4):
-        table = sieve_dk(10**5, k)
-        for q in range(1, 31):
-            for delta in divisors(q):
-                lhs, rhs = dirichlet_partial_sum_check(table, q, delta)
-                raw = (rhs - lhs) / rhs
-                rel = abs(lhs + _series_tail(table, q, delta) - rhs) / abs(rhs)
-                cases += 1
-                if rel >= 1e-3:
-                    failing.append((k, q, delta, rel))
-                if raw > raw_worst[0]:
-                    raw_worst = (raw, (k, q, delta))
-                if rel > worst[0]:
-                    worst = (rel, (k, q, delta))
+    rows = {k: checks.dirichlet(sieve_dk(10**5, k)) for k in (1, 2, 3, 4)}
     elapsed = time.perf_counter() - start
+    failing = sum(row["failing"] for row in rows.values())
+    cases = sum(row["cases"] for row in rows.values())
+    kr, raw = max(rows.items(), key=lambda item: item[1]["raw_rel_diff"])
+    kw, worst = max(rows.items(), key=lambda item: item[1]["rel_diff"])
     ok = not failing and elapsed < 60.0
     detail = (
-        f"worst raw deficit {raw_worst[0]:.2e} at (k,q,delta)={raw_worst[1]}, "
-        f"worst tail-corrected residual {worst[0]:.2e} at (k,q,delta)={worst[1]}"
+        f"worst raw deficit {raw['raw_rel_diff']:.2e} at (k,q,delta)="
+        f"{(kr, raw['raw_q'], raw['raw_delta'])}, worst tail-corrected residual "
+        f"{worst['rel_diff']:.2e} at (k,q,delta)={(kw, worst['q'], worst['delta'])}"
     )
     report(
         6,
         ok,
-        f"{len(failing)} of {cases} cases exceed 1e-3; {detail}; "
+        f"{failing} of {cases} cases exceed 1e-3; {detail}; "
         f"{elapsed:.1f}s (< 60 s)",
     )
+    assert cases == 444
     assert elapsed < 60.0
-    assert not failing, f"{len(failing)} of {cases} cases exceed 1e-3: {detail}"
+    assert not failing, f"{failing} of {cases} cases exceed 1e-3: {detail}"
 
 
 def test_criterion_07_main_term_convergence(table_k2_1e6, table_k3_1e6, table_k4_1e6):
@@ -278,42 +243,35 @@ def test_criterion_08_deviation_decay(table_k2_1e6, table_k3_1e6):
 def test_criterion_09_farey_suite():
     """Exact tiling and both inclusions for gamma<=300; lengths for gamma<=1e3."""
     start = time.perf_counter()
-    bad = [g for g in range(2, 301) if not verify_containment(g).ok]
-    counts = denominator_counts(1000)
-    lengths_ok = counts[1] == 2 and all(
-        counts[q] == euler_phi(q) for q in range(2, 1001)
-    )
-    lengths_ok = lengths_ok and farey_length(1000) == 1 + sum(
-        euler_phi(q) for q in range(1, 1001)
-    )
+    tiling = checks.farey_containment(300)
+    lengths = checks.farey_histogram()
     elapsed = time.perf_counter() - start
-    ok = not bad and lengths_ok and elapsed < 5.0
+    ok = tiling["pass"] and lengths["pass"] and elapsed < 5.0
     report(
         9,
         ok,
-        f"violations at orders {bad or 'none'}, lengths ok={lengths_ok}, "
+        f"{tiling['lhs']:.0f} orders violate (first: {tiling['gamma']}), "
+        f"lengths ok={lengths['pass']} (first bad q: {lengths['q']}), "
         f"{elapsed:.1f}s (< 5 s)",
     )
-    assert not bad
-    assert lengths_ok
+    assert tiling["pass"]
+    assert lengths["pass"]
     assert elapsed < 5.0
 
 
 def test_criterion_10_ramanujan_orthogonality():
     """sum_a c_d(a) c_d'(a) = q phi(d) [d=d'], exactly, q<=100."""
     start = time.perf_counter()
-    ok = True
-    for q in range(1, 101):
-        ds = divisors(q)
-        cols = {d: [ramanujan_sum(d, a) for a in range(1, q + 1)] for d in ds}
-        for d1 in ds:
-            for d2 in ds:
-                got = sum(u * v for u, v in zip(cols[d1], cols[d2]))
-                want = q * euler_phi(d1) if d1 == d2 else 0
-                ok = ok and got == want
+    row = checks.ramanujan_orthogonality()
     elapsed = time.perf_counter() - start
+    ok = row["pass"]
     ok_time = elapsed < 1.0
-    report(10, ok and ok_time, f"exact for all q<=100, {elapsed:.2f}s (< 1 s)")
+    report(
+        10,
+        ok and ok_time,
+        f"{row['lhs']:.0f} mismatches for q<=100 (first (q,d1,d2): "
+        f"{(row['q'], row['d1'], row['d2'])}), {elapsed:.2f}s (< 1 s)",
+    )
     assert ok
     assert ok_time
 
@@ -321,35 +279,25 @@ def test_criterion_10_ramanujan_orthogonality():
 def test_criterion_11_growth_study():
     """Slope of log V against log(xQ) for k=2, Q=x^(3/4), x=2^14..2^18."""
     start = time.perf_counter()
-    study = growth_study(2, [2**j for j in range(14, 19)], ("power", 0.75))
+    row = checks.growth(2, 2**18, threads=1)
     elapsed = time.perf_counter() - start
-    ok = 0.85 <= study.slope <= 1.2 and elapsed < 180.0
-    rows = ", ".join(f"(x=2^{int(math.log2(x))}, V/xQ={r:.2f})" for x, _, _, r in study.rows)
+    ok = row["pass"] and elapsed < 180.0
+    rows = ", ".join(f"(x=2^{int(math.log2(x))}, V/xQ={r:.2f})" for x, _, _, r in row["rows"])
     report(
         11,
         ok,
-        f"slope {study.slope:.4f} in [0.85, 1.2]; {rows}; {elapsed:.0f}s (< 3 min)",
+        f"slope {row['lhs']:.4f} in [0.85, 1.2]; {rows}; {elapsed:.0f}s (< 3 min)",
     )
-    assert 0.85 <= study.slope <= 1.2
+    assert row["pass"]
     assert elapsed < 180.0
 
 
-def test_criterion_12_determinism(table_k3_1e4, capsys):
+def test_criterion_12_determinism(capsys):
     """Thread count never changes results: sieve tables bit for bit,
-    variance reports exactly, growth rows exactly, CLI reports byte for byte."""
+    growth rows exactly, CLI reports byte for byte."""
     sieve_1 = sieve_dk(40000, 3, segment_size=4096, threads=1)
     sieve_n = sieve_dk(40000, 3, segment_size=4096, threads=MAX_THREADS)
     tables_equal = np.array_equal(sieve_1.values, sieve_n.values)
-
-    rep_1 = variance_total(table_k3_1e4, 10**4, 100, threads=1)
-    rep_n = variance_total(table_k3_1e4, 10**4, 100, threads=MAX_THREADS)
-    reports_equal = (
-        rep_1.per_q == rep_n.per_q
-        and rep_1.total == rep_n.total
-        and rep_1.congruence_term == rep_n.congruence_term
-        and rep_1.cross_term == rep_n.cross_term
-        and rep_1.main_term == rep_n.main_term
-    )
 
     grid = [2**14, 2**15]
     g_1 = growth_study(2, grid, ("power", 0.75), threads=1)
@@ -366,12 +314,12 @@ def test_criterion_12_determinism(table_k3_1e4, capsys):
         assert code == 0
     cli_equal = outputs[0] == outputs[1]
 
-    ok = tables_equal and reports_equal and growth_equal and cli_equal
+    ok = tables_equal and growth_equal and cli_equal
     report(
         12,
         ok,
-        f"sieve bitwise={tables_equal}, variance exact={reports_equal}, "
-        f"growth exact={growth_equal}, cli bytes={cli_equal} "
+        f"sieve bitwise={tables_equal}, growth exact={growth_equal}, "
+        f"cli bytes={cli_equal} "
         f"(1 vs {MAX_THREADS} threads)",
     )
     assert ok

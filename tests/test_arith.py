@@ -1,6 +1,5 @@
 import cmath
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +11,6 @@ from apvar import (
     build_factor_table,
     d_k_of,
     divisors,
-    error_exponents,
     euler_phi,
     factorize,
     mobius,
@@ -223,23 +221,3 @@ class TestRamanujanSum:
             for a in range(1, q + 1):
                 got = sum(ramanujan_sum(d, a) for d in ds)
                 assert got == (q if a % q == 0 else 0)
-
-
-class TestErrorExponents:
-    def test_values_are_exact_rationals(self):
-        e = error_exponents(2)
-        assert (e.theta, e.delta_cap, e.delta) == (
-            Fraction(2, 3),
-            Fraction(1, 1),
-            Fraction(2, 3),
-        )
-
-    @pytest.mark.parametrize("k", range(2, 9))
-    def test_ordering_invariants(self, k):
-        e = error_exponents(k)
-        assert 0 < e.delta <= e.theta < 1
-        assert e.delta <= e.delta_cap
-
-    def test_k_below_two_rejected(self):
-        with pytest.raises(DomainError):
-            error_exponents(1)

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import pytest
 
@@ -180,6 +181,9 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         rows = [json.loads(line) for line in out.strip().splitlines()]
         assert all(r["pass"] for r in rows)
+        parseval, _, density, _ = rows
+        assert 1 <= parseval["q"] <= 50
+        assert 1 <= density["q"] <= 60
 
     def test_dirichlet_suite_passes_for_k1(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "dirichlet", "--k", "1")
@@ -188,17 +192,35 @@ class TestVerifyCommand:
         assert row["pass"] and row["rel_diff"] < 1e-3
 
     def test_dirichlet_suite_reports_slowest_class_honestly(self, capsys):
-        # at k=2 the gcd-29 class mod 29 sits just above the 1e-3 tolerance
-        # at cutoff 1e5 (its deficit shrinks with the cutoff); the suite
-        # must report that rather than pass
+        # at k=2 the raw partial sum of the gcd-29 class mod 29 falls short
+        # of the full series by just over 1e-3 at cutoff 1e5; with the
+        # predicted tail added every class passes, and the raw_* keys still
+        # name the slowest class
+        code, out, _ = run(capsys, "verify", "--suite", "dirichlet", "--k", "2")
+        row = json.loads(out.strip().splitlines()[0])
+        assert code == EXIT_OK
+        assert row["pass"] and row["failing"] == 0
+        assert row["rel_diff"] < 1e-6
+        assert row["cases"] == 111  # pairs q <= 30, delta | q
+        assert (row["raw_q"], row["raw_delta"]) == (29, 29)
+        assert 1e-3 <= row["raw_rel_diff"] < 2e-3
+        assert 1 <= row["raw_failing"] < row["cases"]
+
+    def test_dirichlet_suite_catches_one_wrong_class(self, capsys, monkeypatch):
+        from apvar import stats
+
+        right = stats.correction_value_at
+
+        def wrong_at_12_4(q, delta, k, s):
+            value = right(q, delta, k, s)
+            return value * (1 + 1.5e-3) if (q, delta) == (12, 4) else value
+
+        monkeypatch.setattr(stats, "correction_value_at", wrong_at_12_4)
         code, out, _ = run(capsys, "verify", "--suite", "dirichlet", "--k", "2")
         row = json.loads(out.strip().splitlines()[0])
         assert code == EXIT_CHECK_FAILED
-        assert not row["pass"]
-        assert 1e-3 <= row["rel_diff"] < 2e-3
-        assert (row["q"], row["delta"]) == (29, 29)
-        assert row["cases"] == 111  # pairs q <= 30, delta | q
-        assert 1 <= row["failing"] < row["cases"]
+        assert not row["pass"] and row["failing"] == 1
+        assert (row["q"], row["delta"]) == (12, 4)
 
     def test_growth_suite_on_reduced_grid(self, capsys):
         code, out, _ = run(
@@ -239,6 +261,18 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == EXIT_USAGE
+
+    def test_table_value_beyond_int64_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "wrap.dktb"
+        path.write_bytes(
+            struct.pack("<4sIQI", b"DKTB", 1, 2, 2) + struct.pack("<2Q", 1, 2**63)
+        )
+        code, _, err = run(
+            capsys, "variance", "--k", "2", "--x", "2", "--Q", "1",
+            "--table", str(path),
+        )
+        assert code == EXIT_USAGE
+        assert "int64" in err
 
     def test_fold_out_of_range_is_usage_error(self, tmp_path, capsys):
         code, _, _ = run(

@@ -10,7 +10,6 @@ from apvar import (
     denominator_counts,
     dissection,
     euler_phi,
-    farey_length,
     farey_sequence,
     verify_containment,
 )
@@ -69,7 +68,7 @@ class TestFareySequence:
         assert farey_sequence(gamma) == brute_force_sequence(gamma)
 
     def test_length_at_hundred(self):
-        assert farey_length(100) == 1 + sum(euler_phi(q) for q in range(1, 101)) == 3045
+        assert len(farey_sequence(100)) == 1 + sum(euler_phi(q) for q in range(1, 101)) == 3045
 
     def test_strictly_increasing(self):
         seq = farey_sequence(40)
@@ -170,4 +169,4 @@ class TestLengthHistogram:
             length += counts[g]
             assert length == 1 + phi_sum
         for g in (1, 2, 17, 120, 200):
-            assert farey_length(g) == 1 + sum(euler_phi(q) for q in range(1, g + 1))
+            assert len(farey_sequence(g)) == 1 + sum(euler_phi(q) for q in range(1, g + 1))

@@ -8,7 +8,6 @@ from apvar import (
     DomainError,
     LaurentSeries,
     LogPoly,
-    StieltjesTable,
     ap_main_term,
     constrained_dirichlet_correction,
     correction_value_at,
@@ -20,7 +19,7 @@ from apvar import (
     ramanujan_sum,
     zeta_power_series,
 )
-from apvar.residues import constant_series, zeta_series
+from apvar.residues import _STIELTJES, constant_series, zeta_series
 
 GAMMA0 = 0.5772156649015328606065121
 GAMMA1 = -0.0728158454836767248605864
@@ -60,17 +59,17 @@ def stieltjes_oracle(n):
 
 class TestStieltjesTable:
     def test_leading_constant_bracket(self):
-        g = StieltjesTable().gamma
+        g = _STIELTJES
         assert 0.577215 < g[0] < 0.577216
 
     def test_all_constants_against_oracle(self):
-        g = StieltjesTable().gamma
+        g = _STIELTJES
         assert len(g) == 16
         for n, value in enumerate(g):
             assert value == pytest.approx(stieltjes_oracle(n), abs=1e-18, rel=1e-15)
 
     def test_truncated_series_reproduces_zeta_at_1p5(self):
-        g = StieltjesTable().gamma
+        g = _STIELTJES
         u = 0.5
         series = 1 / u + sum(
             (-1) ** n * g[n] * u**n / math.factorial(n) for n in range(16)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -189,6 +190,13 @@ class TestExpSum:
                     assert abs(got - direct) <= 1e-9 * total
 
 
+def dktb(x, k, values):
+    """A hand-made DKTB file: header (magic, version 1, x, k), then u64 values."""
+    return struct.pack("<4sIQI", b"DKTB", 1, x, k) + struct.pack(
+        f"<{len(values)}Q", *values
+    )
+
+
 class TestBinaryFormat:
     def test_round_trip_is_bit_exact(self, tmp_path):
         t = sieve_dk(1000, 3)
@@ -225,4 +233,23 @@ class TestBinaryFormat:
         write_table(t, path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(DomainError):
+            read_table(path)
+
+    def test_hand_made_file_is_read(self, tmp_path):
+        path = tmp_path / "ok.dktb"
+        path.write_bytes(dktb(3, 2, [1, 2, 2]))
+        assert read_table(path).values.tolist() == [0, 1, 2, 2]
+
+    @pytest.mark.parametrize("k", (0, 9, 2**32 - 1))
+    def test_fold_outside_range_rejected(self, tmp_path, k):
+        path = tmp_path / "bad_k.dktb"
+        path.write_bytes(dktb(2, k, [1, 2]))
+        with pytest.raises(DomainError, match="fold"):
+            read_table(path)
+
+    @pytest.mark.parametrize("value", (2**63, 2**64 - 1))
+    def test_value_beyond_int64_rejected(self, tmp_path, value):
+        path = tmp_path / "wrap.dktb"
+        path.write_bytes(dktb(3, 2, [1, value, 2]))
+        with pytest.raises(DomainError, match="int64"):
             read_table(path)
