@@ -27,7 +27,6 @@ from .farey import (
     verify_containment,
 )
 from .residues import (
-    LaurentSeries,
     LogPoly,
     ap_main_term,
     constrained_dirichlet_correction,
@@ -61,11 +60,9 @@ from .stats import (
     deviation_decay_slope,
     dirichlet_partial_sum_check,
     error_vector,
-    growth_csv,
     growth_study,
     parseval_check,
     variance_expansion_check,
-    variance_q,
     variance_total,
 )
 

@@ -107,12 +107,18 @@ def farey_histogram() -> dict:
     )
 
 
-def growth(k: int, top: int, *, threads: int) -> dict:
-    """Slope of log V(x, x^0.75) against log(xQ), x = 2^14..2^18 up to top,
-    which must lie in [0.85, 1.2]; `rows` holds the (x, Q, V, V/(xQ)) points."""
+def growth_grid(top: int) -> list[int]:
+    """The growth check's grid x = 2^14..2^18 up to top; a slope needs two
+    points, so top must be at least 2^15."""
     grid = [2**j for j in range(14, 19) if 2**j <= top]
     if len(grid) < 2:
         raise DomainError(f"growth check needs x >= 2^15, got {top}")
+    return grid
+
+
+def growth(k: int, grid: list[int], *, threads: int) -> dict:
+    """Slope of log V(x, x^0.75) against log(xQ) along grid (from growth_grid),
+    which must lie in [0.85, 1.2]; `rows` holds the (x, Q, V, V/(xQ)) points."""
     study = stats.growth_study(k, grid, ("power", 0.75), threads=threads)
     return {
         "check": "growth slope log V vs log(xQ)",

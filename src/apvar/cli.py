@@ -139,6 +139,9 @@ def cmd_farey(args) -> int:
 
 def cmd_verify(args) -> int:
     threads = _resolve_threads(args.threads)
+    # Checked first, so that a bad --x fails before any other suite runs.
+    if args.suite in ("growth", "all"):
+        grid = checks.growth_grid(args.x or 2**18)
     rows = []
     if args.suite in ("identities", "all"):
         x = args.x or 10**4
@@ -156,7 +159,7 @@ def cmd_verify(args) -> int:
     if args.suite in ("farey", "all"):
         rows += [checks.farey_containment(args.gamma or 300), checks.farey_histogram()]
     if args.suite in ("growth", "all"):
-        rows.append(checks.growth(args.k, args.x or 2**18, threads=threads))
+        rows.append(checks.growth(args.k, grid, threads=threads))
     text = "\n".join(json.dumps(r) for r in rows) + "\n"
     _emit(text, args.out)
     return EXIT_OK if all(r["pass"] for r in rows) else EXIT_CHECK_FAILED

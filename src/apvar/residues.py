@@ -6,7 +6,8 @@ the residue at s=1 of
 
     X^(s-1)/s  *  zeta(s)^k  *  (local Euler corrections at primes p | q),
 
-and this module extracts it with truncated Laurent series in u = s-1.
+and this module extracts it with truncated power series (k terms) in
+u = s-1.
 Three closely related polynomial families come out of the same residue:
 
   ap_main_term(q, a, k)   density polynomial for the class a mod q;
@@ -22,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .arith import d_k_of, divisors, euler_phi, factorize
 from .errors import DomainError
@@ -48,186 +51,83 @@ _STIELTJES = (
     -0.0002834686553202414466429,
 )
 
-MAX_SERIES_ORDER = len(_STIELTJES) - 1
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two power series in u, truncated to the length of a."""
+    return np.convolve(a, b)[: len(a)]
 
 
-@dataclass(frozen=True)
-class LaurentSeries:
-    """Truncated Laurent series in u = s-1.
+def zeta_power_series(k: int, n: int) -> np.ndarray:
+    """First n Taylor coefficients of (u zeta(1+u))^k about u=0.
 
-    Coefficients run from u^(-pole_order) through u^cap; coeffs[j] is the
-    coefficient of u^(j - pole_order).  Multiplication shrinks cap by the
-    partner's pole order, which is exactly how far the unknown tail of one
-    factor can reach down.
-    """
-
-    pole_order: int
-    cap: int
-    coeffs: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.pole_order < 0:
-            raise DomainError("pole_order must be >= 0")
-        if self.cap < -self.pole_order:
-            raise DomainError("truncation window is empty")
-        if len(self.coeffs) != self.pole_order + self.cap + 1:
-            raise DomainError("coefficient count does not match window")
-
-    def __getitem__(self, power: int) -> float:
-        """Coefficient of u^power; zero below the pole, error above cap."""
-        if power > self.cap:
-            raise DomainError(f"u^{power} lies beyond truncation cap {self.cap}")
-        if power < -self.pole_order:
-            return 0.0
-        return self.coeffs[power + self.pole_order]
-
-    def __add__(self, other: LaurentSeries) -> LaurentSeries:
-        pole = max(self.pole_order, other.pole_order)
-        cap = min(self.cap, other.cap)
-        coeffs = tuple(
-            self[j] + other[j] for j in range(-pole, cap + 1)
-        )
-        return LaurentSeries(pole, cap, coeffs)
-
-    def __sub__(self, other: LaurentSeries) -> LaurentSeries:
-        return self + (-1.0) * other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return LaurentSeries(
-                self.pole_order, self.cap, tuple(c * other for c in self.coeffs)
-            )
-        pole = self.pole_order + other.pole_order
-        cap = min(self.cap - other.pole_order, other.cap - self.pole_order)
-        if cap < -pole:
-            raise DomainError("product truncation window is empty")
-        out = [0.0] * (pole + cap + 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci == 0.0:
-                continue
-            pi = i - self.pole_order
-            for j, cj in enumerate(other.coeffs):
-                pj = j - other.pole_order
-                p = pi + pj
-                if p > cap:
-                    break
-                out[p + pole] += ci * cj
-        return LaurentSeries(pole, cap, tuple(out))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> LaurentSeries:
-        if k < 1:
-            raise DomainError("series powers need exponent >= 1")
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
-
-    def reciprocal(self) -> LaurentSeries:
-        """1/self for a unit series (no pole, nonzero constant term)."""
-        if self.pole_order != 0:
-            raise DomainError("reciprocal requires a series without a pole")
-        a0 = self.coeffs[0]
-        if a0 == 0.0:
-            raise DomainError("reciprocal requires a nonzero constant term")
-        inv = [1.0 / a0]
-        for n in range(1, self.cap + 1):
-            acc = sum(self.coeffs[i] * inv[n - i] for i in range(1, n + 1))
-            inv.append(-acc / a0)
-        return LaurentSeries(0, self.cap, tuple(inv))
-
-
-def constant_series(value: float, cap: int) -> LaurentSeries:
-    return LaurentSeries(0, cap, (value,) + (0.0,) * cap)
-
-
-def _inv_s_series(cap: int) -> LaurentSeries:
-    """1/s = 1/(1+u) about u=0."""
-    return LaurentSeries(0, cap, tuple((-1.0) ** j for j in range(cap + 1)))
-
-
-def zeta_series(order: int) -> LaurentSeries:
-    """zeta(s) about s=1, kept through u^order."""
-    if order < 0 or order > MAX_SERIES_ORDER:
-        raise DomainError(
-            f"zeta expansion order must lie in 0..{MAX_SERIES_ORDER}"
-        )
-    coeffs = [1.0]
-    coeffs += [
-        (-1.0) ** n * _STIELTJES[n] / math.factorial(n)
-        for n in range(order + 1)
-    ]
-    return LaurentSeries(1, order, tuple(coeffs))
-
-
-def zeta_power_series(k: int, order: int) -> LaurentSeries:
-    """zeta(s)^k about s=1: pole order k, principal coefficient 1.
-
-    The k-th power pulls expansion terms of zeta down by k-1 places, so the
-    base expansion must reach u^(order+k-1); orders beyond the tabulated
-    constants are rejected.
+    The pole of zeta(s)^k is u^-k times this series, whose constant term is
+    1; n terms need the expansion constants through index n-2.
     """
     if not 1 <= k <= 8:
         raise DomainError(f"fold parameter must lie in 1..8, got {k}")
-    if order < 0 or order + k - 1 > MAX_SERIES_ORDER:
+    if not 1 <= n <= len(_STIELTJES) + 1:
         raise DomainError(
-            f"order {order} needs expansion constants beyond index {MAX_SERIES_ORDER}"
+            f"{n} terms need expansion constants beyond index {len(_STIELTJES) - 1}"
         )
-    return zeta_series(order + k - 1) ** k
-
-
-def _prime_power_series(p: int, cap: int) -> LaurentSeries:
-    """p^(-s) = (1/p) exp(-u log p) about u=0."""
-    lp = math.log(p)
-    coeffs = [(-lp) ** j / (math.factorial(j) * p) for j in range(cap + 1)]
-    return LaurentSeries(0, cap, tuple(coeffs))
+    base = np.array(
+        [1.0] + [(-1.0) ** j * _STIELTJES[j] / math.factorial(j) for j in range(n - 1)]
+    )
+    out = base
+    for _ in range(k - 1):
+        out = _mul(out, base)
+    return out
 
 
 @lru_cache(maxsize=None)
 def local_correction_series(
-    p: int, alpha: int, beta: int, k: int, order: int
-) -> LaurentSeries:
+    p: int, alpha: int, beta: int, k: int, n: int
+) -> np.ndarray:
     """Euler factor at p for the series restricted to v_p(n) pinned by (alpha, beta).
 
     With alpha = v_p(q) and beta = v_p(gcd), the restricted local factor is
         (1 - p^-s)^k * d_k(p^beta) p^(-beta*s)          if beta < alpha,
         1 - (1 - p^-s)^k * sum_{j<alpha} d_k(p^j) p^-js  if beta = alpha,
-    expanded about s=1.  No pole; value at s=1 is positive.
+    as its first n Taylor coefficients about s=1 (read-only, since the
+    cache hands the same array to every caller).  Value at s=1 is positive.
     """
     if alpha < 1 or beta < 0 or beta > alpha:
         raise DomainError(f"need 0 <= beta <= alpha with alpha >= 1, got ({alpha}, {beta})")
-    e = _prime_power_series(p, order)
-    one = constant_series(1.0, order)
-    euler = (one - e) ** k
+    terms = np.arange(n)
+    fact = np.array([math.factorial(i) for i in range(n)], dtype=float)
+
+    def p_pow(j: int) -> np.ndarray:
+        """p^(-j s) = p^-j exp(-j u log p)."""
+        return p**-j * (-j * math.log(p)) ** terms / fact
+
+    one_minus = -p_pow(1)
+    one_minus[0] += 1.0
+    euler = one_minus
+    for _ in range(k - 1):
+        euler = _mul(euler, one_minus)
     if beta < alpha:
-        out = euler * float(d_k_of(p**beta, k))
-        for _ in range(beta):
-            out = out * e
-        return out
-    acc = constant_series(0.0, order)
-    epow = one
-    for j in range(alpha):
-        acc = acc + float(d_k_of(p**j, k)) * epow
-        epow = epow * e
-    return one - euler * acc
+        out = d_k_of(p**beta, k) * _mul(euler, p_pow(beta))
+    else:
+        out = -_mul(euler, sum(d_k_of(p**j, k) * p_pow(j) for j in range(alpha)))
+        out[0] += 1.0
+    out.flags.writeable = False
+    return out
 
 
-def constrained_dirichlet_correction(
-    q: int, delta: int, k: int, order: int
-) -> LaurentSeries:
+def constrained_dirichlet_correction(q: int, delta: int, k: int, n: int) -> np.ndarray:
     """Product of local factors over p | q so that the Dirichlet series of
-    d_k over {n : gcd(n, q) = delta} equals zeta(s)^k times this series."""
+    d_k over {n : gcd(n, q) = delta} equals zeta(s)^k times this series
+    (first n Taylor coefficients about s=1)."""
     if delta < 1 or q % delta != 0:
         raise DomainError(f"{delta} does not divide {q}")
-    out = constant_series(1.0, order)
+    out = np.zeros(n)
+    out[0] = 1.0
     for pp in factorize(q):
         beta = 0
         d = delta
         while d % pp.p == 0:
             d //= pp.p
             beta += 1
-        out = out * local_correction_series(pp.p, pp.a, beta, k, order)
+        out = _mul(out, local_correction_series(pp.p, pp.a, beta, k, n))
     return out
 
 
@@ -311,28 +211,19 @@ def logpoly_json(poly: LogPoly, *, k: int, q: int, a: int | None = None) -> dict
     return out
 
 
-def _working_orders(k: int) -> tuple[int, int]:
-    """(zeta-power order, correction order) for residue extraction at fold k.
-
-    The residue needs the full principal part of the product and two guard
-    coefficients; the zeta-power order is additionally capped by the
-    tabulated expansion constants.
-    """
-    return min(k + 2, MAX_SERIES_ORDER - (k - 1)), k + 2
-
-
 @lru_cache(maxsize=None)
 def _residue_poly(q: int, delta: int, k: int) -> LogPoly:
     """Residue at s=1 of X^(s-1)/s * zeta(s)^k * correction(q, delta),
-    as a polynomial in log X of degree <= k-1."""
-    ord_z, ord_c = _working_orders(k)
-    g = zeta_power_series(k, ord_z) * constrained_dirichlet_correction(
-        q, delta, k, ord_c
-    )
-    h = g * _inv_s_series(ord_c)
-    return LogPoly(
-        tuple(h[-1 - j] / math.factorial(j) for j in range(k))
-    )
+    as a polynomial in log X of degree <= k-1.
+
+    With zeta(1+u)^k = u^-k (u zeta(1+u))^k, the residue is the u^(k-1)
+    coefficient of X^u * h(u), h = (u zeta(1+u))^k * correction / (1+u);
+    so the (log X)^j coefficient is h[k-1-j] / j!.
+    """
+    inv_s = (-1.0) ** np.arange(k)
+    z = zeta_power_series(k, k)
+    h = _mul(_mul(z, constrained_dirichlet_correction(q, delta, k, k)), inv_s)
+    return LogPoly(tuple(float(h[k - 1 - j]) / math.factorial(j) for j in range(k)))
 
 
 def ap_main_term(q: int, a: int, k: int) -> LogPoly:

@@ -142,8 +142,8 @@ def sieve_dk(
 
 def total_sum(table: DkTable) -> int:
     """Exact sum of d_k(n) over the table."""
-    # int64 cannot overflow here: the total is below x (1+log x)^(k-1),
-    # which stays under 2^63 for any table that fits in memory.
+    # No wrap: a sieved total is below x (1+log x)^(k-1), and read_table
+    # rejects a file whose x * max value reaches 2^63.
     return int(table.values[1:].sum(dtype=np.int64))
 
 
@@ -188,7 +188,8 @@ def write_table(table: DkTable, path) -> None:
 
 def read_table(path) -> DkTable:
     """Read a table written by write_table; validates the header, the size
-    and that every value fits in int64."""
+    and that x times the largest value, a bound on every sum over the
+    table, fits in int64."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -204,8 +205,9 @@ def read_table(path) -> DkTable:
     if len(payload) != 8 * x:
         raise DomainError(f"{path}: expected {8 * x} payload bytes, got {len(payload)}")
     raw = np.frombuffer(payload, dtype="<u8")
-    if raw.size and int(raw.max()) >= 2**63:
-        raise DomainError(f"{path}: value {int(raw.max())} does not fit in int64")
+    top = int(raw.max()) if raw.size else 0
+    if x * top >= 2**63:
+        raise DomainError(f"{path}: x * max value = {x} * {top} does not fit in int64")
     values = np.zeros(x + 1, dtype=np.int64)
     values[1:] = raw.astype(np.int64)
     return DkTable(x=int(x), k=int(k), values=values)

@@ -112,12 +112,6 @@ def delta_value(cls: ResidueClassSums, a: int, k: int | None = None) -> DeltaVal
     return DeltaValue(value=s.value - main, a=r, q=q, X=cls.X)
 
 
-def variance_q(table: DkTable, q: int, x: int, k: int | None = None) -> float:
-    """V_x(q) = sum over classes of the squared error."""
-    ev = error_vector(table, q, x, k)
-    return float(np.sum(ev.e * ev.e))
-
-
 def variance_total(
     table: DkTable,
     x: int,
@@ -286,16 +280,6 @@ class GrowthStudy:
     k: int
     rows: tuple[tuple[int, int, float, float], ...]  # (x, Q, V, V/(xQ))
     slope: float
-
-
-def growth_csv(study: GrowthStudy) -> str:
-    """Growth rows in the plot-ready schema x,Q,V,V_over_xQ."""
-    lines = ["x,Q,V,V_over_xQ"]
-    lines += [
-        f"{x},{Q},{format(v, '.17g')},{format(r, '.17g')}"
-        for x, Q, v, r in study.rows
-    ]
-    return "\n".join(lines) + "\n"
 
 
 def growth_study(

@@ -236,6 +236,19 @@ class TestVerifyCommand:
         )
         assert code == EXIT_USAGE
 
+    def test_all_suites_refuse_a_short_growth_grid_before_running(
+        self, capsys, monkeypatch
+    ):
+        from apvar import checks
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a suite ran before the growth grid was checked")
+
+        monkeypatch.setattr(checks, "parseval", must_not_run)
+        code, out, err = run(capsys, "verify", "--suite", "all", "--x", "10000")
+        assert code == EXIT_USAGE
+        assert out == "" and "2^15" in err
+
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nonsense"])
@@ -273,6 +286,18 @@ class TestExitCodes:
         )
         assert code == EXIT_USAGE
         assert "int64" in err
+
+    def test_table_total_beyond_int64_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "sum_wraps.dktb"
+        path.write_bytes(
+            struct.pack("<4sIQI", b"DKTB", 1, 2, 2) + struct.pack("<2Q", 2**62, 2**62)
+        )
+        code, out, err = run(
+            capsys, "expsum", "--k", "2", "--x", "2", "--q", "1", "--a", "1",
+            "--table", str(path),
+        )
+        assert code == EXIT_USAGE
+        assert out == "" and "int64" in err
 
     def test_fold_out_of_range_is_usage_error(self, tmp_path, capsys):
         code, _, _ = run(

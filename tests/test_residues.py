@@ -1,25 +1,25 @@
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from apvar import (
     DomainError,
-    LaurentSeries,
     LogPoly,
     ap_main_term,
     constrained_dirichlet_correction,
     correction_value_at,
+    d_k_of,
     divisors,
+    euler_phi,
     eval_logpoly,
     f_star,
+    factorize,
     local_correction_series,
     m_poly,
     ramanujan_sum,
     zeta_power_series,
 )
-from apvar.residues import _STIELTJES, constant_series, zeta_series
+from apvar.residues import _STIELTJES, _mul
 
 GAMMA0 = 0.5772156649015328606065121
 GAMMA1 = -0.0728158454836767248605864
@@ -77,88 +77,45 @@ class TestStieltjesTable:
         assert abs(series - zeta_euler_maclaurin(1.5)) < 1e-8
 
 
-class TestLaurentSeries:
-    def test_indexing_and_window(self):
-        s = LaurentSeries(1, 2, (1.0, 2.0, 3.0, 4.0))
-        assert s[-1] == 1.0 and s[0] == 2.0 and s[2] == 4.0
-        assert s[-5] == 0.0
-        with pytest.raises(DomainError):
-            s[3]
-
-    def test_multiplication_cap_shrinks_by_partner_pole(self):
-        a = zeta_series(4)  # pole 1, cap 4
-        prod = a * a
-        assert prod.pole_order == 2 and prod.cap == 3
-
-    def test_power_matches_repeated_multiplication(self):
-        z = zeta_series(6)
-        assert z**3 == (z * z) * z
-
-    def test_reciprocal_of_unit_series(self):
-        s = constant_series(2.0, 5) + 0.5 * LaurentSeries(0, 5, (0.0, 1.0) + (0.0,) * 4)
-        inv = s.reciprocal()
-        prod = s * inv
-        assert prod[0] == pytest.approx(1.0, abs=1e-15)
-        for j in range(1, 6):
-            assert prod[j] == pytest.approx(0.0, abs=1e-15)
-
-    def test_reciprocal_needs_unit(self):
-        with pytest.raises(DomainError):
-            zeta_series(3).reciprocal()
-
-    @given(
-        st.lists(st.floats(-2, 2), min_size=4, max_size=4),
-        st.lists(st.floats(-2, 2), min_size=4, max_size=4),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_multiplication_commutes(self, u, v):
-        a = LaurentSeries(0, 3, tuple(u))
-        b = LaurentSeries(0, 3, tuple(v))
-        left, right = a * b, b * a
-        for j in range(4):
-            assert left[j] == pytest.approx(right[j], abs=1e-12)
-
-
 class TestZetaPowerSeries:
     def test_simple_pole_residue(self):
-        s = zeta_power_series(1, 0)
-        assert s[-1] == 1.0
+        assert zeta_power_series(1, 1)[0] == 1.0
 
     def test_first_expansion_coefficients(self):
-        s = zeta_power_series(1, 2)
-        assert s[-1] == 1.0
-        assert s[0] == pytest.approx(GAMMA0, abs=1e-15)
-        assert s[1] == pytest.approx(-GAMMA1, abs=1e-15)
+        s = zeta_power_series(1, 3)
+        assert s[0] == 1.0
+        assert s[1] == pytest.approx(GAMMA0, abs=1e-15)
+        assert s[2] == pytest.approx(-GAMMA1, abs=1e-15)
 
     def test_square_has_doubled_residue_coefficient(self):
-        s = zeta_power_series(2, 3)
-        assert s.pole_order == 2
-        assert s[-2] == 1.0
-        assert s[-1] == pytest.approx(2 * GAMMA0, abs=1e-14)
+        s = zeta_power_series(2, 4)
+        assert s[0] == 1.0
+        assert s[1] == pytest.approx(2 * GAMMA0, abs=1e-14)
 
     def test_principal_coefficient_always_one(self):
         for k in range(1, 9):
-            assert zeta_power_series(k, 2)[-k] == pytest.approx(1.0, abs=1e-13)
+            assert zeta_power_series(k, 3)[0] == pytest.approx(1.0, abs=1e-13)
 
     def test_powers_agree_with_base_powering(self):
-        for k in range(1, 7):
-            direct = zeta_power_series(k, 4)
-            powered = zeta_series(4 + k - 1) ** k
-            for j in range(-k, direct.cap + 1):
-                assert direct[j] == pytest.approx(powered[j], abs=1e-12)
+        base = zeta_power_series(1, 8)
+        powered = base
+        for k in range(1, 9):
+            assert zeta_power_series(k, 8) == pytest.approx(powered, abs=1e-12)
+            powered = _mul(powered, base)
 
     def test_order_beyond_table_rejected(self):
-        with pytest.raises(DomainError):
-            zeta_power_series(1, 16)
-        with pytest.raises(DomainError):
-            zeta_power_series(8, 9)  # needs expansion index 16
+        assert len(zeta_power_series(8, 17)) == 17
+        for n in (0, 18):
+            with pytest.raises(DomainError):
+                zeta_power_series(1, n)
 
 
 class TestLocalCorrection:
     def test_pinned_exponent_value(self):
         s = local_correction_series(2, 1, 0, 2, 4)
-        assert s.pole_order == 0
         assert s[0] == pytest.approx(0.25, abs=1e-15)
+        with pytest.raises(ValueError):
+            s[0] = 0.0  # the cache hands this array to every caller
 
     def test_free_exponent_complement(self):
         s = local_correction_series(2, 1, 1, 2, 4)
@@ -167,12 +124,9 @@ class TestLocalCorrection:
     @pytest.mark.parametrize("p", (2, 3, 7, 97))
     @pytest.mark.parametrize("k", (1, 2, 4))
     def test_alpha_one_cases_partition_unity(self, p, k):
-        pinned = local_correction_series(p, 1, 0, k, 5)
-        free = local_correction_series(p, 1, 1, k, 5)
-        total = pinned + free
-        assert total[0] == pytest.approx(1.0, abs=1e-14)
-        for j in range(1, 6):
-            assert total[j] == pytest.approx(0.0, abs=1e-14)
+        pinned = local_correction_series(p, 1, 0, k, 6)
+        free = local_correction_series(p, 1, 1, k, 6)
+        assert pinned + free == pytest.approx([1.0] + [0.0] * 5, abs=1e-14)
 
     def test_beta_above_alpha_rejected(self):
         with pytest.raises(DomainError):
@@ -183,7 +137,7 @@ class TestLocalCorrection:
         # expansion point that the dropped tail is far below the tolerance
         u = 0.1
         for p, alpha, beta, k in ((2, 2, 1, 3), (3, 1, 0, 2), (5, 2, 2, 4)):
-            s = local_correction_series(p, alpha, beta, k, 15)
+            s = local_correction_series(p, alpha, beta, k, 16)
             series_value = sum(s[j] * u**j for j in range(16))
             direct = correction_value_at(p**alpha, p**beta, k, 1.0 + u)
             assert series_value == pytest.approx(direct, rel=1e-12)
@@ -191,8 +145,8 @@ class TestLocalCorrection:
 
 class TestConstrainedCorrection:
     def test_trivial_modulus_is_one(self):
-        s = constrained_dirichlet_correction(1, 1, 3, 4)
-        assert s[0] == 1.0 and all(s[j] == 0.0 for j in range(1, 5))
+        s = constrained_dirichlet_correction(1, 1, 3, 5)
+        assert list(s) == [1.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_value_at_s1_for_q2(self):
         s = constrained_dirichlet_correction(2, 1, 2, 4)
@@ -209,6 +163,56 @@ class TestConstrainedCorrection:
             * correction_value_at(5, 1, 3, 2.0),
             rel=1e-14,
         )
+
+
+def residue_oracle(q, delta, k):
+    """Coefficients of ap_main_term(q, delta, k) at 40 digits, independent of
+    the module: mpmath's Stieltjes constants give u zeta(1+u), and mp.taylor
+    expands the Euler-product correction evaluated directly."""
+    import mpmath as mp
+
+    def correction(u):
+        out = mp.mpf(1)
+        for pp in factorize(q):
+            beta = 0
+            while delta % pp.p ** (beta + 1) == 0:
+                beta += 1
+            euler = (1 - mp.power(pp.p, -1 - u)) ** k
+            if beta < pp.a:
+                out *= euler * d_k_of(pp.p**beta, k) * mp.power(pp.p, -beta * (1 + u))
+            else:
+                out *= 1 - euler * mp.fsum(
+                    d_k_of(pp.p**j, k) * mp.power(pp.p, -j * (1 + u)) for j in range(pp.a)
+                )
+        return out
+
+    def times(a, b):
+        return [mp.fsum(a[i] * b[j - i] for i in range(j + 1)) for j in range(k)]
+
+    with mp.workdps(40):
+        # u zeta(1+u) = 1 + sum_m (-1)^m gamma_m / m! u^(m+1)
+        z = [mp.mpf(1)] + [(-1) ** m * mp.stieltjes(m) / mp.factorial(m) for m in range(k - 1)]
+        h = times(mp.taylor(correction, 0, k - 1), [(-1) ** j for j in range(k)])
+        for _ in range(k):
+            h = times(h, z)
+        scale = mp.mpf(q) / euler_phi(q // delta)
+        return [float(scale * h[k - 1 - j] / mp.factorial(j)) for j in range(k)]
+
+
+def test_main_terms_match_mpmath_residue_oracle():
+    worst, where, cases = 0.0, None, 0
+    for k in range(1, 9):
+        for q in (1, 2, 12, 30, 64, 97, 120, 128, 210, 243):
+            for delta in divisors(q):
+                want = residue_oracle(q, delta, k)
+                got = ap_main_term(q, delta, k).coeffs
+                assert len(got) == k
+                err = max(abs(a - b) for a, b in zip(got, want)) / max(map(abs, want))
+                cases += 1
+                if err > worst:
+                    worst, where = err, (k, q, delta)
+    assert cases == 576
+    assert worst <= 1e-11, f"worst relative error {worst:.2e} at (k, q, delta) = {where}"
 
 
 class TestApMainTerm:
@@ -348,8 +352,6 @@ class TestEvalLogPoly:
 class TestDirichletSeriesOracle:
     def test_partial_sums_converge_to_corrected_zeta_power(self, spf_table_1e7):
         # brute force: sum d_k(n)/n^2 over n <= 1e5 with gcd(n, 30) = 6
-        from apvar import d_k_of
-
         n_max = 10**5
         for k in (2, 3):
             partial = 0.0

@@ -253,3 +253,10 @@ class TestBinaryFormat:
         path.write_bytes(dktb(3, 2, [1, value, 2]))
         with pytest.raises(DomainError, match="int64"):
             read_table(path)
+
+    def test_total_that_would_wrap_int64_rejected(self, tmp_path):
+        # each value fits, but their sum would wrap to -2^63
+        path = tmp_path / "sum_wraps.dktb"
+        path.write_bytes(dktb(2, 2, [2**62, 2**62]))
+        with pytest.raises(DomainError, match="int64"):
+            read_table(path)

@@ -18,7 +18,6 @@ from apvar import (
     parseval_check,
     sieve_dk,
     variance_expansion_check,
-    variance_q,
     variance_total,
 )
 from apvar.stats import regression_slope
@@ -82,7 +81,7 @@ class TestDeltaValue:
 class TestVariance:
     def test_single_modulus_is_squared_error(self, table_k2_1e4):
         ev = error_vector(table_k2_1e4, 1, 10**3)
-        assert variance_q(table_k2_1e4, 1, 10**3) == pytest.approx(
+        assert variance_total(table_k2_1e4, 10**3, 1).per_q[0] == pytest.approx(
             float(ev.e[1]) ** 2, rel=1e-12
         )
 
@@ -242,14 +241,3 @@ class TestGrowthStudy:
         v1 = variance_total(table_k2_1e4, x, 64).total
         v2 = variance_total(table_k2_1e4, x, 128).total
         assert 1.0 <= v2 / v1 <= 4.0  # at most ~doubles plus polylog drift
-
-    def test_csv_emission_schema(self, table_k2_1e4):
-        from apvar import growth_csv
-
-        study = growth_study(2, [512, 4096], ("power", 0.5), sieve=table_k2_1e4)
-        lines = growth_csv(study).strip().splitlines()
-        assert lines[0] == "x,Q,V,V_over_xQ"
-        assert len(lines) == 3
-        x, Q, v, r = lines[1].split(",")
-        assert (int(x), int(Q)) == (512, 23)
-        assert float(v) / (512 * 23) == pytest.approx(float(r), rel=1e-15)
