@@ -7,7 +7,8 @@ the residue at s=1 of
     X^(s-1)/s  *  zeta(s)^k  *  (local Euler corrections at primes p | q),
 
 and this module extracts it with truncated power series (k terms) in
-u = s-1.
+u = s-1.  correction_table builds the local-correction series of every
+pair (q, delta | q) over a set of moduli at once, for the variance engine.
 Three closely related polynomial families come out of the same residue:
 
   ap_main_term(q, a, k)   density polynomial for the class a mod q;
@@ -113,22 +114,69 @@ def local_correction_series(
     return out
 
 
+def _mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-by-row truncated products of two stacks of power series in u."""
+    n = a.shape[1]
+    out = np.zeros_like(a)
+    for i in range(n):
+        out[:, i:] += a[:, i : i + 1] * b[:, : n - i]
+    return out
+
+
+def correction_table(moduli, k: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The correction series of every pair (q, delta), q in moduli, delta | q.
+
+    Returns (start, delta, coeffs): the rows of the i-th modulus are
+    start[i]:start[i+1], delta ascending, and coeffs[r] holds the first n
+    Taylor coefficients about s=1 of the product over p^alpha || q of
+    local_correction_series(p, alpha, v_p(delta), k, n).  Each local series
+    is multiplied into all rows that share it at once, one prime of q per
+    pass (primes ascending).
+    """
+    moduli = [int(q) for q in moduli]
+    if moduli and (min(moduli) < 1 or max(moduli) >= 2**63):
+        raise DomainError("moduli must lie in 1..2^63-1")
+    divs = [divisors(q) for q in moduli]
+    start = np.zeros(len(moduli) + 1, dtype=np.int64)
+    start[1:] = np.cumsum([len(d) for d in divs])
+    delta = np.array([d for ds in divs for d in ds], dtype=np.int64)
+    # One entry per (modulus, p^alpha || q), rank ordering the primes of q,
+    # then spread over the rows of that modulus with beta = v_p(delta).
+    entries = [
+        (i, pp.p, pp.a, r) for i, q in enumerate(moduli) for r, pp in enumerate(factorize(q))
+    ]
+    owner, p, alpha, rank = np.array(entries, dtype=np.int64).reshape(-1, 4).T
+    size = start[owner + 1] - start[owner]
+    row = np.repeat(start[owner] - np.cumsum(size) + size, size) + np.arange(size.sum())
+    p, alpha, rank = (np.repeat(col, size) for col in (p, alpha, rank))
+    rest = delta[row]
+    beta = np.zeros_like(rest)
+    while (hit := rest % p == 0).any():
+        rest[hit] //= p[hit]
+        beta += hit
+    _, p_index = np.unique(p, return_inverse=True)
+    _, first, which = np.unique(
+        (p_index * 64 + alpha) * 64 + beta, return_index=True, return_inverse=True
+    )
+    local = np.array(
+        [local_correction_series(int(p[j]), int(alpha[j]), int(beta[j]), k, n) for j in first]
+    ).reshape(len(first), n)
+    coeffs = np.zeros((len(delta), n))
+    coeffs[:, 0] = 1.0
+    for r in range(int(rank.max()) + 1 if rank.size else 0):
+        sel = rank == r
+        coeffs[row[sel]] = _mul_rows(coeffs[row[sel]], local[which[sel]])
+    return start, delta, coeffs
+
+
 def constrained_dirichlet_correction(q: int, delta: int, k: int, n: int) -> np.ndarray:
     """Product of local factors over p | q so that the Dirichlet series of
     d_k over {n : gcd(n, q) = delta} equals zeta(s)^k times this series
     (first n Taylor coefficients about s=1)."""
     if delta < 1 or q % delta != 0:
         raise DomainError(f"{delta} does not divide {q}")
-    out = np.zeros(n)
-    out[0] = 1.0
-    for pp in factorize(q):
-        beta = 0
-        d = delta
-        while d % pp.p == 0:
-            d //= pp.p
-            beta += 1
-        out = _mul(out, local_correction_series(pp.p, pp.a, beta, k, n))
-    return out
+    _, divs, coeffs = correction_table([q], k, n)
+    return coeffs[np.searchsorted(divs, delta)]
 
 
 def _local_correction_value(p: int, alpha: int, beta: int, k: int, s: float) -> float:
@@ -211,19 +259,38 @@ def logpoly_json(poly: LogPoly, *, k: int, q: int, a: int | None = None) -> dict
     return out
 
 
-@lru_cache(maxsize=None)
-def _residue_poly(q: int, delta: int, k: int) -> LogPoly:
-    """Residue at s=1 of X^(s-1)/s * zeta(s)^k * correction(q, delta),
-    as a polynomial in log X of degree <= k-1.
+def _residue_series(k: int) -> np.ndarray:
+    """g = (u zeta(1+u))^k / (1+u), the first k coefficients: the residue
+    of X^(s-1)/s * zeta(s)^k * C(s) is the u^(k-1) coefficient of X^u C g."""
+    return _mul(zeta_power_series(k, k), (-1.0) ** np.arange(k))
 
-    With zeta(1+u)^k = u^-k (u zeta(1+u))^k, the residue is the u^(k-1)
-    coefficient of X^u * h(u), h = (u zeta(1+u))^k * correction / (1+u);
-    so the (log X)^j coefficient is h[k-1-j] / j!.
+
+@lru_cache(maxsize=None)
+def _residue_polys(q: int, k: int) -> dict[int, LogPoly]:
+    """Residue at s=1 of X^(s-1)/s * zeta(s)^k * correction(q, delta) for
+    every delta | q, as polynomials in log X of degree <= k-1.
+
+    With h = correction * g, the (log X)^j coefficient is h[k-1-j] / j!.
     """
-    inv_s = (-1.0) ** np.arange(k)
-    z = zeta_power_series(k, k)
-    h = _mul(_mul(z, constrained_dirichlet_correction(q, delta, k, k)), inv_s)
-    return LogPoly(tuple(float(h[k - 1 - j]) / math.factorial(j) for j in range(k)))
+    _, divs, coeffs = correction_table([q], k, k)
+    h = _mul_rows(coeffs, np.broadcast_to(_residue_series(k), coeffs.shape))
+    polys = h[:, ::-1] / np.array([math.factorial(j) for j in range(k)], dtype=float)
+    return {d: LogPoly(tuple(row)) for d, row in zip(divs.tolist(), polys.tolist())}
+
+
+def main_term_weights(k: int, x: float) -> np.ndarray:
+    """w(x) with f(q, delta)(x) = q/phi(q/delta) * (C . w(x)), C the first k
+    coefficients of constrained_dirichlet_correction(q, delta, k, k).
+
+    Written out, the residue of _residue_polys is
+    sum_j h[k-1-j] (log x)^j / j! with h = C g; so
+    w_i = sum_{j <= k-1-i} g[k-1-i-j] (log x)^j / j!.  Accepts x = 1.
+    """
+    if x < 1:
+        raise DomainError(f"cutoff must be >= 1, got {x}")
+    t = math.log(x)
+    powers = np.array([t**j / math.factorial(j) for j in range(k)])
+    return _mul(_residue_series(k), powers)[::-1]
 
 
 def ap_main_term(q: int, a: int, k: int) -> LogPoly:
@@ -238,7 +305,7 @@ def ap_main_term(q: int, a: int, k: int) -> LogPoly:
         raise DomainError(f"need 1 <= a <= q, got a={a}, q={q}")
     delta = math.gcd(q, a)
     scale = q / euler_phi(q // delta)
-    return scale * _residue_poly(q, delta, k)
+    return scale * _residue_polys(q, k)[delta]
 
 
 @lru_cache(maxsize=None)

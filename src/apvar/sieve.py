@@ -11,6 +11,7 @@ exponential sums S_X(a/q) assembled from the class sums in O(q).
 from __future__ import annotations
 
 import math
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -147,10 +148,18 @@ def total_sum(table: DkTable) -> int:
     return int(table.values[1:].sum(dtype=np.int64))
 
 
+def exact_square_sum(values: np.ndarray) -> int:
+    """Exact sum of squares of an int64 array: one int64 dot product when
+    len * max|v|^2 < 2^63 bounds every partial sum, else Python ints."""
+    top = max(int(values.max()), -int(values.min())) if values.size else 0
+    if values.size * top * top < 2**63:
+        return int(np.dot(values, values))
+    return sum(v * v for v in values.tolist())
+
+
 def square_sum(table: DkTable) -> int:
-    """Exact sum of d_k(n)^2; accumulated in Python ints (squares may
-    exceed 64 bits for extreme tables)."""
-    return sum(v * v for v in table.values[1:].tolist())
+    """Exact sum of d_k(n)^2 over the table."""
+    return exact_square_sum(table.values[1:])
 
 
 def ap_sums(table: DkTable, q: int, X: int) -> ResidueClassSums:
@@ -183,13 +192,13 @@ def write_table(table: DkTable, path) -> None:
     """Write the binary cache format: header then x little-endian u64."""
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, table.x, table.k))
-        fh.write(table.values[1:].astype("<u8").tobytes())
+        fh.write(table.values[1:].astype("<i8", copy=False).view("<u8").data)
 
 
 def read_table(path) -> DkTable:
-    """Read a table written by write_table; validates the header, the size
-    and that x times the largest value, a bound on every sum over the
-    table, fits in int64."""
+    """Read a table written by write_table; validates the header, the file
+    size (before allocating) and that x times the largest value, a bound on
+    every sum over the table, fits in int64."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -201,13 +210,18 @@ def read_table(path) -> DkTable:
             raise DomainError(f"{path}: unsupported version {version}")
         if not 1 <= k <= 8:
             raise DomainError(f"{path}: fold parameter {k} outside 1..8")
-        payload = fh.read()
-    if len(payload) != 8 * x:
-        raise DomainError(f"{path}: expected {8 * x} payload bytes, got {len(payload)}")
-    raw = np.frombuffer(payload, dtype="<u8")
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if size != 8 * x:
+            raise DomainError(f"{path}: expected {8 * x} payload bytes, got {size}")
+        try:
+            values = np.zeros(x + 1, dtype="<i8")
+        except MemoryError as exc:
+            raise ResourceError(f"{path}: table of {x} values needs ~{8 * x} bytes") from exc
+        got = fh.readinto(values[1:])
+    if got != 8 * x:
+        raise DomainError(f"{path}: expected {8 * x} payload bytes, read {got}")
+    raw = values[1:].view("<u8")
     top = int(raw.max()) if raw.size else 0
     if x * top >= 2**63:
         raise DomainError(f"{path}: x * max value = {x} * {top} does not fit in int64")
-    values = np.zeros(x + 1, dtype=np.int64)
-    values[1:] = raw.astype(np.int64)
     return DkTable(x=int(x), k=int(k), values=values)

@@ -17,19 +17,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import divisors, euler_phi
+from .arith import euler_phi
 from .errors import DomainError, ResourceError
 from .residues import (
     LogPoly,
     ap_main_term,
+    correction_table,
     correction_value_at,
     eval_logpoly,
     f_star,
     m_poly,
+    main_term_weights,
 )
-from .sieve import DkTable, ResidueClassSums, ap_sums, exp_sum, sieve_dk
+from .sieve import (
+    DkTable,
+    ResidueClassSums,
+    ap_sums,
+    exact_square_sum,
+    exp_sum,
+    sieve_dk,
+)
 
 DEFAULT_WORK_BUDGET = 4 * 10**9
+_TABLE_BLOCK = 1024  # moduli per correction table: bounds its memory to a few MB
 
 
 @dataclass(frozen=True)
@@ -80,12 +90,24 @@ def _eval_main(poly: LogPoly, x: float) -> float:
     return eval_logpoly(poly, x)
 
 
-def _density_values(q: int, x: float, k: int) -> np.ndarray:
-    """f(q, a) evaluated at x for a = 1..q, via the gcd lookup."""
-    divs = divisors(q)
-    by_gcd = np.array([_eval_main(ap_main_term(q, d, k), x) for d in divs])
-    gcds = np.gcd(np.arange(1, q + 1, dtype=np.int64), q)
-    return by_gcd[np.searchsorted(divs, gcds)]
+def _density_table(moduli, x: float, k: int):
+    """(start, delta, cw), cw = C . w(x), for every pair (q, delta | q), q in moduli;
+    the rows of the i-th modulus are start[i]:start[i+1], delta ascending."""
+    start, delta, coeffs = correction_table(moduli, k, k)
+    return start, delta, coeffs @ main_term_weights(k, x)
+
+
+def _density_values(q: int, delta: np.ndarray, cw: np.ndarray) -> np.ndarray:
+    """f(q, a) for a = 1..q from the rows of q in a _density_table.
+
+    The gcd index is filled by divisor slices, ascending, so the last
+    divisor to reach a is gcd(a, q); its class has phi(q/delta) members.
+    """
+    idx = np.empty(q, dtype=np.intp)
+    for i, d in enumerate(delta.tolist()):
+        idx[d - 1 :: d] = i
+    phi = np.bincount(idx, minlength=len(delta))
+    return (q / phi * cw)[idx]
 
 
 def error_vector(table: DkTable, q: int, x: int, k: int | None = None) -> ErrorVector:
@@ -94,7 +116,8 @@ def error_vector(table: DkTable, q: int, x: int, k: int | None = None) -> ErrorV
     if k != table.k:
         raise DomainError(f"table holds k={table.k}, requested {k}")
     counts = ap_sums(table, q, x).sums[1:]
-    f_vals = _density_values(q, float(x), k)
+    _, delta, cw = _density_table([q], float(x), k)
+    f_vals = _density_values(q, delta, cw)
     e = np.zeros(q + 1, dtype=np.float64)
     e[1:] = counts.astype(np.float64) - (x / q) * f_vals
     return ErrorVector(q=q, x=x, k=k, e=e)
@@ -122,7 +145,8 @@ def variance_total(
 ) -> VarianceReport:
     """V(x, Q) plus the three expansion terms, reduced in ascending q order.
 
-    The per-q loop runs serially (a thread pool over q measured slower);
+    The densities come from one correction table per block of moduli, and
+    the per-q loop runs serially (a thread pool over q measured slower);
     `threads` is accepted for existing callers and has no effect.
     """
     k = table.k if k is None else k
@@ -133,18 +157,22 @@ def variance_total(
     if x > table.x:
         raise DomainError(f"cutoff {x} beyond table limit {table.x}")
 
-    def per_q(q: int):
-        counts = ap_sums(table, q, x).sums[1:]
-        f_vals = _density_values(q, float(x), k)
-        cf = counts.astype(np.float64)
-        e = cf - (x / q) * f_vals
-        v = float(np.sum(e * e))
-        congr = sum(int(c) * int(c) for c in counts.tolist())
-        cross = -2.0 * x / q * float(np.sum(cf * f_vals))
-        main = (x / q) ** 2 * float(np.sum(f_vals * f_vals))
-        return v, congr, cross, main
-
-    rows = [per_q(q) for q in range(1, Q + 1)]
+    rows = []
+    for lo in range(1, Q + 1, _TABLE_BLOCK):
+        moduli = range(lo, min(lo + _TABLE_BLOCK, Q + 1))
+        start, delta, cw = _density_table(moduli, float(x), k)
+        for i, q in enumerate(moduli):
+            rows_of_q = slice(start[i], start[i + 1])
+            counts = ap_sums(table, q, x).sums[1:]
+            f_vals = _density_values(q, delta[rows_of_q], cw[rows_of_q])
+            cf = counts.astype(np.float64)
+            e = cf - (x / q) * f_vals
+            rows.append((
+                float(np.sum(e * e)),
+                exact_square_sum(counts),
+                -2.0 * x / q * float(np.sum(cf * f_vals)),
+                (x / q) ** 2 * float(np.sum(f_vals * f_vals)),
+            ))
     per_q_v = tuple(r[0] for r in rows)
     return VarianceReport(
         x=x,

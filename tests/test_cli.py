@@ -299,6 +299,20 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert out == "" and "int64" in err
 
+    def test_header_beyond_file_size_is_usage_error(self, tmp_path, capsys):
+        # the header claims 2^60 values; the size check runs before any
+        # allocation, so this is a usage error, not a MemoryError
+        path = tmp_path / "huge.dktb"
+        path.write_bytes(
+            struct.pack("<4sIQI", b"DKTB", 1, 2**60, 2) + struct.pack("<Q", 1)
+        )
+        code, out, err = run(
+            capsys, "expsum", "--k", "2", "--x", "2", "--q", "1", "--a", "1",
+            "--table", str(path),
+        )
+        assert code == EXIT_USAGE
+        assert out == "" and "payload bytes" in err
+
     def test_fold_out_of_range_is_usage_error(self, tmp_path, capsys):
         code, _, _ = run(
             capsys, "sieve", "--k", "9", "--x", "10", "--out", str(tmp_path / "t")

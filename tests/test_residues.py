@@ -202,7 +202,7 @@ def residue_oracle(q, delta, k):
 def test_main_terms_match_mpmath_residue_oracle():
     worst, where, cases = 0.0, None, 0
     for k in range(1, 9):
-        for q in (1, 2, 12, 30, 64, 97, 120, 128, 210, 243):
+        for q in (1, 2, 12, 30, 64, 97, 120, 128, 210, 243, 1024, 4096, 6561, 8192):
             for delta in divisors(q):
                 want = residue_oracle(q, delta, k)
                 got = ap_main_term(q, delta, k).coeffs
@@ -211,7 +211,7 @@ def test_main_terms_match_mpmath_residue_oracle():
                 cases += 1
                 if err > worst:
                     worst, where = err, (k, q, delta)
-    assert cases == 576
+    assert cases == 952
     assert worst <= 1e-11, f"worst relative error {worst:.2e} at (k, q, delta) = {where}"
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from apvar import (
+    DkTable,
     DomainError,
     ap_sums,
     d_k_of,
@@ -108,6 +109,13 @@ class TestAggregates:
         t = sieve_dk(3000, 4)
         direct = sum(int(v) ** 2 for v in t.values[1:])
         assert square_sum(t) == direct
+
+    @pytest.mark.parametrize("n", (7, 8))
+    def test_square_sum_at_the_int64_bound_is_exact(self, n):
+        # n * (2^30)^2 < 2^63 for n = 7 (int64 dot); n = 8 reaches 2^63,
+        # which an int64 dot would wrap, so Python ints take over
+        t = DkTable(x=n, k=2, values=np.array([0] + [2**30] * n, dtype=np.int64))
+        assert square_sum(t) == n * 2**60
 
 
 class TestApSums:

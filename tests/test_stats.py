@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from apvar import (
+    DkTable,
     DomainError,
     ResourceError,
     ap_main_term,
@@ -11,7 +13,9 @@ from apvar import (
     density_square_sum_check,
     deviation_decay_slope,
     dirichlet_partial_sum_check,
+    divisors,
     error_vector,
+    euler_phi,
     eval_logpoly,
     growth_study,
     m_poly,
@@ -20,7 +24,7 @@ from apvar import (
     variance_expansion_check,
     variance_total,
 )
-from apvar.stats import regression_slope
+from apvar.stats import _density_table, regression_slope
 
 GAMMA0 = 0.5772156649015328606065121
 
@@ -111,6 +115,76 @@ class TestVariance:
     def test_Q_beyond_x_rejected(self, table_k2_1e4):
         with pytest.raises(DomainError):
             variance_total(table_k2_1e4, 100, 101)
+
+    def test_congruence_term_beyond_int64_is_exact(self):
+        # every q has q * max(A)^2 >= 2^63, so each class sum square is
+        # taken in Python ints; an int64 dot would wrap
+        table = DkTable(x=4, k=2, values=np.array([0] + [2**31] * 4, dtype=np.int64))
+        exact = sum(
+            int(a) ** 2 for q in range(1, 5) for a in ap_sums(table, q, 4).sums[1:]
+        )
+        assert variance_total(table, 4, 4).congruence_term == exact == 34 * 2**62
+
+
+def reference_variance(table, x, Q, k):
+    """The per-q loop the gcd-class engine replaced, kept as its oracle: one
+    ap_main_term per divisor, an np.gcd class index and a Python-int
+    congruence sum.  Returns (per_q, congruence, cross, main)."""
+    rows = []
+    for q in range(1, Q + 1):
+        counts = ap_sums(table, q, x).sums[1:]
+        divs = divisors(q)
+        by_gcd = np.array([eval_logpoly(ap_main_term(q, d, k), float(x)) for d in divs])
+        f_vals = by_gcd[np.searchsorted(divs, np.gcd(np.arange(1, q + 1), q))]
+        cf = counts.astype(np.float64)
+        e = cf - (x / q) * f_vals
+        rows.append((
+            float(np.sum(e * e)),
+            sum(int(c) * int(c) for c in counts.tolist()),
+            -2.0 * x / q * float(np.sum(cf * f_vals)),
+            (x / q) ** 2 * float(np.sum(f_vals * f_vals)),
+        ))
+    per_q, congruence, cross, main = zip(*rows)
+    return per_q, sum(congruence), math.fsum(cross), math.fsum(main)
+
+
+def rel_diff(a, b):
+    denom = max(abs(a), abs(b))
+    return abs(a - b) / denom if denom else 0.0
+
+
+class TestVarianceOracle:
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_engine_matches_per_q_reference(self, k):
+        table = sieve_dk(5000, k)
+        for x in (5000, 3001):
+            per_q, congruence, cross, main = reference_variance(table, x, 300, k)
+            rep = variance_total(table, x, 300)
+            assert rep.congruence_term == congruence
+            worst = max(rel_diff(a, b) for a, b in zip(per_q, rep.per_q))
+            assert worst <= 1e-10
+            assert rel_diff(rep.total, math.fsum(per_q)) <= 1e-10
+            assert rel_diff(rep.cross_term, cross) <= 1e-10
+            assert rel_diff(rep.main_term, main) <= 1e-10
+
+    def test_batched_densities_match_main_term_polynomials(self):
+        # f(q, delta)(x) = q/phi(q/delta) * (C . w(x)) for every q <= 300,
+        # delta | q, against Horner on the ap_main_term polynomial
+        worst, where, cases = 0.0, None, 0
+        for x in (5000.0, 1e12):
+            for k in range(1, 9):
+                start, delta, cw = _density_table(range(1, 301), x, k)
+                for i, q in enumerate(range(1, 301)):
+                    assert delta[start[i] : start[i + 1]].tolist() == divisors(q)
+                    for r in range(start[i], start[i + 1]):
+                        d = int(delta[r])
+                        got = q / euler_phi(q // d) * cw[r]
+                        err = rel_diff(got, eval_logpoly(ap_main_term(q, d, k), x))
+                        cases += 1
+                        if err > worst:
+                            worst, where = err, (x, k, q, d)
+        assert cases == 2 * 8 * sum(len(divisors(q)) for q in range(1, 301))
+        assert worst <= 1e-12, f"worst relative error {worst:.2e} at (x, k, q, delta) = {where}"
 
 
 class TestParseval:
