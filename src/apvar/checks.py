@@ -81,9 +81,19 @@ def ramanujan_orthogonality() -> dict:
     return _count_row("ramanujan orthogonality q<=100", bad, q=q, d1=d1, d2=d2)
 
 
+def farey_order(gamma: int) -> int:
+    """The Farey check's top order, which must lie in 2..MAX_VERIFY_ORDER."""
+    if not 2 <= gamma <= farey.MAX_VERIFY_ORDER:
+        raise DomainError(
+            f"farey check needs 2 <= gamma <= {farey.MAX_VERIFY_ORDER}, got {gamma}"
+        )
+    return gamma
+
+
 def farey_containment(gamma: int) -> dict:
-    """Exact containment and tiling of the Farey arcs at orders 2..gamma."""
-    reports = [farey.verify_containment(g) for g in range(2, gamma + 1)]
+    """Exact containment and tiling of the Farey arcs at orders 2..gamma,
+    all from one F_gamma."""
+    reports = farey.verify_orders(gamma)
     arcs = sum(rep.arcs_checked for rep in reports)
     bad = [rep.gamma for rep in reports if not rep.ok]
     return _count_row(

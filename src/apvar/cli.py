@@ -10,6 +10,7 @@ then the APVAR_THREADS environment variable, then the host CPU count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -26,6 +27,8 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 SUITES = ("identities", "dirichlet", "farey", "growth", "all")
+
+CSV_CHUNK = 1 << 16  # arcs formatted per write
 
 
 def _fmt(v: float) -> str:
@@ -44,12 +47,13 @@ def _resolve_threads(value) -> int:
     return os.cpu_count() or 1
 
 
+def _output(out_path):
+    return open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout)
+
+
 def _emit(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(out_path) as fh:
+        fh.write(text)
 
 
 def _load_or_sieve(args, x: int, k: int, threads: int):
@@ -125,23 +129,23 @@ def cmd_expsum(args) -> int:
 
 
 def cmd_farey(args) -> int:
-    arcs = farey_mod.dissection(args.gamma)
-    lines = ["a,q,left_num,left_den,right_num,right_den"]
-    lines += [
-        f"{arc.center.numerator},{arc.center.denominator},"
-        f"{arc.left.numerator},{arc.left.denominator},"
-        f"{arc.right.numerator},{arc.right.denominator}"
-        for arc in arcs
-    ]
-    _emit("\n".join(lines) + "\n", args.out)
+    slices = farey_mod.arc_slices(args.gamma)
+    with _output(args.out) as fh:
+        fh.write("a,q,left_num,left_den,right_num,right_den\n")
+        for arrays in slices:
+            for i in range(0, arrays[0].size, CSV_CHUNK):
+                rows = zip(*(x[i : i + CSV_CHUNK].tolist() for x in arrays))
+                fh.write("".join("%d,%d,%d,%d,%d,%d\n" % row for row in rows))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     threads = _resolve_threads(args.threads)
-    # Checked first, so that a bad --x fails before any other suite runs.
+    # Checked first, so that a bad --x or --gamma fails before any suite runs.
     if args.suite in ("growth", "all"):
         grid = checks.growth_grid(args.x or 2**18)
+    if args.suite in ("farey", "all"):
+        gamma = checks.farey_order(300 if args.gamma is None else args.gamma)
     rows = []
     if args.suite in ("identities", "all"):
         x = args.x or 10**4
@@ -157,7 +161,7 @@ def cmd_verify(args) -> int:
         table = _load_or_sieve(args, args.x or 10**5, args.k, threads)
         rows.append(checks.dirichlet(table))
     if args.suite in ("farey", "all"):
-        rows += [checks.farey_containment(args.gamma or 300), checks.farey_histogram()]
+        rows += [checks.farey_containment(gamma), checks.farey_histogram()]
     if args.suite in ("growth", "all"):
         rows.append(checks.growth(args.k, grid, threads=threads))
     text = "\n".join(json.dumps(r) for r in rows) + "\n"

@@ -7,3 +7,7 @@ class DomainError(ValueError):
 
 class ResourceError(RuntimeError):
     """A computation would exceed a memory or work budget."""
+
+
+class CertificateError(ArithmeticError):
+    """A computed result failed its exact certificate and was not returned."""

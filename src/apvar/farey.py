@@ -1,32 +1,44 @@
 """Exact Farey dissection of the unit interval.
 
-The Farey sequence of order gamma is generated by the next-term recurrence
-(O(1) per fraction), and the dissection assigns each fraction the arc
-between the mediants with its two neighbours.  The arcs around 0/1 and 1/1
-are the same arc up to periodicity; it is kept once, attached to 0/1, with
-a negative left endpoint, so the covered period is
-[left endpoint of 0/1's arc, same + 1).
+F_gamma is built on int64 arrays (a, q): the numerators coprime to each
+denominator q <= gamma, put in order by one argsort on the float64 values
+a/q.  Neighbours a/q < b/r differ by 1/(q*r) >= 1/gamma^2, which MAX_ORDER
+keeps far above one ulp.  Every generated run is then certified exactly: it
+starts at 0/1 and ends at 1/1, all q lie in 1..gamma, and each neighbour
+pair has b*q - a*r == 1 and q + r > gamma, which characterises F_gamma
+(Hardy-Wright, An Introduction to the Theory of Numbers, ch. III).  The
+unit interval is generated in slices of about SLICE fractions, carrying the
+last fractions of one slice into the next; every check looks only at
+neighbours, so peak memory stays bounded whatever the order.
 
-All comparisons are exact: generation and verification run on plain
-integer pairs (cross-multiplication only), and the public containers carry
-fractions.Fraction endpoints.  Mediants of Farey neighbours are already in
-lowest terms, so the reduced public values coincide with the raw mediant
-numerator/denominator pairs.
+Each fraction but 1/1 gets the arc between its mediants with its two
+neighbours.  The arcs around 0/1 and 1/1 are the same arc up to
+periodicity; it is kept once, attached to 0/1, its left end the mediant
+with the periodic predecessor -1/gamma.  Mediants of Farey neighbours are
+in lowest terms, so the raw mediant pairs are the reduced endpoints.
+Fraction objects are built only by farey_sequence and dissection.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CertificateError, DomainError
 
-# Cross-multiplied containment products are bounded by ~4*gamma^3, so
-# int64 arithmetic is exact up to this order.
+# Cross-multiplied containment products are bounded by ~4*gamma^3, far
+# inside int64 at this order; the cap bounds the run time.
 MAX_VERIFY_ORDER = 10**4
+
+# Float64 values in [0, 1] are at most eps apart, so sorting on a/q orders
+# the neighbours correctly while 1/gamma^2 >= 2^8 * eps: gamma <= 2^22.
+MAX_ORDER = math.isqrt(int(1 / (2**8 * np.finfo(np.float64).eps)))
+
+SLICE = 1 << 21  # fractions generated per slice of the unit interval
 
 
 @dataclass(frozen=True)
@@ -59,106 +71,181 @@ class ContainmentReport:
         return not self.violations and not self.tiling_violations and self.period_ok
 
 
-def _farey_pairs(gamma: int) -> Iterator[tuple[int, int]]:
-    """Reduced fractions of F_gamma in [0, 1] as (num, den), ascending."""
-    a, q = 0, 1
-    b, r = 1, gamma
-    yield a, q
-    while b <= r:  # stops after 1/1
-        yield b, r
-        step = (gamma + q) // r
-        a, q, b, r = b, r, step * b - a, step * r - q
+def _check_order(gamma: int, least: int, most: int = MAX_ORDER) -> None:
+    if gamma < least:
+        raise DomainError(f"order must be >= {least}, got {gamma}")
+    if gamma > most:
+        raise DomainError(f"order must be <= {most}, got {gamma}")
+
+
+def _certify(a, q, gamma: int, *, opens: bool = True, closes: bool = True) -> None:
+    """Raise CertificateError unless (a, q) are consecutive fractions of
+    F_gamma, starting at 0/1 if the run opens the sequence and ending at 1/1
+    if it closes it."""
+    faults = (
+        ("denominator outside 1..gamma", (q < 1) | (q > gamma)),
+        ("neighbours with b*q - a*r != 1", a[1:] * q[:-1] - a[:-1] * q[1:] != 1),
+        ("neighbours with q + r <= gamma", q[:-1] + q[1:] <= gamma),
+    )
+    for what, mask in faults:
+        if mask.any():
+            i = int(np.argmax(mask))
+            raise CertificateError(f"F_{gamma}: {what} at {a[i]}/{q[i]}")
+    if opens and (a[0], q[0]) != (0, 1):
+        raise CertificateError(f"F_{gamma}: starts at {a[0]}/{q[0]}, not 0/1")
+    if closes and (a[-1], q[-1]) != (1, 1):
+        raise CertificateError(f"F_{gamma}: ends at {a[-1]}/{q[-1]}, not 1/1")
+
+
+def _slices(gamma: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """F_gamma as certified (a, q) int64 slices, in increasing order.
+
+    The j-th of n slices holds the a/q in [(j-1)/n, j/n), the last one 1/1
+    as well; each nonempty one is certified together with the last fraction
+    before it.
+    """
+    n = 1 + gamma * gamma // (3 * SLICE)  # F_gamma has ~0.3 gamma^2 fractions
+    qs = np.arange(1, gamma + 1, dtype=np.int64)
+    start = np.zeros_like(qs)  # least numerator of the slice, per q
+    carry_a = carry_q = np.empty(0, dtype=np.int64)
+    for j in range(1, n + 1):
+        stop = -(-j * qs // n) if j < n else qs + 1
+        counts = stop - start
+        q = np.repeat(qs, counts)
+        a = np.arange(q.size, dtype=np.int64)
+        a += np.repeat(start - (np.cumsum(counts) - counts), counts)
+        keep = np.gcd(a, q) == 1
+        a, q = a[keep], q[keep]
+        start = stop
+        if not a.size:
+            continue
+        order = np.argsort(a / q, kind="stable")
+        a, q = a[order], q[order]
+        _certify(
+            np.concatenate((carry_a, a)),
+            np.concatenate((carry_q, q)),
+            gamma,
+            opens=j == 1,
+            closes=j == n,
+        )
+        yield a, q
+        carry_a, carry_q = a[-1:].copy(), q[-1:].copy()
+
+
+def _windows(gamma: int, slices: Iterable) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Windows f_{s-1}..f_t of F_gamma holding the neighbours of the arcs
+    centred at f_s..f_{t-1}: the first opens with the periodic predecessor
+    -1/gamma of 0/1, each later one with the last two fractions before it."""
+    carry_a = np.array([-1], dtype=np.int64)
+    carry_q = np.array([gamma], dtype=np.int64)
+    for a, q in slices:
+        a, q = np.concatenate((carry_a, a)), np.concatenate((carry_q, q))
+        if a.size > 2:  # else it centres no arc and is all carried
+            yield a, q
+        carry_a, carry_q = a[-2:].copy(), q[-2:].copy()
+
+
+def _arcs(a, q) -> tuple[np.ndarray, ...]:
+    """(center num, center den, left num, left den, right num, right den) of
+    the arcs centred at the inner fractions of a window."""
+    mn, md = a[:-1] + a[1:], q[:-1] + q[1:]
+    return a[1:-1], q[1:-1], mn[:-1], md[:-1], mn[1:], md[1:]
 
 
 def farey_sequence(gamma: int) -> list[Fraction]:
     """All reduced a/q with q <= gamma in [0, 1], increasing."""
-    if gamma < 1:
-        raise DomainError(f"order must be >= 1, got {gamma}")
-    return [Fraction(a, q) for a, q in _farey_pairs(gamma)]
-
-
-def _arc_triples(gamma: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """(center, left, right) integer pairs per arc, ascending centers.
-
-    Endpoints are the raw mediant pairs; the first arc is the wrap-around
-    one at 0/1 whose left endpoint is the 1/1 mediant shifted down by a
-    period.
-    """
-    centers = list(_farey_pairs(gamma))
-    mediants = [
-        (centers[i][0] + centers[i + 1][0], centers[i][1] + centers[i + 1][1])
-        for i in range(len(centers) - 1)
+    _check_order(gamma, 1)
+    return [
+        Fraction(num, den)
+        for a, q in _slices(gamma)
+        for num, den in zip(a.tolist(), q.tolist())
     ]
-    last = mediants[-1]  # mediant of the two fractions ending at 1/1
-    yield centers[0], (last[0] - last[1], last[1]), mediants[0]
-    for i in range(1, len(centers) - 1):  # 1/1 is merged into the wrap arc
-        yield centers[i], mediants[i - 1], mediants[i]
+
+
+def arc_slices(gamma: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """The mediant arcs of one full period, wrap-around arc first, as int64
+    arrays (a, q, left_num, left_den, right_num, right_den) per slice."""
+    _check_order(gamma, 2)
+    return (_arcs(a, q) for a, q in _windows(gamma, _slices(gamma)))
 
 
 def dissection(gamma: int) -> list[FareyArc]:
     """Mediant arcs covering one full period, wrap-around arc first."""
-    if gamma < 2:
-        raise DomainError(f"dissection needs order >= 2, got {gamma}")
     return [
-        FareyArc(
-            center=Fraction(c[0], c[1]),
-            left=Fraction(l[0], l[1]),
-            right=Fraction(r[0], r[1]),
-        )
-        for c, l, r in _arc_triples(gamma)
+        FareyArc(Fraction(a, q), Fraction(ln, ld), Fraction(rn, rd))
+        for arrays in arc_slices(gamma)
+        for a, q, ln, ld, rn, rd in zip(*(x.tolist() for x in arrays))
     ]
 
 
-def verify_containment(gamma: int) -> ContainmentReport:
-    """Check, exactly, that every arc contains the radius-1/(2q*gamma)
-    neighbourhood of its center and sits inside the radius-1/(q*gamma) one,
-    that every arc has positive length, and that the arc lengths total
-    exactly 1 (endpoints are shared by construction, so lengths telescope).
+def _centers(ca, cq, mask) -> list[tuple[int, int]]:
+    return list(zip(ca[mask].tolist(), cq[mask].tolist()))
 
-    Integer cross-multiplication only; int64 stays exact through
-    MAX_VERIFY_ORDER.
-    """
-    if gamma < 2:
-        raise DomainError(f"containment check needs order >= 2, got {gamma}")
-    if gamma > MAX_VERIFY_ORDER:
-        raise DomainError(
-            f"containment check is exact only up to order {MAX_VERIFY_ORDER}"
-        )
-    nums = []
-    dens = []
-    for a, q in _farey_pairs(gamma):
-        nums.append(a)
-        dens.append(q)
-    a = np.array(nums, dtype=np.int64)
-    q = np.array(dens, dtype=np.int64)
-    mn = a[:-1] + a[1:]
-    md = q[:-1] + q[1:]
-    # arc i: center i, endpoints mediant[i-1], mediant[i]; the arc around
-    # 0/1 takes the final mediant shifted down a period as its left end
-    ca, cq = a[:-1], q[:-1]
-    ln = np.concatenate(([mn[-1] - md[-1]], mn[:-1]))
-    ld = np.concatenate(([md[-1]], md[:-1]))
-    rn, rd = mn, md
+
+def _check_window(gamma: int, a, q) -> tuple:
+    """Arc count, containment and positive-length failures, and the outer
+    endpoints of the arcs of one window of F_gamma."""
+    ca, cq, ln, ld, rn, rd = _arcs(a, q)
     g2 = 2 * cq * gamma
     inner = (ln * g2 <= ld * (2 * ca * gamma - 1)) & (
         rn * g2 >= rd * (2 * ca * gamma + 1)
     )
     g1 = cq * gamma
     outer = (ln * g1 >= ld * (ca * gamma - 1)) & (rn * g1 <= rd * (ca * gamma + 1))
-    contained = inner & outer
-    positive = ln * rd < rn * ld
-    bad = [(int(ca[i]), int(cq[i])) for i in np.nonzero(~contained)[0]]
-    bad_tiling = [(int(ca[i]), int(cq[i])) for i in np.nonzero(~positive)[0]]
-    period_ok = bool(
-        int(rn[-1]) * int(ld[0]) - int(ln[0]) * int(rd[-1]) == int(rd[-1]) * int(ld[0])
+    return (
+        ca.size,
+        _centers(ca, cq, ~(inner & outer)),
+        _centers(ca, cq, ln * rd >= rn * ld),
+        (int(ln[0]), int(ld[0])),
+        (int(rn[-1]), int(rd[-1])),
     )
+
+
+def _verify(gamma: int, windows: Iterable) -> ContainmentReport:
+    """The containment, positive-length and period checks over the arcs of
+    the windows of F_gamma."""
+    arcs, bad, bad_tiling, ends = 0, [], [], []
+    for a, q in windows:
+        count, missed, empty, left, right = _check_window(gamma, a, q)
+        arcs += count
+        bad += missed
+        bad_tiling += empty
+        ends += [left, right]
+    # neighbouring arcs share endpoints, so the lengths telescope
+    (ln0, ld0), (rn1, rd1) = ends[0], ends[-1]
     return ContainmentReport(
         gamma=gamma,
-        arcs_checked=len(ca),
+        arcs_checked=arcs,
         violations=tuple(bad),
         tiling_violations=tuple(bad_tiling),
-        period_ok=period_ok,
+        period_ok=rn1 * ld0 - ln0 * rd1 == rd1 * ld0,
     )
+
+
+def verify_containment(gamma: int) -> ContainmentReport:
+    """Check, exactly, that every arc contains the radius-1/(2q*gamma)
+    neighbourhood of its center and sits inside the radius-1/(q*gamma) one,
+    that every arc has positive length, and that the arc lengths total
+    exactly 1.  Integer cross-multiplication only, slice by slice."""
+    _check_order(gamma, 2, MAX_VERIFY_ORDER)
+    return _verify(gamma, _windows(gamma, _slices(gamma)))
+
+
+def verify_orders(gamma: int) -> list[ContainmentReport]:
+    """verify_containment(g) for every g in 2..gamma from one F_gamma.
+
+    F_g is the subsequence of F_gamma with q <= g, so each order drops one
+    denominator from the order above; each F_g is certified again.
+    """
+    _check_order(gamma, 2, MAX_VERIFY_ORDER)
+    a, q = (np.concatenate(parts) for parts in zip(*_slices(gamma)))
+    reports = []
+    for g in range(gamma, 1, -1):
+        keep = q <= g
+        a, q = a[keep], q[keep]
+        _certify(a, q, g)
+        reports.append(_verify(g, _windows(g, [(a, q)])))
+    return reports[::-1]
 
 
 def denominator_counts(gamma: int) -> list[int]:
@@ -168,9 +255,6 @@ def denominator_counts(gamma: int) -> list[int]:
     makes the length identity len(F_g) = 1 + sum_{q<=g} phi(q) checkable
     for every g <= gamma from a single enumeration.
     """
-    if gamma < 1:
-        raise DomainError(f"order must be >= 1, got {gamma}")
-    counts = [0] * (gamma + 1)
-    for _, q in _farey_pairs(gamma):
-        counts[q] += 1
-    return counts
+    _check_order(gamma, 1)
+    counts = sum(np.bincount(q, minlength=gamma + 1) for _, q in _slices(gamma))
+    return counts.tolist()

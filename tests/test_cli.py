@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import struct
@@ -8,6 +9,12 @@ from apvar import read_table, total_sum
 from apvar.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 
 GAMMA0 = 0.5772156649015328606065121
+
+# Pinned `apvar farey --gamma g` CSV: sha256, line count, size in bytes
+FAREY_CSV = {
+    300: ("fb59fad4b6274682cdc6954dd16dfec28a2fea4dcf240cdd4aabbf7921341ecb", 27399, 622327),
+    1000: ("c807438c6a39a09133c6f3b0d81f5ef604c8b3a1bd60dcaf731aa138ad2159e6", 304193, 7930461),
+}
 
 
 def run(capsys, *argv):
@@ -165,6 +172,40 @@ class TestFareyCommand:
         assert code == EXIT_OK and out == ""
         assert target.read_text().startswith("a,q,left_num")
 
+    @pytest.mark.parametrize("gamma", sorted(FAREY_CSV))
+    def test_csv_bytes_are_pinned(self, tmp_path, capsys, gamma):
+        target = tmp_path / "arcs.csv"
+        code, _, _ = run(capsys, "farey", "--gamma", str(gamma), "--out", str(target))
+        blob = target.read_bytes()
+        assert code == EXIT_OK
+        digest = hashlib.sha256(blob).hexdigest()
+        assert (digest, blob.count(b"\n"), len(blob)) == FAREY_CSV[gamma]
+
+    @pytest.mark.parametrize("gamma", (2, 10, 137))
+    @pytest.mark.parametrize("small_pieces", (False, True))
+    def test_csv_matches_fraction_dissection(
+        self, capsys, monkeypatch, gamma, small_pieces
+    ):
+        from apvar import cli, dissection, farey
+
+        want = "a,q,left_num,left_den,right_num,right_den\n" + "".join(
+            f"{arc.center.numerator},{arc.center.denominator},"
+            f"{arc.left.numerator},{arc.left.denominator},"
+            f"{arc.right.numerator},{arc.right.denominator}\n"
+            for arc in dissection(gamma)
+        )
+        if small_pieces:  # many slices and many write chunks per slice
+            monkeypatch.setattr(farey, "SLICE", 5)
+            monkeypatch.setattr(cli, "CSV_CHUNK", 3)
+        code, out, _ = run(capsys, "farey", "--gamma", str(gamma))
+        assert code == EXIT_OK and out == want
+
+    def test_order_below_two_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "arcs.csv"
+        code, out, err = run(capsys, "farey", "--gamma", "1", "--out", str(target))
+        assert code == EXIT_USAGE
+        assert out == "" and not target.exists() and "order" in err
+
 
 class TestVerifyCommand:
     def test_farey_suite_passes(self, capsys):
@@ -248,6 +289,24 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--suite", "all", "--x", "10000")
         assert code == EXIT_USAGE
         assert out == "" and "2^15" in err
+
+    @pytest.mark.parametrize("suite", ("farey", "all"))
+    @pytest.mark.parametrize("gamma", ("0", "1", "10001"))
+    def test_farey_order_is_checked_before_any_suite_runs(
+        self, capsys, monkeypatch, suite, gamma
+    ):
+        # 0 used to run order 300, 1 passed with an empty "(0 arcs)" row, and
+        # 10001 swept orders 2..10000 before it was refused
+        from apvar import checks
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a suite ran before --gamma was checked")
+
+        for name in ("parseval", "dirichlet", "farey_containment", "growth"):
+            monkeypatch.setattr(checks, name, must_not_run)
+        code, out, err = run(capsys, "verify", "--suite", suite, "--gamma", gamma)
+        assert code == EXIT_USAGE
+        assert out == "" and "gamma" in err
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

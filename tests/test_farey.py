@@ -1,18 +1,22 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apvar import (
     DomainError,
+    checks,
     denominator_counts,
     dissection,
     euler_phi,
+    farey,
     farey_sequence,
     verify_containment,
 )
+from apvar.errors import CertificateError
 
 
 def brute_force_sequence(gamma):
@@ -63,7 +67,7 @@ class TestFareySequence:
         with pytest.raises(DomainError):
             farey_sequence(0)
 
-    @pytest.mark.parametrize("gamma", (1, 2, 3, 7, 12, 25))
+    @pytest.mark.parametrize("gamma", (1, 2, 3, 7, 12, 25, 64, 101))
     def test_matches_brute_force(self, gamma):
         assert farey_sequence(gamma) == brute_force_sequence(gamma)
 
@@ -73,6 +77,82 @@ class TestFareySequence:
     def test_strictly_increasing(self):
         seq = farey_sequence(40)
         assert all(a < b for a, b in zip(seq, seq[1:]))
+
+    def test_order_beyond_float64_separation_rejected(self):
+        # past MAX_ORDER the float64 sort could not separate neighbours; the
+        # guard fires before anything is generated
+        assert farey.MAX_ORDER == 2**22
+        for make in (farey_sequence, dissection, denominator_counts):
+            with pytest.raises(DomainError):
+                make(farey.MAX_ORDER + 1)
+
+
+def farey_arrays(gamma):
+    seq = brute_force_sequence(gamma)
+    a = np.array([f.numerator for f in seq], dtype=np.int64)
+    q = np.array([f.denominator for f in seq], dtype=np.int64)
+    return a, q
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("gamma", (1, 2, 5, 31))
+    def test_accepts_the_farey_sequence(self, gamma):
+        farey._certify(*farey_arrays(gamma), gamma)
+
+    @pytest.mark.parametrize("i", (0, 4, 17, 38))
+    def test_two_neighbours_swapped_raise(self, i):
+        a, q = farey_arrays(11)
+        a[[i, i + 1]], q[[i, i + 1]] = a[[i + 1, i]], q[[i + 1, i]]
+        with pytest.raises(CertificateError):
+            farey._certify(a, q, 11)
+
+    @pytest.mark.parametrize("i", (0, 1, 20, 42))
+    def test_dropped_fraction_raises(self, i):
+        a, q = farey_arrays(11)
+        with pytest.raises(CertificateError):
+            farey._certify(np.delete(a, i), np.delete(q, i), 11)
+
+    @pytest.mark.parametrize("i", (0, 9, 41))
+    def test_extra_fraction_beyond_the_order_raises(self, i):
+        # the mediant of two neighbours keeps b*q - a*r == 1 with both; only
+        # its denominator, above gamma, gives it away
+        a, q = farey_arrays(11)
+        a = np.insert(a, i + 1, a[i] + a[i + 1])
+        q = np.insert(q, i + 1, q[i] + q[i + 1])
+        with pytest.raises(CertificateError, match="outside"):
+            farey._certify(a, q, 11)
+
+    def test_open_and_closed_ends_are_checked(self):
+        a, q = farey_arrays(7)
+        farey._certify(a[3:-3], q[3:-3], 7, opens=False, closes=False)
+        with pytest.raises(CertificateError, match="starts"):
+            farey._certify(a[3:], q[3:], 7)
+        with pytest.raises(CertificateError, match="ends"):
+            farey._certify(a[:-3], q[:-3], 7)
+
+
+class TestSlices:
+    """Small slices force the carried-neighbour path at small orders."""
+
+    @pytest.mark.parametrize("slice_size", (1, 7, 100))
+    def test_sliced_results_match_one_slice(self, monkeypatch, slice_size):
+        gamma = 61
+        whole = (
+            farey_sequence(gamma),
+            dissection(gamma),
+            verify_containment(gamma),
+            denominator_counts(gamma),
+        )
+        monkeypatch.setattr(farey, "SLICE", slice_size)
+        assert len(list(farey._slices(gamma))) > 1
+        sliced = (
+            farey_sequence(gamma),
+            dissection(gamma),
+            verify_containment(gamma),
+            denominator_counts(gamma),
+        )
+        assert sliced == whole
+        assert sliced[0] == brute_force_sequence(gamma)
 
 
 class TestDissection:
@@ -145,6 +225,35 @@ class TestContainment:
     def test_order_beyond_exact_range_rejected(self):
         with pytest.raises(DomainError):
             verify_containment(10**4 + 1)
+        with pytest.raises(DomainError):
+            farey.verify_orders(10**4 + 1)
+
+    @pytest.mark.parametrize("gamma", (2, 3, 17, 60))
+    def test_one_sequence_serves_every_order(self, gamma):
+        each = [verify_containment(g) for g in range(2, gamma + 1)]
+        assert farey.verify_orders(gamma) == each
+        row = checks.farey_containment(gamma)
+        arcs = sum(rep.arcs_checked for rep in each)
+        assert row["check"] == f"farey containment+tiling gamma<={gamma} ({arcs} arcs)"
+        assert row["pass"] == all(rep.ok for rep in each)
+
+    def test_suite_row_at_three_hundred(self):
+        row = checks.farey_containment(300)
+        assert row["check"] == "farey containment+tiling gamma<=300 (2763278 arcs)"
+        assert row["pass"] and row["gamma"] is None
+
+    def test_suite_names_the_first_failing_order(self, monkeypatch):
+        verify = farey._verify
+
+        def fail_at_seven(gamma, windows):
+            report = verify(gamma, windows)
+            if gamma != 7:
+                return report
+            return farey.ContainmentReport(gamma, report.arcs_checked, ((1, 7),))
+
+        monkeypatch.setattr(farey, "_verify", fail_at_seven)
+        row = checks.farey_containment(20)
+        assert not row["pass"] and row["lhs"] == 1.0 and row["gamma"] == 7
 
     @given(st.integers(min_value=2, max_value=400))
     @settings(max_examples=30, deadline=None)

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from apvar import (
     DkTable,
@@ -17,6 +19,7 @@ from apvar import (
     total_sum,
     write_table,
 )
+from apvar.cli import EXIT_USAGE, main
 
 
 def naive_convolved_values(x, k):
@@ -268,3 +271,59 @@ class TestBinaryFormat:
         path.write_bytes(dktb(2, 2, [2**62, 2**62]))
         with pytest.raises(DomainError, match="int64"):
             read_table(path)
+
+
+@st.composite
+def corrupt_dktb(draw):
+    """A valid small DKTB file with one fault: a truncated header, a wrong
+    magic, version, fold k or count x, or a payload of the wrong size."""
+    x = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 8))
+    values = draw(st.lists(st.integers(0, 1000), min_size=x, max_size=x))
+    header = {"magic": b"DKTB", "version": 1, "x": x, "k": k}
+    payload = struct.pack(f"<{x}Q", *values)
+    fault = draw(st.sampled_from(("truncated header", "magic", "version", "k", "x", "payload")))
+    if fault == "truncated header":
+        blob = dktb(x, k, values)
+        return fault, blob[: draw(st.integers(0, 19))]
+    if fault == "magic":
+        header["magic"] = draw(st.binary(min_size=4, max_size=4).filter(lambda m: m != b"DKTB"))
+    elif fault == "version":
+        header["version"] = draw(st.integers(0, 2**32 - 1).filter(lambda v: v != 1))
+    elif fault == "k":
+        header["k"] = draw(st.one_of(st.just(0), st.integers(9, 2**32 - 1)))
+    elif fault == "x":
+        header["x"] = draw(st.integers(0, 2**64 - 1).filter(lambda n: n != x))
+    else:
+        cut = draw(st.integers(-len(payload), 64).filter(lambda n: n != 0))
+        payload = payload[:cut] if cut < 0 else payload + bytes(cut)
+    return fault, struct.pack("<4sIQI", *header.values()) + payload
+
+
+FUZZ = dict(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestCorruptTables:
+    """Damaged DKTB files fail as usage errors, never as tracebacks or
+    silently wrapped values."""
+
+    @given(corrupt_dktb())
+    @settings(max_examples=150, **FUZZ)
+    def test_read_table_raises_domain_error(self, tmp_path, case):
+        _, blob = case
+        path = tmp_path / "corrupt.dktb"
+        path.write_bytes(blob)
+        with pytest.raises(DomainError):
+            read_table(path)
+
+    @given(corrupt_dktb())
+    @settings(max_examples=60, **FUZZ)
+    def test_expsum_exits_two_with_empty_stdout(self, tmp_path, capsys, case):
+        fault, blob = case
+        path = tmp_path / "corrupt.dktb"
+        path.write_bytes(blob)
+        argv = ["expsum", "--k", "2", "--x", "1", "--q", "1", "--a", "1", "--table", str(path)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE, fault
+        assert captured.out == "" and captured.err.startswith("error: ")
