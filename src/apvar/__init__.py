@@ -7,9 +7,7 @@ for the identities tying them together.
 """
 
 from .arith import (
-    FactorTable,
     PrimePower,
-    build_factor_table,
     d_k_of,
     divisors,
     euler_phi,

@@ -1,9 +1,9 @@
 """Exact elementary number theory.
 
-Factorization against a smallest-prime-factor table, the classical
-multiplicative functions (Mobius, Euler phi, the k-fold divisor function),
-Ramanujan sums, and divisor enumeration.  Everything here is exact integer
-arithmetic; Python ints never overflow.
+Factorization by trial division, the classical multiplicative functions
+(Mobius, Euler phi and its sieve, the k-fold divisor function), Ramanujan
+sums, divisor enumeration, and the divisor lattice of a set of moduli.
+Everything here is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
-
-_SPF_LIMIT_MAX = 2**31 - 1  # spf stored as int32
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -26,45 +24,11 @@ class PrimePower:
     a: int
 
 
-class FactorTable:
-    """Smallest-prime-factor table for 2 <= n <= limit.
-
-    Immutable after construction; safe to share across threads.
-    """
-
-    __slots__ = ("limit", "spf")
-
-    def __init__(self, limit: int, spf: np.ndarray):
-        self.limit = limit
-        self.spf = spf
-
-    def factorize(self, n: int) -> list[PrimePower]:
-        return factorize(n, self)
-
-
-def build_factor_table(limit: int) -> FactorTable:
-    """Sieve smallest prime factors for all n up to limit."""
-    if limit < 2:
-        raise DomainError(f"factor table limit must be >= 2, got {limit}")
-    if limit > _SPF_LIMIT_MAX:
-        raise ResourceError(f"factor table limit {limit} exceeds int32 range")
-    try:
-        spf = np.zeros(limit + 1, dtype=np.int32)
-    except MemoryError as exc:
-        raise ResourceError(
-            f"factor table needs ~{4 * (limit + 1)} bytes"
-        ) from exc
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            block = spf[p * p :: p]
-            block[block == 0] = p
-    remaining = np.nonzero(spf[2:] == 0)[0] + 2
-    spf[remaining] = remaining
-    return FactorTable(limit, spf)
-
-
-def _factorize_trial(n: int) -> list[PrimePower]:
-    """Trial-division fallback for arguments without a table."""
+def factorize(n: int) -> list[PrimePower]:
+    """Factor n into prime powers with strictly increasing primes, by trial
+    division; factorize(1) is the empty list."""
+    if n < 1:
+        raise DomainError(f"cannot factorize {n}")
     out = []
     m = n
     for p in (2, 3):
@@ -88,50 +52,34 @@ def _factorize_trial(n: int) -> list[PrimePower]:
     return out
 
 
-def factorize(n: int, table: FactorTable | None = None) -> list[PrimePower]:
-    """Factor n into prime powers with strictly increasing primes.
-
-    factorize(1) is the empty list.  With a table, n must not exceed
-    table.limit; without one, plain trial division is used.
-    """
-    if n < 1:
-        raise DomainError(f"cannot factorize {n}")
-    if n == 1:
-        return []
-    if table is None:
-        return _factorize_trial(n)
-    if n > table.limit:
-        raise DomainError(f"{n} exceeds factor table limit {table.limit}")
-    spf = table.spf
-    out = []
-    m = n
-    while m > 1:
-        p = int(spf[m])
-        a = 0
-        while m % p == 0:
-            m //= p
-            a += 1
-        out.append(PrimePower(p, a))
-    return out
-
-
-def mobius(n: int, table: FactorTable | None = None) -> int:
+def mobius(n: int) -> int:
     """Mobius function: 0 unless n is squarefree, else (-1)^(#prime factors)."""
-    fac = factorize(n, table)
+    fac = factorize(n)
     if any(pp.a > 1 for pp in fac):
         return 0
     return -1 if len(fac) % 2 else 1
 
 
-def euler_phi(n: int, table: FactorTable | None = None) -> int:
+def euler_phi(n: int) -> int:
     """Euler totient, multiplicative with phi(p^a) = p^a - p^(a-1)."""
     out = 1
-    for pp in factorize(n, table):
+    for pp in factorize(n):
         out *= pp.p ** (pp.a - 1) * (pp.p - 1)
     return out
 
 
-def d_k_of(n: int, k: int, table: FactorTable | None = None) -> int:
+def totients(n: int) -> np.ndarray:
+    """phi(m) for m = 0..n as an int64 array (phi(0) = 0), by one sieve."""
+    if n < 0:
+        raise DomainError(f"totient sieve needs n >= 0, got {n}")
+    phi = np.arange(n + 1, dtype=np.int64)
+    for p in range(2, n + 1):
+        if phi[p] == p:  # untouched by every smaller prime, so p is prime
+            phi[p::p] -= phi[p::p] // p
+    return phi
+
+
+def d_k_of(n: int, k: int) -> int:
     """Number of ordered k-tuples of positive integers with product n.
 
     Multiplicative, with value C(a+k-1, k-1) on p^a.
@@ -139,7 +87,7 @@ def d_k_of(n: int, k: int, table: FactorTable | None = None) -> int:
     if k < 1:
         raise DomainError(f"fold parameter must be >= 1, got {k}")
     out = 1
-    for pp in factorize(n, table):
+    for pp in factorize(n):
         out *= math.comb(pp.a + k - 1, k - 1)
     return out
 
@@ -165,3 +113,102 @@ def ramanujan_sum(q: int, n: int) -> int:
         raise DomainError(f"modulus must be >= 1, got {q}")
     g = math.gcd(q, n)
     return sum(mobius(q // d) * d for d in divisors(g))
+
+
+@dataclass(frozen=True)
+class DivisorLattice:
+    """The pairs (q, delta | q) over a list of moduli, one row each.
+
+    Rows run by modulus, then delta ascending: the rows of the i-th modulus
+    are start[i]:start[i+1], and phi[r] = phi(q/delta) counts the residues
+    a mod q with gcd(a, q) = delta.  Each prime power p^alpha || q of the
+    i-th modulus is one factor (owner = i, p, alpha, rank = the index of p
+    among the primes of q, ascending).
+
+    The divisors of each modulus also have mixed-radix positions: with
+    stride the product of alpha + 1 over the smaller primes of q, the
+    divisor at position t has v_p(delta) = (t // stride) % (alpha + 1), so
+    delta * p sits stride positions further on.  row_at[start[i] + t] is
+    the row at position t of the i-th modulus.
+    """
+
+    start: np.ndarray
+    delta: np.ndarray
+    phi: np.ndarray
+    row_at: np.ndarray
+    owner: np.ndarray
+    p: np.ndarray
+    alpha: np.ndarray
+    rank: np.ndarray
+    stride: np.ndarray
+
+    def entries(self, rank: int) -> tuple[np.ndarray, ...]:
+        """(row, p, alpha, beta, up) for every row of a modulus with more than
+        `rank` primes, at its prime of that rank: beta = v_p(delta), and up
+        is the row of delta * p, or -1 where beta = alpha."""
+        sel = self.rank == rank
+        owner = self.owner[sel]
+        size = self.start[owner + 1] - self.start[owner]
+        which = np.repeat(np.arange(owner.size), size)
+        base = self.start[owner][which]
+        position = np.arange(size.sum()) - (np.cumsum(size) - size)[which]
+        p, alpha, stride = (col[sel][which] for col in (self.p, self.alpha, self.stride))
+        beta = position // stride % (alpha + 1)
+        low = beta < alpha
+        up = np.full_like(position, -1)
+        up[low] = self.row_at[(base + position + stride)[low]]
+        return self.row_at[base + position], p, alpha, beta, up
+
+    @property
+    def ranks(self) -> int:
+        """The largest number of primes of any modulus."""
+        return int(self.rank.max()) + 1 if self.rank.size else 0
+
+    def prefix(self, m: int) -> DivisorLattice:
+        """The lattice of the first m moduli, as views of this one."""
+        end = self.start[m]
+        cut = int(np.searchsorted(self.owner, m))
+        rows = (self.delta, self.phi, self.row_at)
+        factors = (self.owner, self.p, self.alpha, self.rank, self.stride)
+        return DivisorLattice(
+            self.start[: m + 1], *(col[:end] for col in rows), *(col[:cut] for col in factors)
+        )
+
+
+def divisor_lattice(moduli) -> DivisorLattice:
+    """The divisor lattice of the given moduli, one factorization each.
+
+    Every array is either per row or per prime factor, so memory grows with
+    the number of rows; the per-row prime data is rebuilt one prime rank at
+    a time by DivisorLattice.entries.
+    """
+    moduli = [int(q) for q in moduli]
+    if moduli and (min(moduli) < 1 or max(moduli) >= 2**63):
+        raise DomainError("moduli must lie in 1..2^63-1")
+    factors, sizes = [], []
+    for i, q in enumerate(moduli):
+        stride = 1
+        for r, pp in enumerate(factorize(q)):
+            factors.append((i, pp.p, pp.a, r, stride))
+            stride *= pp.a + 1
+        sizes.append(stride)
+    owner, p, alpha, rank, stride = np.array(factors, dtype=np.int64).reshape(-1, 5).T
+    sizes = np.array(sizes, dtype=np.int64)
+    start = np.zeros(len(moduli) + 1, dtype=np.int64)
+    start[1:] = np.cumsum(sizes)
+    delta = np.ones(start[-1], dtype=np.int64)
+    phi = np.ones_like(delta)
+    # The same lattice with its rows in mixed-radix order, each row at its
+    # own position: entries() needs no more, and delta and phi fill in place.
+    by_position = DivisorLattice(
+        start, delta, phi, np.arange(start[-1]), owner, p, alpha, rank, stride
+    )
+    for r in range(by_position.ranks):
+        row, p_r, alpha_r, beta, _ = by_position.entries(r)
+        delta[row] *= p_r**beta
+        low = beta < alpha_r
+        phi[row[low]] *= p_r[low] ** (alpha_r[low] - beta[low] - 1) * (p_r[low] - 1)
+    order = np.lexsort((delta, np.repeat(np.arange(len(moduli)), sizes)))
+    row_at = np.empty_like(order)
+    row_at[order] = np.arange(order.size)
+    return DivisorLattice(start, delta[order], phi[order], row_at, owner, p, alpha, rank, stride)

@@ -9,7 +9,7 @@ those modules at run time (such as a tracer's) see the calls made here.
 from __future__ import annotations
 
 from . import arith, farey, stats
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 
 IDENTITY_TOL = 1e-9
 DIRICHLET_TOL = 1e-3
@@ -49,7 +49,8 @@ def parseval(table, x: int) -> dict:
 
 
 def variance_expansion(table, x: int, Q: int, *, budget: int) -> dict:
-    """V(x, Q) computed directly against its three-term expansion."""
+    """V(x, Q) computed directly, modulus by modulus, against its three-term
+    expansion from the all-moduli engine."""
     direct, expanded = stats.variance_expansion_check(table, x, Q, budget=budget)
     return _check_row(f"variance expansion Q={Q}", direct, expanded, IDENTITY_TOL)
 
@@ -81,11 +82,24 @@ def ramanujan_orthogonality() -> dict:
     return _count_row("ramanujan orthogonality q<=100", bad, q=q, d1=d1, d2=d2)
 
 
-def farey_order(gamma: int) -> int:
-    """The Farey check's top order, which must lie in 2..MAX_VERIFY_ORDER."""
+def farey_sweep_arcs(gamma: int) -> int:
+    """Arcs that farey_containment(gamma) checks: the sum over the orders
+    g = 2..gamma of |F_g| - 1 = sum_{q<=g} phi(q), from one totient sieve."""
+    per_order = arith.totients(gamma)[1:].cumsum()
+    return int(per_order[1:].sum())
+
+
+def farey_order(gamma: int, *, budget: int) -> int:
+    """The Farey check's top order, which must lie in 2..MAX_VERIFY_ORDER and
+    whose sweep over every order 2..gamma must fit in the work budget."""
     if not 2 <= gamma <= farey.MAX_VERIFY_ORDER:
         raise DomainError(
             f"farey check needs 2 <= gamma <= {farey.MAX_VERIFY_ORDER}, got {gamma}"
+        )
+    arcs = farey_sweep_arcs(gamma)
+    if arcs > budget:
+        raise ResourceError(
+            f"farey check of orders 2..{gamma} touches {arcs} arcs, budget {budget}"
         )
     return gamma
 

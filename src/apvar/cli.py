@@ -141,11 +141,14 @@ def cmd_farey(args) -> int:
 
 def cmd_verify(args) -> int:
     threads = _resolve_threads(args.threads)
-    # Checked first, so that a bad --x or --gamma fails before any suite runs.
+    # Checked first, so that a bad --x or --gamma, or a Farey sweep beyond
+    # --budget, fails before any suite runs.
     if args.suite in ("growth", "all"):
         grid = checks.growth_grid(args.x or 2**18)
     if args.suite in ("farey", "all"):
-        gamma = checks.farey_order(300 if args.gamma is None else args.gamma)
+        gamma = checks.farey_order(
+            300 if args.gamma is None else args.gamma, budget=args.budget
+        )
     rows = []
     if args.suite in ("identities", "all"):
         x = args.x or 10**4

@@ -8,7 +8,7 @@ the residue at s=1 of
 
 and this module extracts it with truncated power series (k terms) in
 u = s-1.  correction_table builds the local-correction series of every
-pair (q, delta | q) over a set of moduli at once, for the variance engine.
+row (q, delta | q) of a divisor lattice at once, for the variance engine.
 Three closely related polynomial families come out of the same residue:
 
   ap_main_term(q, a, k)   density polynomial for the class a mod q;
@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import d_k_of, divisors, euler_phi, factorize
+from .arith import DivisorLattice, d_k_of, divisor_lattice, divisors, euler_phi, factorize
 from .errors import DomainError
 
 # Laurent coefficients of zeta about s=1:  zeta(s) = 1/u + sum_n c_n u^n
@@ -123,50 +123,30 @@ def _mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def correction_table(moduli, k: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The correction series of every pair (q, delta), q in moduli, delta | q.
+def correction_table(lattice: DivisorLattice, k: int, n: int) -> np.ndarray:
+    """The correction series of every row (q, delta) of a divisor lattice.
 
-    Returns (start, delta, coeffs): the rows of the i-th modulus are
-    start[i]:start[i+1], delta ascending, and coeffs[r] holds the first n
-    Taylor coefficients about s=1 of the product over p^alpha || q of
-    local_correction_series(p, alpha, v_p(delta), k, n).  Each local series
-    is multiplied into all rows that share it at once, one prime of q per
-    pass (primes ascending).
+    coeffs[r] holds the first n Taylor coefficients about s=1 of the product
+    over p^alpha || q of local_correction_series(p, alpha, v_p(delta), k, n).
+    Each local series is multiplied into all rows that share it at once,
+    one prime rank of q per pass.
     """
-    moduli = [int(q) for q in moduli]
-    if moduli and (min(moduli) < 1 or max(moduli) >= 2**63):
-        raise DomainError("moduli must lie in 1..2^63-1")
-    divs = [divisors(q) for q in moduli]
-    start = np.zeros(len(moduli) + 1, dtype=np.int64)
-    start[1:] = np.cumsum([len(d) for d in divs])
-    delta = np.array([d for ds in divs for d in ds], dtype=np.int64)
-    # One entry per (modulus, p^alpha || q), rank ordering the primes of q,
-    # then spread over the rows of that modulus with beta = v_p(delta).
-    entries = [
-        (i, pp.p, pp.a, r) for i, q in enumerate(moduli) for r, pp in enumerate(factorize(q))
-    ]
-    owner, p, alpha, rank = np.array(entries, dtype=np.int64).reshape(-1, 4).T
-    size = start[owner + 1] - start[owner]
-    row = np.repeat(start[owner] - np.cumsum(size) + size, size) + np.arange(size.sum())
-    p, alpha, rank = (np.repeat(col, size) for col in (p, alpha, rank))
-    rest = delta[row]
-    beta = np.zeros_like(rest)
-    while (hit := rest % p == 0).any():
-        rest[hit] //= p[hit]
-        beta += hit
-    _, p_index = np.unique(p, return_inverse=True)
-    _, first, which = np.unique(
-        (p_index * 64 + alpha) * 64 + beta, return_index=True, return_inverse=True
-    )
-    local = np.array(
-        [local_correction_series(int(p[j]), int(alpha[j]), int(beta[j]), k, n) for j in first]
-    ).reshape(len(first), n)
-    coeffs = np.zeros((len(delta), n))
+    coeffs = np.zeros((len(lattice.delta), n))
     coeffs[:, 0] = 1.0
-    for r in range(int(rank.max()) + 1 if rank.size else 0):
-        sel = rank == r
-        coeffs[row[sel]] = _mul_rows(coeffs[row[sel]], local[which[sel]])
-    return start, delta, coeffs
+    for r in range(lattice.ranks):
+        row, p, alpha, beta, _ = lattice.entries(r)
+        _, p_index = np.unique(p, return_inverse=True)
+        _, first, which = np.unique(
+            (p_index * 64 + alpha) * 64 + beta, return_index=True, return_inverse=True
+        )
+        local = np.array(
+            [
+                local_correction_series(int(p[j]), int(alpha[j]), int(beta[j]), k, n)
+                for j in first
+            ]
+        ).reshape(len(first), n)
+        coeffs[row] = _mul_rows(coeffs[row], local[which])
+    return coeffs
 
 
 def constrained_dirichlet_correction(q: int, delta: int, k: int, n: int) -> np.ndarray:
@@ -175,8 +155,8 @@ def constrained_dirichlet_correction(q: int, delta: int, k: int, n: int) -> np.n
     (first n Taylor coefficients about s=1)."""
     if delta < 1 or q % delta != 0:
         raise DomainError(f"{delta} does not divide {q}")
-    _, divs, coeffs = correction_table([q], k, n)
-    return coeffs[np.searchsorted(divs, delta)]
+    lattice = divisor_lattice([q])
+    return correction_table(lattice, k, n)[np.searchsorted(lattice.delta, delta)]
 
 
 def _local_correction_value(p: int, alpha: int, beta: int, k: int, s: float) -> float:
@@ -272,10 +252,11 @@ def _residue_polys(q: int, k: int) -> dict[int, LogPoly]:
 
     With h = correction * g, the (log X)^j coefficient is h[k-1-j] / j!.
     """
-    _, divs, coeffs = correction_table([q], k, k)
+    lattice = divisor_lattice([q])
+    coeffs = correction_table(lattice, k, k)
     h = _mul_rows(coeffs, np.broadcast_to(_residue_series(k), coeffs.shape))
     polys = h[:, ::-1] / np.array([math.factorial(j) for j in range(k)], dtype=float)
-    return {d: LogPoly(tuple(row)) for d, row in zip(divs.tolist(), polys.tolist())}
+    return {d: LogPoly(tuple(row)) for d, row in zip(lattice.delta.tolist(), polys.tolist())}
 
 
 def main_term_weights(k: int, x: float) -> np.ndarray:

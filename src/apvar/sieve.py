@@ -4,8 +4,10 @@ sieve_dk fills values[n] = d_k(n) for all n <= x by k-1 rounds of divisor
 convolution with the constant-1 function, processed over fixed-size
 segments.  Each segment is written to a disjoint slice of the output, so
 running segments on a thread pool is bitwise identical to running them
-serially.  On top of the table sit exact prefix/class aggregates and the
-exponential sums S_X(a/q) assembled from the class sums in O(q).
+serially.  On top of the table sit exact prefix/class aggregates, the
+exact autocorrelation C(h) = sum_n d_k(n) d_k(n+h) from one FFT with its
+congruence sums for every modulus at once, and the exponential sums
+S_X(a/q) assembled from the class sums in O(q).
 """
 
 from __future__ import annotations
@@ -18,9 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import CertificateError, DomainError, ResourceError
 
 DEFAULT_SEGMENT_SIZE = 1 << 20
+# Moduli whose congruence sums are recomputed from their class sums: 64 passes
+# over x values, about the cost of the FFT itself at x = 2^16.
+CERTIFIED_MODULI = 64
 
 _MAGIC = b"DKTB"
 _VERSION = 1
@@ -160,6 +165,129 @@ def exact_square_sum(values: np.ndarray) -> int:
 def square_sum(table: DkTable) -> int:
     """Exact sum of d_k(n)^2 over the table."""
     return exact_square_sum(table.values[1:])
+
+
+def _abs_mass(values: np.ndarray) -> int:
+    """sum |v| of an int64 array, exactly: in int64 when len * max|v| < 2^63
+    bounds every partial sum, else in Python ints."""
+    top = max(int(values.max()), -int(values.min())) if values.size else 0
+    if values.size * top < 2**63:
+        return int(np.abs(values).sum())
+    return sum(abs(v) for v in values.tolist())
+
+
+def fft_error_bound(norms: float, size: int) -> float:
+    """Percival's a-priori bound (Math. Comp. 72, 2003) on the largest error
+    of a cyclic product of two real vectors x, y with |x|_2 |y|_2 = norms,
+    computed by FFTs of length size = 2^n:
+        norms * ((1+e)^(3n) (1+e sqrt 5)^(3n+1) (1+b)^(3n) - 1),
+    e the float64 unit roundoff, with the twiddle factors taken accurate to
+    b = e."""
+    n = size.bit_length() - 1
+    eps = 2.0**-53
+    growth = 6 * n * math.log1p(eps) + (3 * n + 1) * math.log1p(eps * math.sqrt(5))
+    return norms * math.expm1(growth)
+
+
+def autocorrelation(values: np.ndarray) -> np.ndarray:
+    """Exact C[h] = sum_n v[n] v[n+h] for 0 <= h < len(values).
+
+    One real FFT of length 2^n >= 2 len - 1 and its inverse, rounded to
+    integers.  Rounding is exact only while fft_error_bound stays below 1/2;
+    where it would not, v is split into limbs of w bits,
+    v = sum_i l_i 2^(w i), with as few limbs as keep every limb-pair product
+    under the bound, and the rounded limb products are combined in
+    integers.  Every rounded product must lie within its bound of the
+    floats it came from, and C[0] must equal exact_square_sum(v); else
+    CertificateError.  The result is int64 when v >= 0 and C[0] < 2^63,
+    since every C[h] and every partial limb sum then lies below C[0];
+    Python ints otherwise.
+    """
+    x = len(values)
+    if x < 1:
+        raise DomainError("autocorrelation needs at least one value")
+    size = 1 << (2 * x - 1).bit_length()
+    square = exact_square_sum(values)
+    bits = max(int(values.max()), -int(values.min())).bit_length()
+    for count in range(1, max(bits, 1) + 1):
+        width = -(-bits // count)
+        limbs = [(values >> (width * i)) & ((1 << width) - 1) for i in range(count - 1)]
+        limbs.append(values >> (width * (count - 1)) if count > 1 else values)
+        norms = [exact_square_sum(limb) for limb in limbs]
+        bounds = {
+            (i, j): fft_error_bound((1 if i == j else 2) * math.sqrt(norms[i] * norms[j]), size)
+            for i in range(count)
+            for j in range(i, count)
+        }
+        if max(bounds.values()) < 0.5:
+            break
+    else:
+        raise ResourceError(f"no limb split keeps the FFT products of {x} values exact")
+    wide = values.min() < 0 or square >= 2**63
+    out = np.zeros(x, dtype=object if wide else np.int64)
+    spectra = [np.fft.rfft(limb, size) for limb in limbs]
+    del limbs
+    # The transforms dominate peak memory: work in place, free early.
+    for (i, j), bound in bounds.items():
+        if i == j:  # |F|^2 as re^2 + im^2, within the bound's product rounding
+            product = np.square(spectra[i].real)
+            product += np.square(spectra[i].imag)
+        else:  # corr(l_i, l_j) + corr(l_j, l_i)
+            product = (spectra[i].conj() * spectra[j]).real * 2.0
+        if j == count - 1:  # the last product that needs spectrum i
+            spectra[i] = None
+        raw = np.fft.irfft(product, size)[:x]
+        del product
+        rounded = np.rint(raw)
+        raw -= rounded
+        if np.abs(raw, out=raw).max() > bound:
+            raise CertificateError(f"FFT product of limbs ({i}, {j}) exceeds its error bound")
+        del raw
+        term = rounded.astype(np.int64)
+        if wide:
+            term = term.astype(object)
+        out += term * (1 << (width * (i + j)))
+    if out[0] != square:
+        raise CertificateError(f"FFT square sum {out[0]} differs from exact {square}")
+    return out
+
+
+def multiple_sums(a: np.ndarray, Q: int) -> np.ndarray:
+    """out[e] = sum of a[m] over the multiples m >= e of e, for 1 <= e <= Q
+    (out[0] = 0): one strided sum per e, x log Q element reads in all."""
+    out = np.zeros(Q + 1, dtype=a.dtype)
+    for e in range(1, Q + 1):
+        out[e] = a[e::e].sum()
+    return out
+
+
+def congruence_sums(table: DkTable, x: int, Q: int) -> np.ndarray:
+    """sum_a A(x; q, a)^2 for every q <= Q (index 0 unused), exactly.
+
+    Two n, m <= x share a class mod q exactly when q | n - m, so the sum is
+    C(0) + 2 sum_{j>=1} C(jq) over the autocorrelation C of d_k up to x.
+    In int64 when (sum |d_k(n)|)^2 < 2^63 bounds every sum, else Python
+    ints.  The moduli q <= min(Q, CERTIFIED_MODULI) certify the
+    autocorrelation: each of their sums must equal the square sum of its
+    class sums from ap_sums, and the trivial modulus alone already covers
+    every C(h), since its one class holds every n.
+    """
+    if not 1 <= x <= table.x:
+        raise DomainError(f"cutoff {x} outside 1..{table.x}")
+    if not 1 <= Q <= x:
+        raise DomainError(f"need 1 <= Q <= x, got Q={Q}, x={x}")
+    values = table.values[1 : x + 1]
+    mass = _abs_mass(values)
+    corr = autocorrelation(values)
+    if mass * mass >= 2**63:
+        corr = corr.astype(object)
+    out = corr[0] + 2 * multiple_sums(corr, Q)
+    out[0] = 0
+    for q in range(1, min(Q, CERTIFIED_MODULI) + 1):
+        direct = exact_square_sum(ap_sums(table, q, x).sums[1:])
+        if out[q] != direct:
+            raise CertificateError(f"congruence sum mod {q} is {out[q]}, not {direct}")
+    return out
 
 
 def ap_sums(table: DkTable, q: int, X: int) -> ResidueClassSums:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import euler_phi
+from .arith import DivisorLattice, divisor_lattice, euler_phi
 from .errors import DomainError, ResourceError
 from .residues import (
     LogPoly,
@@ -33,13 +33,14 @@ from .sieve import (
     DkTable,
     ResidueClassSums,
     ap_sums,
-    exact_square_sum,
+    congruence_sums,
     exp_sum,
+    multiple_sums,
     sieve_dk,
 )
 
 DEFAULT_WORK_BUDGET = 4 * 10**9
-_TABLE_BLOCK = 1024  # moduli per correction table: bounds its memory to a few MB
+_TABLE_BLOCK = 1024  # moduli per lattice block: bounds each pass's temporaries to a few MB
 
 
 @dataclass(frozen=True)
@@ -93,8 +94,8 @@ def _eval_main(poly: LogPoly, x: float) -> float:
 def _density_table(moduli, x: float, k: int):
     """(start, delta, cw), cw = C . w(x), for every pair (q, delta | q), q in moduli;
     the rows of the i-th modulus are start[i]:start[i+1], delta ascending."""
-    start, delta, coeffs = correction_table(moduli, k, k)
-    return start, delta, coeffs @ main_term_weights(k, x)
+    lattice = divisor_lattice(moduli)
+    return lattice.start, lattice.delta, correction_table(lattice, k, k) @ main_term_weights(k, x)
 
 
 def _density_values(q: int, delta: np.ndarray, cw: np.ndarray) -> np.ndarray:
@@ -135,6 +136,101 @@ def delta_value(cls: ResidueClassSums, a: int, k: int | None = None) -> DeltaVal
     return DeltaValue(value=s.value - main, a=r, q=q, X=cls.X)
 
 
+def _moduli_table(Q: int, k: int) -> list[tuple[int, DivisorLattice, np.ndarray]]:
+    """The divisor lattices of the moduli 1..Q, in blocks of _TABLE_BLOCK
+    starting at lo, with the correction series of their rows.  None of it
+    depends on x, so one table serves every x and every Q up to this one."""
+    blocks = []
+    for lo in range(1, Q + 1, _TABLE_BLOCK):
+        lattice = divisor_lattice(range(lo, min(lo + _TABLE_BLOCK, Q + 1)))
+        blocks.append((lo, lattice, correction_table(lattice, k, k)))
+    return blocks
+
+
+def _variance_terms(table: DkTable, x: int, Q: int, k: int, congruence, moduli) -> dict:
+    """Per-q arrays for q = 1..Q from congruence_sums(table, x, Q) and a
+    _moduli_table over at least 1..Q.
+
+    With G(q, delta) the mass of the n <= x with gcd(n, q) = delta, and
+    F = x f(q, delta)/q the main term of each of its phi(q/delta) classes,
+        V_q = sum_a (A - F)^2 = within + between,
+        within  = sum_a A^2 - sum_delta G^2 / phi  (spread inside gcd classes),
+        between = sum_delta phi (G/phi - F)^2,
+    two sums of squares, so nothing cancels.  sum_a A^2 is the congruence
+    sum; G is the Mobius transform over the divisors of q/delta of the
+    strided sums S(e) = sum_{e | n <= x} d_k(n), taken one prime of q at a
+    time.  The integer part of `within` is exact (int64 while
+    (sum d_k)^2 < 2^63 bounds every term, Python ints past it); only
+    sum_delta (G^2 mod phi)/phi is a float.  `cross` and `main` are the -2x
+    and x^2 pieces of the expanded square.
+    """
+    values = table.values[: x + 1]
+    if congruence.dtype == object:
+        values = values.astype(object)
+    strided = multiple_sums(values, Q)
+    weights = main_term_weights(k, float(x))
+    parts = []
+    for lo, lattice, coeffs in moduli:
+        if lo > Q:
+            break
+        lattice = lattice.prefix(min(len(lattice.start) - 1, Q + 1 - lo))
+        q = np.arange(lo, lo + len(lattice.start) - 1)
+        cw = coeffs[: lattice.start[-1]] @ weights
+        parts.append(_block_terms(congruence[q], strided, x, q, lattice, cw))
+    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+
+
+def _block_terms(congruence, strided, x: int, q, lattice: DivisorLattice, cw) -> dict:
+    """_variance_terms for one block of consecutive moduli q."""
+    mass = strided[lattice.delta]
+    for r in range(lattice.ranks):
+        row, _, _, _, up = lattice.entries(r)
+        mass[row[up >= 0]] -= mass[up[up >= 0]]
+    square = mass * mass
+    phi = lattice.phi.astype(mass.dtype)
+    seg = lattice.start[:-1]
+    within = (congruence - np.add.reduceat(square // phi, seg)).astype(np.float64)
+    within -= np.add.reduceat((square % phi).astype(np.float64) / lattice.phi, seg)
+    phi = lattice.phi.astype(np.float64)
+    q_row = np.repeat(q.astype(np.float64), np.diff(lattice.start))
+    main = (x / q_row) * (q_row / phi * cw)
+    g = mass.astype(np.float64)
+    return {
+        # within >= 0 exactly; the float remainder sum can pass it by rounding
+        "within": np.maximum(within, 0.0),
+        "between": np.add.reduceat(phi * (g / phi - main) ** 2, seg),
+        "cross": np.add.reduceat(-2.0 * main * g, seg),
+        "main": np.add.reduceat(phi * main * main, seg),
+    }
+
+
+def _checked_fold(table: DkTable, x: int, Q: int, k: int | None) -> int:
+    """The fold k (default: the table's), once (x, Q, k) fit the table."""
+    k = table.k if k is None else k
+    if k != table.k:
+        raise DomainError(f"table holds k={table.k}, requested {k}")
+    if not 1 <= Q <= x:
+        raise DomainError(f"need 1 <= Q <= x, got Q={Q}, x={x}")
+    if x > table.x:
+        raise DomainError(f"cutoff {x} beyond table limit {table.x}")
+    return k
+
+
+def _variance(table: DkTable, x: int, Q: int, k: int, congruence, moduli) -> VarianceReport:
+    terms = _variance_terms(table, x, Q, k, congruence, moduli)
+    per_q = tuple((terms["within"] + terms["between"]).tolist())
+    return VarianceReport(
+        x=x,
+        Q=Q,
+        k=k,
+        per_q=per_q,
+        total=math.fsum(per_q),
+        congruence_term=sum(congruence[1 : Q + 1].tolist()),
+        cross_term=math.fsum(terms["cross"].tolist()),
+        main_term=math.fsum(terms["main"].tolist()),
+    )
+
+
 def variance_total(
     table: DkTable,
     x: int,
@@ -143,47 +239,17 @@ def variance_total(
     *,
     threads: int = 1,
 ) -> VarianceReport:
-    """V(x, Q) plus the three expansion terms, reduced in ascending q order.
+    """V(x, Q) plus the three expansion terms, for every q <= Q at once.
 
-    The densities come from one correction table per block of moduli, and
-    the per-q loop runs serially (a thread pool over q measured slower);
-    `threads` is accepted for existing callers and has no effect.
+    One FFT autocorrelation gives every congruence term, one set of strided
+    sums every gcd-class mass, and one correction table every density; see
+    _variance_terms.  `threads` is accepted for existing callers and has no
+    effect.
     """
-    k = table.k if k is None else k
-    if k != table.k:
-        raise DomainError(f"table holds k={table.k}, requested {k}")
-    if not 1 <= Q <= x:
-        raise DomainError(f"need 1 <= Q <= x, got Q={Q}, x={x}")
-    if x > table.x:
-        raise DomainError(f"cutoff {x} beyond table limit {table.x}")
-
-    rows = []
-    for lo in range(1, Q + 1, _TABLE_BLOCK):
-        moduli = range(lo, min(lo + _TABLE_BLOCK, Q + 1))
-        start, delta, cw = _density_table(moduli, float(x), k)
-        for i, q in enumerate(moduli):
-            rows_of_q = slice(start[i], start[i + 1])
-            counts = ap_sums(table, q, x).sums[1:]
-            f_vals = _density_values(q, delta[rows_of_q], cw[rows_of_q])
-            cf = counts.astype(np.float64)
-            e = cf - (x / q) * f_vals
-            rows.append((
-                float(np.sum(e * e)),
-                exact_square_sum(counts),
-                -2.0 * x / q * float(np.sum(cf * f_vals)),
-                (x / q) ** 2 * float(np.sum(f_vals * f_vals)),
-            ))
-    per_q_v = tuple(r[0] for r in rows)
-    return VarianceReport(
-        x=x,
-        Q=Q,
-        k=k,
-        per_q=per_q_v,
-        total=math.fsum(per_q_v),
-        congruence_term=sum(r[1] for r in rows),
-        cross_term=math.fsum(r[2] for r in rows),
-        main_term=math.fsum(r[3] for r in rows),
-    )
+    k = _checked_fold(table, x, Q, k)
+    # The FFT runs before the tables are built, so they reuse its memory.
+    congruence = congruence_sums(table, x, Q)
+    return _variance(table, x, Q, k, congruence, _moduli_table(Q, k))
 
 
 def parseval_check(
@@ -212,14 +278,23 @@ def variance_expansion_check(
     *,
     budget: int = DEFAULT_WORK_BUDGET,
 ) -> tuple[float, float]:
-    """Variance computed directly versus through its three-term expansion."""
+    """V(x, Q) computed directly, as sum_q sum_a E(q, a)^2 over the class sums
+    of each modulus (O(xQ) work), against its three-term expansion from
+    variance_total, which shares neither the class sums nor the squares."""
     if x * Q > budget:
         raise ResourceError(
             f"expansion check needs ~{x * Q} element operations, budget {budget}"
         )
     report = variance_total(table, x, Q, k)
+    start, delta, cw = _density_table(range(1, Q + 1), float(x), report.k)
+    direct = []
+    for i, q in enumerate(range(1, Q + 1)):
+        rows = slice(start[i], start[i + 1])
+        f_vals = _density_values(q, delta[rows], cw[rows])
+        e = ap_sums(table, q, x).sums[1:].astype(np.float64) - (x / q) * f_vals
+        direct.append(float(np.sum(e * e)))
     expanded = float(report.congruence_term) + report.cross_term + report.main_term
-    return report.total, expanded
+    return math.fsum(direct), expanded
 
 
 def density_square_sum_check(q: int, x: float, k: int) -> tuple[float, float]:
@@ -321,8 +396,9 @@ def growth_study(
     """Compute V(x, Q) along x_grid with Q = q_rule(x).
 
     q_rule is either a callable x -> Q, a ("power", c) pair for Q = x^c, or
-    a ("ratio", r) pair for Q = x/r.  One table is sieved at max(x_grid)
-    and shared across the grid.
+    a ("ratio", r) pair for Q = x/r.  One table is sieved at max(x_grid),
+    and one correction table built for the largest Q, and both are shared
+    across the grid.
     """
     xs = sorted(set(int(t) for t in x_grid))
     if not xs:
@@ -338,11 +414,16 @@ def growth_study(
         else:
             raise DomainError(f"unknown Q rule {kind!r}")
     table = sieve if sieve is not None else sieve_dk(xs[-1], k, threads=threads)
+    qs = [max(1, min(rule(x), x)) for x in xs]
+    for x, Q in zip(xs, qs):
+        _checked_fold(table, x, Q, k)
+    # Every FFT runs before the shared table is built, so it reuses their memory.
+    congruences = [congruence_sums(table, x, Q) for x, Q in zip(xs, qs)]
+    moduli = _moduli_table(max(qs), k)
     rows = []
-    for x in xs:
-        Q = max(1, min(rule(x), x))
-        rep = variance_total(table, x, Q, k)
-        rows.append((x, Q, rep.total, rep.total / (x * Q)))
+    for x, Q, congruence in zip(xs, qs, congruences):
+        total = _variance(table, x, Q, k, congruence, moduli).total
+        rows.append((x, Q, total, total / (x * Q)))
     if len(rows) < 2:
         slope = math.nan  # a slope needs at least two grid points
     else:

@@ -23,9 +23,9 @@ from apvar import (
     sieve_dk,
     square_sum,
     total_sum,
-    variance_expansion_check,
 )
 from apvar.cli import main as cli_main
+from apvar.stats import DEFAULT_WORK_BUDGET
 
 MAX_THREADS = max(2, os.cpu_count() or 2)
 
@@ -90,10 +90,9 @@ def test_criterion_03_parseval_identity(table_k2_1e4, table_k3_1e4):
 def test_criterion_04_variance_expansion(table_k2_1e4, table_k3_1e4):
     """Direct variance equals its three-term expansion at desk scale."""
     start = time.perf_counter()
-    d1, e1 = variance_expansion_check(table_k2_1e4, 10**3, 50)
-    d2, e2 = variance_expansion_check(table_k3_1e4, 10**4, 100)
-    rel1 = abs(d1 - e1) / abs(d1)
-    rel2 = abs(d2 - e2) / abs(d2)
+    row1 = checks.variance_expansion(table_k2_1e4, 10**3, 50, budget=DEFAULT_WORK_BUDGET)
+    row2 = checks.variance_expansion(table_k3_1e4, 10**4, 100, budget=DEFAULT_WORK_BUDGET)
+    rel1, rel2 = row1["rel_diff"], row2["rel_diff"]
     elapsed = time.perf_counter() - start
     ok = rel1 < 1e-9 and rel2 < 1e-9 and elapsed < 60.0
     report(
@@ -101,6 +100,7 @@ def test_criterion_04_variance_expansion(table_k2_1e4, table_k3_1e4):
         ok,
         f"rel diffs {rel1:.2e}, {rel2:.2e} (< 1e-9), {elapsed:.1f}s (< 60 s)",
     )
+    assert row1["pass"] and row2["pass"]
     assert rel1 < 1e-9 and rel2 < 1e-9
     assert elapsed < 60.0
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from apvar import (
     DomainError,
     PrimePower,
-    build_factor_table,
     d_k_of,
     divisors,
     euler_phi,
@@ -16,6 +16,7 @@ from apvar import (
     mobius,
     ramanujan_sum,
 )
+from apvar.arith import divisor_lattice, totients
 
 
 def trial_division(n):
@@ -47,29 +48,30 @@ def ramanujan_exponential(q, n):
 
 
 class TestFactorTable:
-    def test_small_table_matches_definition(self):
-        t = build_factor_table(10)
-        assert t.spf[2:].tolist() == [2, 3, 2, 5, 2, 7, 2, 3, 2]
+    """The smallest-prime-factor oracle of the tests, against the definition."""
 
-    def test_smallest_limit(self):
-        assert build_factor_table(2).spf[2] == 2
+    def test_small_table_matches_definition(self, spf_builder):
+        assert spf_builder(10)[2:].tolist() == [2, 3, 2, 5, 2, 7, 2, 3, 2]
 
-    def test_limit_below_two_rejected(self):
-        with pytest.raises(DomainError):
-            build_factor_table(1)
+    def test_smallest_limit(self, spf_builder):
+        assert spf_builder(2)[2] == 2
 
-    def test_invariants_hold(self):
-        t = build_factor_table(5000)
+    def test_limit_below_two_rejected(self, spf_builder):
+        with pytest.raises(ValueError):
+            spf_builder(1)
+
+    def test_invariants_hold(self, spf_builder):
+        spf = spf_builder(5000)
         for n in range(2, 5001):
-            p = int(t.spf[n])
+            p = int(spf[n])
             assert n % p == 0
-            assert t.spf[p] == p  # p is prime
+            assert spf[p] == p  # p is prime
             assert p * p <= n or p == n
 
     def test_large_table_spot_check(self, spf_table_1e7):
         n = 9999991
         assert trial_division(n) == [(n, 1)]  # oracle: n is prime
-        assert spf_table_1e7.spf[n] == n
+        assert spf_table_1e7[n] == n
 
 
 class TestFactorize:
@@ -80,13 +82,13 @@ class TestFactorize:
         assert factorize(12) == [PrimePower(2, 2), PrimePower(3, 1)]
 
     def test_large_prime(self, spf_table_1e7):
-        assert factorize(9999991, spf_table_1e7) == [PrimePower(9999991, 1)]
+        assert spf_table_1e7[9999991] == 9999991
+        assert factorize(9999991) == [PrimePower(9999991, 1)]
 
-    def test_out_of_range_rejected(self, spf_table_1e7):
-        with pytest.raises(DomainError):
-            factorize(0)
-        with pytest.raises(DomainError):
-            factorize(10**7 + 1, spf_table_1e7)
+    def test_out_of_range_rejected(self):
+        for n in (0, -12):
+            with pytest.raises(DomainError):
+                factorize(n)
 
     @given(st.integers(min_value=1, max_value=10**6))
     @settings(max_examples=100, deadline=None)
@@ -97,8 +99,9 @@ class TestFactorize:
 
     def test_primes_strictly_increase(self, spf_table_1e7):
         for n in (2, 360, 9699690, 2**20):
-            fac = factorize(n, spf_table_1e7)
+            fac = factorize(n)
             assert all(a.p < b.p for a, b in zip(fac, fac[1:]))
+            assert fac[0].p == spf_table_1e7[n]
 
 
 class TestMultiplicativeFunctions:
@@ -177,6 +180,48 @@ class TestDivisors:
             ds = divisors(q)
             assert ds == sorted(ds)
             assert ds == [d for d in range(1, q + 1) if q % d == 0]
+
+
+class TestTotients:
+    def test_matches_euler_phi(self):
+        assert totients(0).tolist() == [0]
+        assert totients(2000).tolist() == [0] + [euler_phi(n) for n in range(1, 2001)]
+
+
+class TestDivisorLattice:
+    def test_rows_and_entries_match_divisors(self):
+        moduli = [1, 2, 12, 97, 360, 1024, 30030, *range(400, 460)]
+        lat = divisor_lattice(moduli)
+        for i, q in enumerate(moduli):
+            rows = range(lat.start[i], lat.start[i + 1])
+            assert lat.delta[rows].tolist() == divisors(q)
+            assert lat.phi[rows].tolist() == [euler_phi(q // d) for d in divisors(q)]
+        seen = 0
+        for r in range(lat.ranks):
+            for row, p, alpha, beta, up in zip(*lat.entries(r)):
+                i = int(np.searchsorted(lat.start, row, side="right")) - 1
+                q, d = moduli[i], int(lat.delta[row])
+                assert [pp.p for pp in factorize(q)][r] == p and q % p**alpha == 0
+                assert (q // p**alpha) % p != 0
+                assert d % p**beta == 0 and (d // p**beta) % p != 0
+                assert (up >= 0) == (beta < alpha)
+                if up >= 0:
+                    assert lat.delta[up] == d * p and lat.start[i] <= up < lat.start[i + 1]
+                seen += 1
+        assert seen == sum(len(factorize(q)) * len(divisors(q)) for q in moduli)
+
+    def test_prefix_is_the_lattice_of_the_first_moduli(self):
+        whole, head = divisor_lattice(range(1, 301)), divisor_lattice(range(1, 101))
+        part = whole.prefix(100)
+        for name in ("start", "delta", "phi", "row_at", "owner", "p", "alpha", "rank"):
+            assert np.array_equal(getattr(part, name), getattr(head, name)), name
+        for r in range(head.ranks):
+            for got, want in zip(part.entries(r), head.entries(r)):
+                assert np.array_equal(got, want)
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(DomainError):
+            divisor_lattice([0, 5])
 
 
 class TestRamanujanSum:

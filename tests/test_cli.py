@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import struct
+import time
 
 import pytest
 
@@ -307,6 +308,31 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--suite", suite, "--gamma", gamma)
         assert code == EXIT_USAGE
         assert out == "" and "gamma" in err
+
+    @pytest.mark.parametrize("suite", ("farey", "all"))
+    def test_farey_sweep_beyond_budget_is_resource_error(self, capsys, monkeypatch, suite):
+        # orders 2..10^4 touch 101,351,590,326 arcs (over an hour of work),
+        # past the default budget of 4e9: refused before any suite runs
+        from apvar import checks
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a suite ran before the Farey sweep was budgeted")
+
+        for name in ("parseval", "dirichlet", "farey_containment", "growth"):
+            monkeypatch.setattr(checks, name, must_not_run)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--suite", suite, "--gamma", "10000")
+        assert code == EXIT_RESOURCE
+        assert out == "" and "101351590326 arcs" in err
+        assert time.perf_counter() - start < 5.0
+
+    def test_default_farey_sweep_fits_the_budget(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "farey")
+        assert code == EXIT_OK
+        assert "(2763278 arcs)" in json.loads(out.splitlines()[0])["check"]
+        code, out, err = run(capsys, "verify", "--suite", "farey", "--budget", "2763277")
+        assert code == EXIT_RESOURCE
+        assert out == "" and "2763278 arcs" in err
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

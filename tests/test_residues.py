@@ -350,13 +350,13 @@ class TestEvalLogPoly:
 
 
 class TestDirichletSeriesOracle:
-    def test_partial_sums_converge_to_corrected_zeta_power(self, spf_table_1e7):
+    def test_partial_sums_converge_to_corrected_zeta_power(self):
         # brute force: sum d_k(n)/n^2 over n <= 1e5 with gcd(n, 30) = 6
         n_max = 10**5
         for k in (2, 3):
             partial = 0.0
             for n in range(6, n_max + 1, 6):
                 if math.gcd(n, 30) == 6:
-                    partial += d_k_of(n, k, spf_table_1e7) / n**2
+                    partial += d_k_of(n, k) / n**2
             target = zeta_euler_maclaurin(2.0) ** k * correction_value_at(30, 6, k, 2.0)
             assert partial == pytest.approx(target, rel=1e-3)

@@ -53,14 +53,14 @@ class TestSieve:
             t = sieve_dk(2000, k)
             assert t.values[1:].tolist() == naive_convolved_values(2000, k)
 
-    def test_matches_prime_power_formula(self, spf_table_1e7):
+    def test_matches_prime_power_formula(self):
         for k in range(2, 7):
             t = sieve_dk(10**4, k)
             values = t.values.tolist()
             for n in range(1, 10**4 + 1):
-                assert values[n] == d_k_of(n, k, spf_table_1e7)
+                assert values[n] == d_k_of(n, k)
 
-    def test_prime_entries_equal_k(self, spf_table_1e7):
+    def test_prime_entries_equal_k(self):
         for k in (2, 5):
             t = sieve_dk(10**3, k)
             for p in (2, 3, 97, 997):

@@ -24,7 +24,10 @@ from apvar import (
     variance_expansion_check,
     variance_total,
 )
-from apvar.stats import _density_table, regression_slope
+from apvar import sieve
+from apvar.errors import CertificateError
+from apvar.sieve import autocorrelation, congruence_sums, exact_square_sum, fft_error_bound
+from apvar.stats import _density_table, _moduli_table, _variance_terms, regression_slope
 
 GAMMA0 = 0.5772156649015328606065121
 
@@ -187,6 +190,80 @@ class TestVarianceOracle:
         assert worst <= 1e-12, f"worst relative error {worst:.2e} at (x, k, q, delta) = {where}"
 
 
+class TestAllModuliEngine:
+    def test_dual_identity_is_exact(self, table_k3_1e4):
+        # sum_{q<=Q} sum_a A^2 = Q C(0) + 2 sum_{h>=1} C(h) #{q <= Q : q | h},
+        # with C(h) from a direct int64 correlation
+        x, Q = 3000, 200
+        v = table_k3_1e4.values[1 : x + 1]
+        corr = np.correlate(v, v, "full")[x - 1 :]
+        assert np.array_equal(autocorrelation(v), corr)
+        divides = np.zeros(x, dtype=np.int64)
+        for q in range(1, Q + 1):
+            divides[q::q] += 1
+        dual = Q * int(corr[0]) + 2 * sum(
+            int(c) * int(n) for c, n in zip(corr[1:], divides[1:])
+        )
+        assert variance_total(table_k3_1e4, x, Q).congruence_term == dual
+
+    @pytest.mark.parametrize("top", [2**20, 2**40])
+    def test_limb_path_matches_brute_force(self, top):
+        # one FFT could not round these products exactly, so the values are
+        # split into limbs; 2^20 keeps every sum in int64, 2^40 needs Python ints
+        rng = np.random.default_rng(7)
+        x, Q = 600, 60
+        values = np.concatenate([[0], rng.integers(0, top, x)])
+        table = DkTable(x=x, k=2, values=values)
+        size = 1 << (2 * x - 1).bit_length()
+        assert fft_error_bound(exact_square_sum(values[1:]), size) >= 0.5
+        brute = [
+            sum(int(a) ** 2 for a in ap_sums(table, q, x).sums[1:]) for q in range(1, Q + 1)
+        ]
+        assert congruence_sums(table, x, Q)[1:].tolist() == brute
+        assert variance_total(table, x, Q).congruence_term == sum(brute)
+
+    def test_rounding_beyond_the_bound_is_refused(self, table_k2_1e4, monkeypatch):
+        # with a zero bound, FFT output that is not exactly integral fails
+        monkeypatch.setattr(sieve, "fft_error_bound", lambda norms, size: 0.0)
+        with pytest.raises(CertificateError):
+            congruence_sums(table_k2_1e4, 5000, 10)
+
+    def test_class_sums_certify_moduli_beyond_the_trivial_one(self, table_k2_1e4, monkeypatch):
+        # C(2) + 1 and C(3) - 1 leave the sum mod 1 intact but move the sums
+        # mod 2 and mod 3, which their class sums catch
+        exact = autocorrelation
+
+        def skewed(values):
+            corr = exact(values).copy()
+            corr[2] += 1
+            corr[3] -= 1
+            return corr
+
+        monkeypatch.setattr(sieve, "autocorrelation", skewed)
+        with pytest.raises(CertificateError, match="mod 2"):
+            congruence_sums(table_k2_1e4, 5000, 10)
+
+    @pytest.mark.parametrize("k", (1, 3))
+    def test_within_class_spread_is_nonnegative_and_exact(self, table_k3_1e4, k):
+        # within = sum_a (A - G/phi)^2 over each gcd class, against class sums
+        table = table_k3_1e4 if k == 3 else sieve_dk(10**4, 1)
+        x, Q = 7919, 120
+        terms = _variance_terms(
+            table, x, Q, k, congruence_sums(table, x, Q), _moduli_table(Q, k)
+        )
+        assert (terms["within"] >= 0.0).all()
+        for q in range(1, Q + 1):
+            counts = ap_sums(table, q, x).sums[1:].astype(np.float64)
+            gcds = np.gcd(np.arange(1, q + 1), q)
+            mass = np.bincount(gcds, weights=counts)
+            size = np.bincount(gcds)
+            spread = counts - mass[gcds] / size[gcds]
+            want = math.fsum((spread * spread).tolist())
+            assert terms["within"][q - 1] == pytest.approx(want, rel=1e-9, abs=1e-9)
+        rep = variance_total(table, x, Q)
+        assert rep.per_q == tuple((terms["within"] + terms["between"]).tolist())
+
+
 class TestParseval:
     def test_exact_for_single_class(self, table_k2_1e4):
         lhs, rhs = parseval_check(table_k2_1e4, 1, 10**4)
@@ -236,7 +313,7 @@ class TestDensitySquareSum:
 
 
 class TestDirichletPartialSums:
-    def test_example_case_converges(self, spf_table_1e7):
+    def test_example_case_converges(self):
         t = sieve_dk(10**5, 2)
         lhs, rhs = dirichlet_partial_sum_check(t, 30, 6)
         assert lhs == pytest.approx(rhs, rel=1e-3)
@@ -305,6 +382,8 @@ class TestGrowthStudy:
         for x, Q, v, ratio in study.rows:
             assert Q == int(round(x**0.5))
             assert ratio == pytest.approx(v / (x * Q), rel=1e-15)
+            # the shared table for the largest Q serves each smaller Q exactly
+            assert v == variance_total(table_k2_1e4, x, Q).total
 
     def test_ratio_rule(self, table_k2_1e4):
         study = growth_study(2, [1000], ("ratio", 10), sieve=table_k2_1e4)
