@@ -25,7 +25,6 @@ from .farey import (
     verify_containment,
 )
 from .residues import (
-    LogPoly,
     ap_main_term,
     constrained_dirichlet_correction,
     correction_value_at,

@@ -144,16 +144,16 @@ def cmd_verify(args) -> int:
     # Checked first, so that a bad --x or --gamma, or a Farey sweep beyond
     # --budget, fails before any suite runs.
     if args.suite in ("growth", "all"):
-        grid = checks.growth_grid(args.x or 2**18)
+        grid = checks.growth_grid(2**18 if args.x is None else args.x)
     if args.suite in ("farey", "all"):
         gamma = checks.farey_order(
             300 if args.gamma is None else args.gamma, budget=args.budget
         )
     rows = []
     if args.suite in ("identities", "all"):
-        x = args.x or 10**4
+        x = 10**4 if args.x is None else args.x
         table = _load_or_sieve(args, x, args.k, threads)
-        Q = args.Q or min(100, x)
+        Q = min(100, x) if args.Q is None else args.Q
         rows += [
             checks.parseval(table, x),
             checks.variance_expansion(table, x, Q, budget=args.budget),
@@ -161,7 +161,7 @@ def cmd_verify(args) -> int:
             checks.ramanujan_orthogonality(),
         ]
     if args.suite in ("dirichlet", "all"):
-        table = _load_or_sieve(args, args.x or 10**5, args.k, threads)
+        table = _load_or_sieve(args, 10**5 if args.x is None else args.x, args.k, threads)
         rows.append(checks.dirichlet(table))
     if args.suite in ("farey", "all"):
         rows += [checks.farey_containment(gamma), checks.farey_histogram()]

@@ -7,9 +7,12 @@ the residue at s=1 of
     X^(s-1)/s  *  zeta(s)^k  *  (local Euler corrections at primes p | q),
 
 and this module extracts it with truncated power series (k terms) in
-u = s-1.  correction_table builds the local-correction series of every
-row (q, delta | q) of a divisor lattice at once, for the variance engine.
-Three closely related polynomial families come out of the same residue:
+u = s-1.  Polynomials in log X are float64 coefficient arrays, increasing
+degree; eval_logpoly evaluates one, or a whole table row by row.
+density_polys builds the residue polynomial of every row (q, delta | q) of
+a divisor lattice at once, for the variance engine.  Three closely related
+polynomial families come out of the same residue (read-only arrays, since
+caches hand them to every caller):
 
   ap_main_term(q, a, k)   density polynomial for the class a mod q;
   m_poly(q, k)            its transform over the divisor lattice of q,
@@ -22,7 +25,6 @@ Coefficients are double precision; exactness claims live in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -56,6 +58,12 @@ _STIELTJES = (
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of two power series in u, truncated to the length of a."""
     return np.convolve(a, b)[: len(a)]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, read-only: cached arrays are handed to every caller."""
+    a.flags.writeable = False
+    return a
 
 
 def zeta_power_series(k: int, n: int) -> np.ndarray:
@@ -110,8 +118,7 @@ def local_correction_series(
     else:
         out = -_mul(euler, sum(d_k_of(p**j, k) * p_pow(j) for j in range(alpha)))
         out[0] += 1.0
-    out.flags.writeable = False
-    return out
+    return _frozen(out)
 
 
 def _mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -188,136 +195,88 @@ def correction_value_at(q: int, delta: int, k: int, s: float) -> float:
     return out
 
 
-@dataclass(frozen=True)
-class LogPoly:
-    """Polynomial in log X with float coefficients, increasing degree."""
-
-    coeffs: tuple[float, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __add__(self, other: LogPoly) -> LogPoly:
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0.0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0.0,) * (n - len(other.coeffs))
-        return LogPoly(tuple(x + y for x, y in zip(a, b)))
-
-    def __sub__(self, other: LogPoly) -> LogPoly:
-        return self + (-1.0) * other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return LogPoly(tuple(c * other for c in self.coeffs))
-        out = [0.0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] += ci * cj
-        return LogPoly(tuple(out))
-
-    __rmul__ = __mul__
-
-
-def eval_logpoly(poly: LogPoly, x: float) -> float:
-    """Horner evaluation at log x; requires x > 1."""
-    if x <= 1:
-        raise DomainError(f"evaluation point must exceed 1, got {x}")
+def eval_logpoly(poly: np.ndarray, x: float) -> np.ndarray | float:
+    """Horner evaluation at log x along the last axis of a coefficient array
+    (increasing degree): one polynomial, or a (rows, k) table row by row.
+    Needs finite x >= 1; at x = 1 it gives the constant term."""
+    if not (math.isfinite(x) and x >= 1):
+        raise DomainError(f"evaluation point must be finite and >= 1, got {x}")
     t = math.log(x)
     acc = 0.0
-    for c in reversed(poly.coeffs):
+    for c in poly.T[::-1]:
         acc = acc * t + c
     return acc
 
 
-def logpoly_json(poly: LogPoly, *, k: int, q: int, a: int | None = None) -> dict:
+def logpoly_json(poly: np.ndarray, *, k: int, q: int, a: int | None = None) -> dict:
     """JSON-ready mapping with coefficients in increasing degree."""
     out = {"k": k, "q": q}
     if a is not None:
         out["a"] = a
-    out["coeffs"] = list(poly.coeffs)
+    out["coeffs"] = poly.tolist()
     return out
 
 
-def _residue_series(k: int) -> np.ndarray:
-    """g = (u zeta(1+u))^k / (1+u), the first k coefficients: the residue
-    of X^(s-1)/s * zeta(s)^k * C(s) is the u^(k-1) coefficient of X^u C g."""
-    return _mul(zeta_power_series(k, k), (-1.0) ** np.arange(k))
+def density_polys(lattice: DivisorLattice, k: int) -> np.ndarray:
+    """Residue at s=1 of X^(s-1)/s * zeta(s)^k * C(s), C = correction(q, delta),
+    for every row (q, delta) of a divisor lattice: a (rows, k) array of log X
+    coefficients, increasing degree.  Row r times q/phi(q/delta) is the
+    density polynomial f(q, delta).
+
+    With g = (u zeta(1+u))^k / (1+u), the residue is the u^(k-1) coefficient
+    of X^u C g; so with h = C g, the (log X)^j coefficient is h[k-1-j] / j!.
+    """
+    coeffs = correction_table(lattice, k, k)
+    g = _mul(zeta_power_series(k, k), (-1.0) ** np.arange(k))
+    h = _mul_rows(coeffs, np.broadcast_to(g, coeffs.shape))
+    return h[:, ::-1] / np.array([math.factorial(j) for j in range(k)], dtype=float)
 
 
 @lru_cache(maxsize=None)
-def _residue_polys(q: int, k: int) -> dict[int, LogPoly]:
-    """Residue at s=1 of X^(s-1)/s * zeta(s)^k * correction(q, delta) for
-    every delta | q, as polynomials in log X of degree <= k-1.
-
-    With h = correction * g, the (log X)^j coefficient is h[k-1-j] / j!.
-    """
+def _residue_polys(q: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(delta, polys): the divisors of q ascending and their density_polys rows."""
     lattice = divisor_lattice([q])
-    coeffs = correction_table(lattice, k, k)
-    h = _mul_rows(coeffs, np.broadcast_to(_residue_series(k), coeffs.shape))
-    polys = h[:, ::-1] / np.array([math.factorial(j) for j in range(k)], dtype=float)
-    return {d: LogPoly(tuple(row)) for d, row in zip(lattice.delta.tolist(), polys.tolist())}
+    return _frozen(lattice.delta), _frozen(density_polys(lattice, k))
 
 
-def main_term_weights(k: int, x: float) -> np.ndarray:
-    """w(x) with f(q, delta)(x) = q/phi(q/delta) * (C . w(x)), C the first k
-    coefficients of constrained_dirichlet_correction(q, delta, k, k).
-
-    Written out, the residue of _residue_polys is
-    sum_j h[k-1-j] (log x)^j / j! with h = C g; so
-    w_i = sum_{j <= k-1-i} g[k-1-i-j] (log x)^j / j!.  Accepts x = 1.
-    """
-    if x < 1:
-        raise DomainError(f"cutoff must be >= 1, got {x}")
-    t = math.log(x)
-    powers = np.array([t**j / math.factorial(j) for j in range(k)])
-    return _mul(_residue_series(k), powers)[::-1]
-
-
-def ap_main_term(q: int, a: int, k: int) -> LogPoly:
+def ap_main_term(q: int, a: int, k: int) -> np.ndarray:
     """Density polynomial f(q, a): the class a mod q holds X*f/q of the
     total divisor-function mass up to X, asymptotically.
 
-    Depends on a only through gcd(q, a).  Degree <= k-1.
+    Depends on a only through gcd(q, a).  k coefficients in log X.
     """
     if not 1 <= k <= 8:
         raise DomainError(f"fold parameter must lie in 1..8, got {k}")
     if q < 1 or not 1 <= a <= q:
         raise DomainError(f"need 1 <= a <= q, got a={a}, q={q}")
-    delta = math.gcd(q, a)
-    scale = q / euler_phi(q // delta)
-    return scale * _residue_polys(q, k)[delta]
+    delta, polys = _residue_polys(q, k)
+    g = math.gcd(q, a)
+    return _frozen(q / euler_phi(q // g) * polys[np.searchsorted(delta, g)])
 
 
 @lru_cache(maxsize=None)
-def m_poly(q: int, k: int) -> LogPoly:
-    """Reduced-fraction main-term polynomial M(q), degree <= k-1.
+def m_poly(q: int, k: int) -> np.ndarray:
+    """Reduced-fraction main-term polynomial M(q), k coefficients in log X.
 
     Defined through the divisor-lattice recursion
         M(q) = (q/phi(q)) * ( f(q, q) - sum_{d|q, d<q} phi(d) M(d) / d ),
     base M(1) = f(1, 1); the transform f(q, a) = sum_{d|q} c_d(a) M(d) / d
-    is verified in the test suite.
+    is verified in the test suite.  ap_main_term checks k.
     """
-    if not 1 <= k <= 8:
-        raise DomainError(f"fold parameter must lie in 1..8, got {k}")
     if q < 1:
         raise DomainError(f"modulus must be >= 1, got {q}")
     acc = ap_main_term(q, q, k)
-    if q == 1:
-        return acc
-    for d in divisors(q):
-        if d == q:
-            continue
+    for d in divisors(q)[:-1]:
         acc = acc - (euler_phi(d) / d) * m_poly(d, k)
-    return (q / euler_phi(q)) * acc
+    return _frozen((q / euler_phi(q)) * acc)
 
 
-def f_star(q: int, k: int) -> LogPoly:
-    """Quadratic mean sum_{d|q} phi(d) M(d)^2 / d^2, degree <= 2k-2."""
+def f_star(q: int, k: int) -> np.ndarray:
+    """Quadratic mean sum_{d|q} phi(d) M(d)^2 / d^2, 2k-1 coefficients."""
     if q < 1:
         raise DomainError(f"modulus must be >= 1, got {q}")
-    acc = LogPoly((0.0,) * (2 * k - 1))
+    acc = np.zeros(2 * k - 1)
     for d in divisors(q):
         m = m_poly(d, k)
-        acc = acc + (euler_phi(d) / d**2) * (m * m)
-    return acc
+        acc += (euler_phi(d) / d**2) * np.convolve(m, m)
+    return _frozen(acc)

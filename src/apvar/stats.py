@@ -20,14 +20,12 @@ import numpy as np
 from .arith import DivisorLattice, divisor_lattice, euler_phi
 from .errors import DomainError, ResourceError
 from .residues import (
-    LogPoly,
     ap_main_term,
-    correction_table,
     correction_value_at,
+    density_polys,
     eval_logpoly,
     f_star,
     m_poly,
-    main_term_weights,
 )
 from .sieve import (
     DkTable,
@@ -82,20 +80,12 @@ class VarianceReport:
     main_term: float
 
 
-def _eval_main(poly: LogPoly, x: float) -> float:
-    """Horner at log x, accepting the degenerate cutoff x = 1 (log x = 0)."""
-    if x < 1:
-        raise DomainError(f"cutoff must be >= 1, got {x}")
-    if x == 1:
-        return poly.coeffs[0]
-    return eval_logpoly(poly, x)
-
-
 def _density_table(moduli, x: float, k: int):
-    """(start, delta, cw), cw = C . w(x), for every pair (q, delta | q), q in moduli;
-    the rows of the i-th modulus are start[i]:start[i+1], delta ascending."""
+    """(start, delta, cw) for every pair (q, delta | q), q in moduli: cw is the
+    density_polys row evaluated at x, so f(q, delta) = q/phi(q/delta) * cw.
+    The rows of the i-th modulus are start[i]:start[i+1], delta ascending."""
     lattice = divisor_lattice(moduli)
-    return lattice.start, lattice.delta, correction_table(lattice, k, k) @ main_term_weights(k, x)
+    return lattice.start, lattice.delta, eval_logpoly(density_polys(lattice, k), x)
 
 
 def _density_values(q: int, delta: np.ndarray, cw: np.ndarray) -> np.ndarray:
@@ -132,22 +122,22 @@ def delta_value(cls: ResidueClassSums, a: int, k: int | None = None) -> DeltaVal
     g = math.gcd(q, r) if r else q
     qr = q // g
     s = exp_sum(cls, a)
-    main = cls.X * _eval_main(m_poly(qr, k), float(cls.X)) / qr
+    main = cls.X * eval_logpoly(m_poly(qr, k), float(cls.X)) / qr
     return DeltaValue(value=s.value - main, a=r, q=q, X=cls.X)
 
 
 def _moduli_table(Q: int, k: int) -> list[tuple[int, DivisorLattice, np.ndarray]]:
     """The divisor lattices of the moduli 1..Q, in blocks of _TABLE_BLOCK
-    starting at lo, with the correction series of their rows.  None of it
+    starting at lo, with the density polynomials of their rows.  None of it
     depends on x, so one table serves every x and every Q up to this one."""
     blocks = []
     for lo in range(1, Q + 1, _TABLE_BLOCK):
         lattice = divisor_lattice(range(lo, min(lo + _TABLE_BLOCK, Q + 1)))
-        blocks.append((lo, lattice, correction_table(lattice, k, k)))
+        blocks.append((lo, lattice, density_polys(lattice, k)))
     return blocks
 
 
-def _variance_terms(table: DkTable, x: int, Q: int, k: int, congruence, moduli) -> dict:
+def _variance_terms(table: DkTable, x: int, Q: int, congruence, moduli) -> dict:
     """Per-q arrays for q = 1..Q from congruence_sums(table, x, Q) and a
     _moduli_table over at least 1..Q.
 
@@ -168,14 +158,13 @@ def _variance_terms(table: DkTable, x: int, Q: int, k: int, congruence, moduli) 
     if congruence.dtype == object:
         values = values.astype(object)
     strided = multiple_sums(values, Q)
-    weights = main_term_weights(k, float(x))
     parts = []
-    for lo, lattice, coeffs in moduli:
+    for lo, lattice, polys in moduli:
         if lo > Q:
             break
         lattice = lattice.prefix(min(len(lattice.start) - 1, Q + 1 - lo))
         q = np.arange(lo, lo + len(lattice.start) - 1)
-        cw = coeffs[: lattice.start[-1]] @ weights
+        cw = eval_logpoly(polys[: lattice.start[-1]], x)
         parts.append(_block_terms(congruence[q], strided, x, q, lattice, cw))
     return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
@@ -217,7 +206,7 @@ def _checked_fold(table: DkTable, x: int, Q: int, k: int | None) -> int:
 
 
 def _variance(table: DkTable, x: int, Q: int, k: int, congruence, moduli) -> VarianceReport:
-    terms = _variance_terms(table, x, Q, k, congruence, moduli)
+    terms = _variance_terms(table, x, Q, congruence, moduli)
     per_q = tuple((terms["within"] + terms["between"]).tolist())
     return VarianceReport(
         x=x,
@@ -242,9 +231,9 @@ def variance_total(
     """V(x, Q) plus the three expansion terms, for every q <= Q at once.
 
     One FFT autocorrelation gives every congruence term, one set of strided
-    sums every gcd-class mass, and one correction table every density; see
-    _variance_terms.  `threads` is accepted for existing callers and has no
-    effect.
+    sums every gcd-class mass, and one table of density polynomials every
+    density; see _variance_terms.  `threads` is accepted for existing
+    callers and has no effect.
     """
     k = _checked_fold(table, x, Q, k)
     # The FFT runs before the tables are built, so they reuse its memory.
@@ -300,9 +289,9 @@ def variance_expansion_check(
 def density_square_sum_check(q: int, x: float, k: int) -> tuple[float, float]:
     """sum_a f(q, a)^2 at x versus q times the quadratic-mean polynomial."""
     lhs = math.fsum(
-        _eval_main(ap_main_term(q, a, k), x) ** 2 for a in range(1, q + 1)
+        eval_logpoly(ap_main_term(q, a, k), x) ** 2 for a in range(1, q + 1)
     )
-    rhs = q * _eval_main(f_star(q, k), x)
+    rhs = q * eval_logpoly(f_star(q, k), x)
     return lhs, rhs
 
 
@@ -345,7 +334,7 @@ def dirichlet_tail(table: DkTable, q: int, delta: int) -> float:
     L = math.log(N)
     integral = sum(
         r * sum(math.factorial(j) / math.factorial(i) * L**i for i in range(j + 1))
-        for j, r in enumerate(poly.coeffs)
+        for j, r in enumerate(poly.tolist())
     )
     return -count / N**2 + 2.0 * integral / N
 
@@ -397,8 +386,8 @@ def growth_study(
 
     q_rule is either a callable x -> Q, a ("power", c) pair for Q = x^c, or
     a ("ratio", r) pair for Q = x/r.  One table is sieved at max(x_grid),
-    and one correction table built for the largest Q, and both are shared
-    across the grid.
+    and one table of density polynomials built for the largest Q, and both
+    are shared across the grid.
     """
     xs = sorted(set(int(t) for t in x_grid))
     if not xs:

@@ -77,6 +77,24 @@ class TestMainTermCommand:
         )
         assert json.loads(out)["f"]["value_at_x"] == pytest.approx(4.7596015, abs=1e-6)
 
+    @pytest.mark.parametrize("x", ("nan", "inf", "-inf", "0.5"))
+    def test_cutoff_not_finite_or_below_one_is_usage_error(self, capsys, x):
+        # nan and inf used to print NaN/Infinity, which strict JSON rejects
+        code, out, err = run(
+            capsys, "main-term", "--k", "2", "--q", "1", "--a", "1", f"--x={x}"
+        )
+        assert code == EXIT_USAGE
+        assert out == "" and "error" in err
+
+    def test_cutoff_one_gives_the_constant_term(self, capsys):
+        code, out, _ = run(
+            capsys, "main-term", "--k", "3", "--q", "12", "--a", "4", "--x", "1"
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        for poly in (payload["f"], payload["M"]):
+            assert poly["value_at_x"] == poly["coeffs"][0]
+
     def test_class_beyond_modulus_is_usage_error(self, capsys):
         code, _, err = run(capsys, "main-term", "--k", "2", "--q", "3", "--a", "4")
         assert code == EXIT_USAGE
@@ -333,6 +351,21 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--suite", "farey", "--budget", "2763277")
         assert code == EXIT_RESOURCE
         assert out == "" and "2763278 arcs" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ("identities", "--x", "0"),
+            ("identities", "--Q", "0"),
+            ("dirichlet", "--x", "0"),
+            ("growth", "--x", "0"),
+        ),
+    )
+    def test_zero_cutoff_or_modulus_bound_is_usage_error(self, capsys, argv):
+        # `--x 0` and `--Q 0` used to fall back to the defaults and pass
+        code, out, err = run(capsys, "verify", "--suite", *argv)
+        assert code == EXIT_USAGE
+        assert out == "" and "error" in err
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,10 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from apvar import (
     DomainError,
-    LogPoly,
     ap_main_term,
     constrained_dirichlet_correction,
     correction_value_at,
@@ -19,7 +19,7 @@ from apvar import (
     ramanujan_sum,
     zeta_power_series,
 )
-from apvar.residues import _STIELTJES, _mul
+from apvar.residues import _STIELTJES, _mul, _residue_polys
 
 GAMMA0 = 0.5772156649015328606065121
 GAMMA1 = -0.0728158454836767248605864
@@ -205,7 +205,7 @@ def test_main_terms_match_mpmath_residue_oracle():
         for q in (1, 2, 12, 30, 64, 97, 120, 128, 210, 243, 1024, 4096, 6561, 8192):
             for delta in divisors(q):
                 want = residue_oracle(q, delta, k)
-                got = ap_main_term(q, delta, k).coeffs
+                got = ap_main_term(q, delta, k)
                 assert len(got) == k
                 err = max(abs(a - b) for a, b in zip(got, want)) / max(map(abs, want))
                 cases += 1
@@ -218,24 +218,24 @@ def test_main_terms_match_mpmath_residue_oracle():
 class TestApMainTerm:
     def test_full_modulus_one_k2(self):
         f = ap_main_term(1, 1, 2)
-        assert f.coeffs[1] == pytest.approx(1.0, abs=1e-14)
-        assert f.coeffs[0] == pytest.approx(2 * GAMMA0 - 1, abs=1e-14)
+        assert f[1] == pytest.approx(1.0, abs=1e-14)
+        assert f[0] == pytest.approx(2 * GAMMA0 - 1, abs=1e-14)
 
     def test_density_is_constant_one_for_k1(self):
         for q in (1, 2, 5, 12):
             for a in range(1, q + 1):
                 f = ap_main_term(q, a, 1)
-                assert f.coeffs == pytest.approx((1.0,), abs=1e-12)
+                assert f.tolist() == pytest.approx([1.0], abs=1e-12)
 
     def test_odd_class_mod_two_k2(self):
         f = ap_main_term(2, 1, 2)
-        assert f.coeffs[1] == pytest.approx(0.5, abs=1e-14)
-        assert f.coeffs[0] == pytest.approx(GAMMA0 + math.log(2) - 0.5, abs=1e-14)
+        assert f[1] == pytest.approx(0.5, abs=1e-14)
+        assert f[0] == pytest.approx(GAMMA0 + math.log(2) - 0.5, abs=1e-14)
 
     def test_degree_bound(self):
         for k in range(1, 6):
             for q in (1, 4, 30):
-                assert ap_main_term(q, q, k).degree == k - 1
+                assert ap_main_term(q, q, k).shape == (k,)
 
     def test_out_of_range_class_rejected(self):
         with pytest.raises(DomainError):
@@ -268,15 +268,15 @@ class TestApMainTerm:
 
 class TestMPoly:
     def test_base_case_equals_density(self):
-        assert m_poly(1, 2).coeffs == ap_main_term(1, 1, 2).coeffs
+        assert m_poly(1, 2).tolist() == ap_main_term(1, 1, 2).tolist()
 
     def test_mod_two_k2(self):
         m = m_poly(2, 2)
-        assert m.coeffs[1] == pytest.approx(1.0, abs=1e-13)
-        assert m.coeffs[0] == pytest.approx(2 * GAMMA0 - 1 - 2 * math.log(2), abs=1e-13)
+        assert m[1] == pytest.approx(1.0, abs=1e-13)
+        assert m[0] == pytest.approx(2 * GAMMA0 - 1 - 2 * math.log(2), abs=1e-13)
 
     def test_k1_is_indicator_of_modulus_one(self):
-        assert m_poly(1, 1).coeffs == pytest.approx((1.0,), abs=1e-14)
+        assert m_poly(1, 1).tolist() == pytest.approx([1.0], abs=1e-14)
 
     def test_divisor_transform_reconstructs_density(self):
         # f(q, a) = sum_{d|q} c_d(a) M(d) / d, coefficientwise
@@ -284,11 +284,11 @@ class TestMPoly:
             for q in range(1, 61):
                 polys = {d: m_poly(d, k) for d in divisors(q)}
                 for a in range(1, q + 1):
-                    acc = LogPoly((0.0,) * k)
+                    acc = np.zeros(k)
                     for d, m in polys.items():
                         acc = acc + (ramanujan_sum(d, a) / d) * m
                     f = ap_main_term(q, a, k)
-                    for u, v in zip(f.coeffs, acc.coeffs):
+                    for u, v in zip(f, acc):
                         assert abs(u - v) < 1e-10
 
     def test_class_sums_partition_total(self):
@@ -296,28 +296,28 @@ class TestMPoly:
         for k in (2, 3, 4):
             base = ap_main_term(1, 1, k)
             for q in (2, 3, 12, 40):
-                acc = LogPoly((0.0,) * k)
+                acc = np.zeros(k)
                 for a in range(1, q + 1):
                     acc = acc + ap_main_term(q, a, k)
-                for u, v in zip(acc.coeffs, (q * base).coeffs):
+                for u, v in zip(acc, q * base):
                     assert abs(u - v) < 1e-10
 
 
 class TestFStar:
     def test_single_divisor(self):
         m = m_poly(1, 2)
-        expected = m * m
-        assert f_star(1, 2).coeffs == pytest.approx(expected.coeffs, abs=1e-14)
+        expected = np.convolve(m, m)
+        assert f_star(1, 2).tolist() == pytest.approx(expected.tolist(), abs=1e-14)
 
     def test_mod_two_combination(self):
         m1, m2 = m_poly(1, 2), m_poly(2, 2)
-        expected = m1 * m1 + 0.25 * (m2 * m2)
-        assert f_star(2, 2).coeffs == pytest.approx(expected.coeffs, abs=1e-13)
-        assert f_star(2, 2).degree == 2
+        expected = np.convolve(m1, m1) + 0.25 * np.convolve(m2, m2)
+        assert f_star(2, 2).tolist() == pytest.approx(expected.tolist(), abs=1e-13)
+        assert f_star(2, 2).shape == (3,)
 
     def test_degree_bound(self):
         for k in (1, 2, 3):
-            assert f_star(12, k).degree == 2 * k - 2
+            assert f_star(12, k).shape == (2 * k - 1,)
 
     def test_parseval_of_densities(self):
         # sum_a f(q,a)^2 evaluated at 1e3 equals q * f*(q) there
@@ -331,22 +331,55 @@ class TestFStar:
                 assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
-class TestEvalLogPoly:
+class TestEvalLogpoly:
     def test_constant(self):
-        assert eval_logpoly(LogPoly((1.0,)), 7.5) == 1.0
+        assert eval_logpoly(np.array([1.0]), 7.5) == 1.0
 
     def test_linear_at_hundred(self):
-        poly = LogPoly((0.1544313, 1.0))
+        poly = np.array([0.1544313, 1.0])
         assert eval_logpoly(poly, 100.0) == pytest.approx(4.7596015, abs=1e-6)
 
     def test_degree_zero_at_e(self):
-        assert eval_logpoly(LogPoly((3.25,)), math.e) == 3.25
+        assert eval_logpoly(np.array([3.25]), math.e) == 3.25
 
-    def test_at_or_below_one_rejected(self):
-        with pytest.raises(DomainError):
-            eval_logpoly(LogPoly((1.0,)), 1.0)
-        with pytest.raises(DomainError):
-            eval_logpoly(LogPoly((1.0,)), 0.5)
+    def test_table_equals_row_by_row(self):
+        # one call over a (rows, k) table is the 1-D evaluation of each row
+        _, polys = _residue_polys(360, 5)
+        got = eval_logpoly(polys, 1e6)
+        assert got.shape == (len(divisors(360)),)
+        assert got.tolist() == [eval_logpoly(row, 1e6) for row in polys]
+
+    def test_at_one_gives_constant_term(self):
+        poly = np.array([0.75, -2.0, 3.0])
+        assert eval_logpoly(poly, 1.0) == 0.75
+
+    def test_below_one_or_non_finite_rejected(self):
+        for x in (0.5, 0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                eval_logpoly(np.array([1.0]), x)
+
+
+class TestCachedArraysAreReadOnly:
+    """m_poly, ap_main_term and _residue_polys come from lru_caches, so an
+    in-place write would corrupt every later main term."""
+
+    @pytest.mark.parametrize(
+        "get",
+        (
+            lambda: m_poly(12, 3),
+            lambda: ap_main_term(12, 4, 3),
+            lambda: _residue_polys(12, 3)[1],
+            lambda: _residue_polys(12, 3)[0],
+        ),
+        ids=("m_poly", "ap_main_term", "residue_polys", "residue_deltas"),
+    )
+    def test_write_raises_and_later_calls_keep_values(self, get):
+        before = get().tolist()
+        with pytest.raises(ValueError):
+            get()[0] += 1
+        with pytest.raises(ValueError):
+            get()[...] = 0
+        assert get().tolist() == before
 
 
 class TestDirichletSeriesOracle:

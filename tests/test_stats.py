@@ -249,7 +249,7 @@ class TestAllModuliEngine:
         table = table_k3_1e4 if k == 3 else sieve_dk(10**4, 1)
         x, Q = 7919, 120
         terms = _variance_terms(
-            table, x, Q, k, congruence_sums(table, x, Q), _moduli_table(Q, k)
+            table, x, Q, congruence_sums(table, x, Q), _moduli_table(Q, k)
         )
         assert (terms["within"] >= 0.0).all()
         for q in range(1, Q + 1):
