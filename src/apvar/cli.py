@@ -19,7 +19,7 @@ from . import checks, stats
 from . import farey as farey_mod
 from .errors import DomainError, ResourceError
 from .residues import ap_main_term, eval_logpoly, logpoly_json, m_poly
-from .sieve import ap_sums, exp_sum, read_table, sieve_dk, total_sum, write_table
+from .sieve import WORKERS, ap_sums, exp_sum, read_table, sieve_dk, total_sum, write_table
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -44,7 +44,7 @@ def _resolve_threads(value) -> int:
             return max(1, int(env))
         except ValueError as exc:
             raise DomainError(f"APVAR_THREADS={env!r} is not an integer") from exc
-    return os.cpu_count() or 1
+    return WORKERS
 
 
 def _output(out_path):

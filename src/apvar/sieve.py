@@ -8,13 +8,18 @@ serially.  On top of the table sit exact prefix/class aggregates, the
 exact autocorrelation C(h) = sum_n d_k(n) d_k(n+h) from one FFT with its
 congruence sums for every modulus at once, and the exponential sums
 S_X(a/q) assembled from the class sums in O(q).
+
+The sieve and the class sums of large slices share one process-wide
+thread pool of os.cpu_count() workers, made on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -23,6 +28,11 @@ import numpy as np
 from .errors import CertificateError, DomainError, ResourceError
 
 DEFAULT_SEGMENT_SIZE = 1 << 20
+# The size of the shared pool, and the CLI's default thread count.
+WORKERS = os.cpu_count() or 1
+# Class sums over at least this many values are reduced on every core: a
+# pass over them is memory-bound, about 10 ms per 10^7 values on one core.
+POOLED_CLASS_SUM_VALUES = 1 << 20
 # Moduli whose congruence sums are recomputed from their class sums: 64 passes
 # over x values, about the cost of the FFT itself at x = 2^16.
 CERTIFIED_MODULI = 64
@@ -75,13 +85,28 @@ class ExpSumValue:
         return complex(self.re, self.im)
 
 
-def _transform_segment(prev: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """seg[i] = sum_{d | (lo+i)} prev[d] for lo+i in [lo, hi].
+_pool_lock = threading.Lock()
+_shared_pool: ThreadPoolExecutor | None = None
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The process-wide pool of WORKERS threads, made on first use and kept
+    for the life of the process, so that no call pays for starting threads."""
+    global _shared_pool
+    with _pool_lock:
+        if _shared_pool is None:
+            _shared_pool = ThreadPoolExecutor(max_workers=WORKERS, thread_name_prefix="apvar")
+        return _shared_pool
+
+
+def _transform_segment(prev: np.ndarray, seg: np.ndarray, lo: int) -> None:
+    """seg[i] = sum_{d | (lo+i)} prev[d] for lo+i in [lo, lo+len(seg)-1].
 
     Small divisors d <= sqrt(hi) are walked directly; larger divisors are
     grouped by cofactor j, one strided slice per j.
     """
-    seg = np.zeros(hi - lo + 1, dtype=np.int64)
+    hi = lo + len(seg) - 1
+    seg.fill(0)
     t = math.isqrt(hi)
     for d in range(1, t + 1):
         first = ((lo + d - 1) // d) * d
@@ -92,29 +117,27 @@ def _transform_segment(prev: np.ndarray, lo: int, hi: int) -> np.ndarray:
         dhi = hi // j
         if dlo <= dhi:
             seg[j * dlo - lo : j * dhi - lo + 1 : j] += prev[dlo : dhi + 1]
-    return seg
 
 
 def _divisor_transform(
-    prev: np.ndarray, threads: int, segment_size: int
-) -> np.ndarray:
+    prev: np.ndarray, out: np.ndarray, threads: int, segment_size: int
+) -> None:
+    """out[n] = sum_{d | n} prev[d] for 1 <= n <= x, out[0] = 0.  Segments
+    go round-robin into `threads` tasks on the shared pool, so at most
+    `threads` run at once."""
     x = len(prev) - 1
-    out = np.zeros_like(prev)
-    bounds = [
-        (lo, min(lo + segment_size - 1, x)) for lo in range(1, x + 1, segment_size)
-    ]
+    out[0] = 0
+    los = range(1, x + 1, segment_size)
 
-    def fill(bound):
-        lo, hi = bound
-        out[lo : hi + 1] = _transform_segment(prev, lo, hi)
+    def fill(task_los):
+        for lo in task_los:
+            _transform_segment(prev, out[lo : min(lo + segment_size, x + 1)], lo)
 
-    if threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, bounds))
+    tasks = min(threads, len(los))
+    if tasks > 1:
+        list(_pool().map(fill, [los[i::tasks] for i in range(tasks)]))
     else:
-        for bound in bounds:
-            fill(bound)
-    return out
+        fill(los)
 
 
 def sieve_dk(
@@ -127,7 +150,9 @@ def sieve_dk(
     """Exact d_k(n) for all n <= x.
 
     Segment boundaries depend only on segment_size, never on the thread
-    count, so tables are reproducible bit for bit.
+    count, so tables are reproducible bit for bit.  Both round buffers are
+    allocated up front, so a table too large for memory raises
+    ResourceError before any round runs.
     """
     if x < 1:
         raise DomainError(f"sieve limit must be >= 1, got {x}")
@@ -135,14 +160,16 @@ def sieve_dk(
         raise DomainError(f"fold parameter must lie in 1..8, got {k}")
     if segment_size < 1:
         raise DomainError("segment size must be positive")
-    need = 8 * (x + 1) * 2  # current and next round
+    need = 8 * (x + 1) * min(k, 2)  # current and next round
     try:
         values = np.ones(x + 1, dtype=np.int64)
+        spare = np.empty(x + 1, dtype=np.int64) if k > 1 else None
     except MemoryError as exc:
         raise ResourceError(f"sieve of {x} values needs ~{need} bytes") from exc
     values[0] = 0
     for _ in range(k - 1):
-        values = _divisor_transform(values, threads, segment_size)
+        _divisor_transform(values, spare, threads, segment_size)
+        values, spare = spare, values
     return DkTable(x=x, k=k, values=values)
 
 
@@ -290,6 +317,20 @@ def congruence_sums(table: DkTable, x: int, Q: int) -> np.ndarray:
     return out
 
 
+def _column_sums(rows: np.ndarray) -> np.ndarray:
+    """rows.sum(axis=0) in int64.  From POOLED_CLASS_SUM_VALUES values on,
+    one contiguous block of rows per worker, the partial sums added in block
+    order: integer sums, so bit-identical to the serial reduction."""
+    blocks = min(WORKERS, len(rows))
+    if rows.size < POOLED_CLASS_SUM_VALUES or blocks < 2:
+        return rows.sum(axis=0, dtype=np.int64)
+    cuts = [len(rows) * i // blocks for i in range(blocks + 1)]
+    parts = _pool().map(
+        lambda i: rows[cuts[i] : cuts[i + 1]].sum(axis=0, dtype=np.int64), range(blocks)
+    )
+    return functools.reduce(np.add, parts)
+
+
 def ap_sums(table: DkTable, q: int, X: int) -> ResidueClassSums:
     """Exact class sums A(X; q, a) for a = 1..q in one pass."""
     if q < 1:
@@ -297,10 +338,13 @@ def ap_sums(table: DkTable, q: int, X: int) -> ResidueClassSums:
     if not 1 <= X <= table.x:
         raise DomainError(f"cutoff {X} outside 1..{table.x}")
     v = table.values
-    out = np.zeros(q + 1, dtype=np.int64)
+    try:
+        out = np.zeros(q + 1, dtype=np.int64)
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's largest size
+        raise ResourceError(f"class sums mod {q} need ~{8 * (q + 1)} bytes") from exc
     full = X // q
     if full:
-        out[1:] = v[1 : full * q + 1].reshape(full, q).sum(axis=0, dtype=np.int64)
+        out[1:] = _column_sums(v[1 : full * q + 1].reshape(full, q))
     rest = X - full * q
     if rest:
         out[1 : rest + 1] += v[full * q + 1 : X + 1]
@@ -308,11 +352,27 @@ def ap_sums(table: DkTable, q: int, X: int) -> ResidueClassSums:
 
 
 def exp_sum(cls: ResidueClassSums, a: int) -> ExpSumValue:
-    """S_X(a/q) assembled from the class sums in O(q)."""
+    """S_X(a/q) assembled from the class sums in O(q).
+
+    With n = B j + i (0 <= i < B ~ sqrt q), e(r n/q) = e(r i/q) e(r B j/q):
+    the class sums, as a (rows, B) matrix, are summed against the table lo
+    of B roots of unity, then against the table hi of rows of them.  Every
+    exponent is reduced mod q exactly in int64 (so q^2 < 2^63) before it
+    becomes an angle below 2 pi.  No BLAS call: plain numpy multiplies and
+    sums.
+    """
     q = cls.q
+    if q * q >= 2**63:
+        raise DomainError(f"modulus {q} too large: r n mod q must fit in int64")
     r = a % q
-    phases = np.exp((2j * math.pi * r / q) * np.arange(1, q + 1))
-    val = complex(np.dot(phases, cls.sums[1:]))
+    B = math.isqrt(q) + 1
+    rows = -(-(q + 1) // B)
+    w = np.zeros(rows * B)
+    w[1 : q + 1] = cls.sums[1:]  # class q sits at n = q, where e(r q/q) = 1
+    n = np.arange(max(B, rows), dtype=np.int64)
+    lo = np.exp((2j * math.pi / q) * (n[:B] * r % q))
+    hi = np.exp((2j * math.pi / q) * (n[:rows] * (r * B % q) % q))
+    val = complex(((w.reshape(rows, B) * lo).sum(axis=1) * hi).sum())
     return ExpSumValue(re=val.real, im=val.imag, a=r, q=q, X=cls.X)
 
 

@@ -168,6 +168,13 @@ class TestExpsumCommand:
         fields = lines[1].split(",")
         assert float(fields[3]) == pytest.approx(482.0, abs=1e-9)
 
+    @pytest.mark.parametrize("q", ("1000000000000000", "100000000000000000000"))
+    def test_unallocatable_modulus_is_resource_error(self, capsys, q):
+        # 8 PB of class sums, or beyond numpy's largest array: no traceback
+        code, out, err = run(capsys, "expsum", "--k", "2", "--x", "1000", "--q", q, "--a", "1")
+        assert code == EXIT_RESOURCE
+        assert out == "" and err.startswith("resource limit: ")
+
 
 class TestFareyCommand:
     def test_csv_schema_and_values(self, capsys):

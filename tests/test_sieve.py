@@ -1,6 +1,9 @@
 import cmath
 import math
+import operator
 import struct
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 from apvar import (
     DkTable,
     DomainError,
+    ResourceError,
     ap_sums,
     d_k_of,
     exp_sum,
@@ -19,7 +23,9 @@ from apvar import (
     total_sum,
     write_table,
 )
+from apvar import sieve as sieve_mod
 from apvar.cli import EXIT_USAGE, main
+from apvar.sieve import ResidueClassSums
 
 
 def naive_convolved_values(x, k):
@@ -76,6 +82,13 @@ class TestSieve:
         threaded = sieve_dk(30000, 3, segment_size=1024, threads=8)
         assert np.array_equal(serial.values, threaded.values)
 
+    @pytest.mark.parametrize("threads", (2, 3))
+    def test_shared_pool_is_bitwise_identical(self, threads):
+        # 30 segments split round-robin into 2 or 3 tasks on the shared pool
+        serial = sieve_dk(30000, 4, segment_size=1000, threads=1)
+        pooled = sieve_dk(30000, 4, segment_size=1000, threads=threads)
+        assert np.array_equal(serial.values, pooled.values)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             sieve_dk(0, 2)
@@ -93,6 +106,15 @@ class TestSieve:
         monkeypatch.setattr(np, "ones", explode)
         with pytest.raises(ResourceError, match="bytes"):
             sieve_dk(10**6, 2)
+
+    def test_second_round_buffer_failure_is_resource_error(self, monkeypatch):
+        def explode(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "empty", explode)  # the spare round buffer
+        with pytest.raises(ResourceError, match="bytes"):
+            sieve_dk(10**6, 2)
+        assert sieve_dk(10, 1).values[1:].tolist() == [1] * 10  # k = 1 needs no spare
 
 
 class TestAggregates:
@@ -156,6 +178,68 @@ class TestApSums:
         with pytest.raises(DomainError):
             ap_sums(table_k2_1e4, 3, 10**4 + 1)
 
+    @pytest.mark.parametrize("q", (10**15, 10**20))
+    def test_unallocatable_class_array_is_resource_error(self, q):
+        with pytest.raises(ResourceError, match="bytes"):
+            ap_sums(sieve_dk(10, 2), q, 10)
+
+
+def class_sums_reference(values, q, X):
+    """A(X; q, a) for a = 0..q (index 0 unused) in Python ints, from a list:
+    one slice per class when classes are few, else one row of q consecutive
+    n at a time."""
+    if q <= math.isqrt(X):
+        return [0] + [sum(values[a : X + 1 : q]) for a in range(1, q + 1)]
+    ref = [0] * (q + 1)
+    for lo in range(1, X + 1, q):
+        row = values[lo : min(lo + q, X + 1)]
+        ref[1 : len(row) + 1] = map(operator.add, ref[1 : len(row) + 1], row)
+    return ref
+
+
+POOLED_X = 2**21 + 1001  # odd, and not a multiple of 3 or 1000
+
+
+@pytest.fixture(scope="module")
+def pooled_table():
+    """A hand-made table of more than 2^21 random int64 values below 2^40."""
+    values = np.random.default_rng(2024).integers(0, 2**40, POOLED_X + 1)
+    values[0] = 0
+    return DkTable(x=POOLED_X, k=3, values=values), values.tolist()
+
+
+class TestPooledApSums:
+    """Class sums over at least 2^20 values are reduced in one block of rows
+    per worker; the result must equal the serial sum exactly."""
+
+    @pytest.mark.parametrize(
+        "q", (1, 2, 3, 1000, POOLED_X // 2 + 1, POOLED_X, POOLED_X + 7)
+    )
+    def test_matches_python_ints(self, pooled_table, monkeypatch, q):
+        table, values = pooled_table
+        want = class_sums_reference(values, q, POOLED_X)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(sieve_mod, "WORKERS", workers)
+            assert ap_sums(table, q, POOLED_X).sums.tolist() == want, workers
+
+    def test_concurrent_callers_share_the_pool(self, pooled_table, monkeypatch):
+        # more callers than workers and more blocks than cores, with short
+        # switch intervals: every caller must get its own exact sums
+        monkeypatch.setattr(sieve_mod, "WORKERS", 3)
+        table, values = pooled_table
+        want = {q: class_sums_reference(values, q, POOLED_X) for q in (2, 1000)}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as callers:
+                futures = [
+                    (q, callers.submit(ap_sums, table, q, POOLED_X)) for q in (2, 1000) * 6
+                ]
+                for q, future in futures:
+                    assert future.result(timeout=60).sums.tolist() == want[q]
+        finally:
+            sys.setswitchinterval(interval)
+
 
 class TestExpSum:
     def test_zero_fraction_is_total(self):
@@ -199,6 +283,38 @@ class TestExpSum:
                     )
                     got = exp_sum(cls, a).value
                     assert abs(got - direct) <= 1e-9 * total
+
+    def test_matches_mpmath_at_a_large_prime(self):
+        """Random class sums below 2^20 mod the prime 99991 at a = q - 1:
+        within 1e-13 of their mass from a 25-digit sum, which needs the
+        exponent r n reduced mod q before it becomes an angle."""
+        import mpmath as mp
+
+        q = 99991
+        a = q - 1
+        sums = np.random.default_rng(99991).integers(0, 2**20, q + 1)
+        sums[0] = 0
+        got = exp_sum(ResidueClassSums(q=q, X=q, k=2, sums=sums), a).value
+        with mp.workdps(25):
+            step = 2 * mp.pi / q
+            want = mp.fsum(
+                int(sums[n]) * mp.expj(step * (a * n % q)) for n in range(1, q + 1)
+            )
+            err = float(abs(mp.mpc(got) - want))
+        assert err <= 1e-13 * int(sums.sum())
+
+    def test_answers_without_blas(self, monkeypatch, table_k2_1e4):
+        def no_blas(*args, **kwargs):
+            raise AssertionError("exp_sum called np.dot")
+
+        want = exp_sum(ap_sums(table_k2_1e4, 97, 10**4), 5).value
+        monkeypatch.setattr(sieve_mod.np, "dot", no_blas)
+        assert exp_sum(ap_sums(table_k2_1e4, 97, 10**4), 5).value == want
+
+    def test_modulus_beyond_int64_exponents_rejected(self):
+        cls = ResidueClassSums(q=2**32, X=1, k=2, sums=np.zeros(2, dtype=np.int64))
+        with pytest.raises(DomainError, match="int64"):
+            exp_sum(cls, 1)
 
 
 def dktb(x, k, values):
