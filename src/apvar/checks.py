@@ -11,7 +11,7 @@ from __future__ import annotations
 from . import arith, farey, stats
 from .errors import DomainError, ResourceError
 
-IDENTITY_TOL = 1e-9
+IDENTITY_TOL = stats.IDENTITY_TOL
 DIRICHLET_TOL = 1e-3
 
 

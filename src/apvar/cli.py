@@ -17,7 +17,7 @@ import sys
 
 from . import checks, stats
 from . import farey as farey_mod
-from .errors import DomainError, ResourceError
+from .errors import CertificateError, DomainError, ResourceError
 from .residues import ap_main_term, eval_logpoly, logpoly_json, m_poly
 from .sieve import WORKERS, ap_sums, exp_sum, read_table, sieve_dk, total_sum, write_table
 
@@ -246,6 +246,9 @@ def main(argv=None) -> int:
     except ResourceError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except CertificateError as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED

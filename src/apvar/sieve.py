@@ -1,13 +1,12 @@
 """Bulk tables of the k-fold divisor function with derived aggregates.
 
-sieve_dk fills values[n] = d_k(n) for all n <= x by k-1 rounds of divisor
-convolution with the constant-1 function, processed over fixed-size
-segments.  Each segment is written to a disjoint slice of the output, so
-running segments on a thread pool is bitwise identical to running them
-serially.  On top of the table sit exact prefix/class aggregates, the
-exact autocorrelation C(h) = sum_n d_k(n) d_k(n+h) from one FFT with its
-congruence sums for every modulus at once, and the exponential sums
-S_X(a/q) assembled from the class sums in O(q).
+sieve_dk fills values[n] = d_k(n) for all n <= x in one multiplicative
+pass over fixed-size segments, whatever k is.  Each segment is written to a
+disjoint slice of the output, so running segments on a thread pool is
+bitwise identical to running them serially.  On top of the table sit exact
+prefix/class aggregates, the exact autocorrelation C(h) = sum_n d_k(n)
+d_k(n+h) from one FFT with its congruence sums for every modulus at once,
+and the exponential sums S_X(a/q) assembled from the class sums in O(q).
 
 The sieve and the class sums of large slices share one process-wide
 thread pool of os.cpu_count() workers, made on first use.
@@ -27,12 +26,16 @@ import numpy as np
 
 from .errors import CertificateError, DomainError, ResourceError
 
-DEFAULT_SEGMENT_SIZE = 1 << 20
+# At x = 10^7 on two cores 2^19 ties 2^20 and 2^18 is about 15% slower.
+DEFAULT_SEGMENT_SIZE = 1 << 19
 # The size of the shared pool, and the CLI's default thread count.
 WORKERS = os.cpu_count() or 1
 # Class sums over at least this many values are reduced on every core: a
 # pass over them is memory-bound, about 10 ms per 10^7 values on one core.
 POOLED_CLASS_SUM_VALUES = 1 << 20
+# Class sums reduce rows of at least this many values: numpy's column sum
+# over rows of a few values is up to ten times slower than over wide rows.
+FOLDED_ROW = 1024
 # Moduli whose congruence sums are recomputed from their class sums: 64 passes
 # over x values, about the cost of the FFT itself at x = 2^16.
 CERTIFIED_MODULI = 64
@@ -99,45 +102,37 @@ def _pool() -> ThreadPoolExecutor:
         return _shared_pool
 
 
-def _transform_segment(prev: np.ndarray, seg: np.ndarray, lo: int) -> None:
-    """seg[i] = sum_{d | (lo+i)} prev[d] for lo+i in [lo, lo+len(seg)-1].
+def _sieve_segment(seg: np.ndarray, lo: int, k: int, primes: list[int], scratch) -> None:
+    """seg[i] = d_k(lo + i) for lo+i in [lo, hi], hi = lo + len(seg) - 1;
+    seg holds ones on entry.
 
-    Small divisors d <= sqrt(hi) are walked directly; larger divisors are
-    grouped by cofactor j, one strided slice per j.
+    Each prime power p^a <= hi with p <= sqrt(hi) scales the entries it
+    divides by d_k(p^a) / d_k(p^(a-1)), exactly, since they already hold
+    d_k(p^(a-1)) as a factor, and multiplies their smooth part by p.  What
+    is left of n is 1 or one prime above sqrt(hi) (two would pass hi), so n
+    has that prime, worth d_k(p) = k, exactly when its smooth part is not n.
+    scratch: the task's int32 smooth, int32 offsets 0, 1, ... and bool large.
     """
     hi = lo + len(seg) - 1
-    seg.fill(0)
-    t = math.isqrt(hi)
-    for d in range(1, t + 1):
-        first = ((lo + d - 1) // d) * d
-        if first <= hi:
-            seg[first - lo :: d] += prev[d]
-    for j in range(1, hi // (t + 1) + 1):
-        dlo = max(t + 1, -(-lo // j))
-        dhi = hi // j
-        if dlo <= dhi:
-            seg[j * dlo - lo : j * dhi - lo + 1 : j] += prev[dlo : dhi + 1]
-
-
-def _divisor_transform(
-    prev: np.ndarray, out: np.ndarray, threads: int, segment_size: int
-) -> None:
-    """out[n] = sum_{d | n} prev[d] for 1 <= n <= x, out[0] = 0.  Segments
-    go round-robin into `threads` tasks on the shared pool, so at most
-    `threads` run at once."""
-    x = len(prev) - 1
-    out[0] = 0
-    los = range(1, x + 1, segment_size)
-
-    def fill(task_los):
-        for lo in task_los:
-            _transform_segment(prev, out[lo : min(lo + segment_size, x + 1)], lo)
-
-    tasks = min(threads, len(los))
-    if tasks > 1:
-        list(_pool().map(fill, [los[i::tasks] for i in range(tasks)]))
-    else:
-        fill(los)
+    smooth, offsets, large = (buf[: len(seg)] for buf in scratch)
+    grow = [math.comb(a + k - 1, k - 1) for a in range(hi.bit_length())]
+    smooth.fill(1)
+    for p in primes:
+        if p * p > hi:
+            break
+        pa, a = p, 1
+        # start < len(seg) also ends the powers at hi: past it, start = pa - lo
+        while (start := -lo % pa) < len(seg):
+            step = seg[start::pa]
+            if a > 1:
+                step //= grow[a - 1]
+            step *= grow[a]
+            smooth[start::pa] *= p
+            pa *= p
+            a += 1
+    smooth -= lo  # now equal to offsets exactly where the smooth part is n
+    np.not_equal(smooth, offsets, out=large)
+    np.multiply(seg, k, out=seg, where=large)
 
 
 def sieve_dk(
@@ -147,29 +142,47 @@ def sieve_dk(
     threads: int = 1,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
 ) -> DkTable:
-    """Exact d_k(n) for all n <= x.
+    """Exact d_k(n) for all n <= x, in one pass whatever k is (_sieve_segment).
 
-    Segment boundaries depend only on segment_size, never on the thread
-    count, so tables are reproducible bit for bit.  Both round buffers are
-    allocated up front, so a table too large for memory raises
-    ResourceError before any round runs.
+    Segments go round-robin into `threads` tasks on the shared pool, each
+    writing its own slices, so tables are bit-identical at any thread count
+    and segment size.  The table is the one large allocation; it and each
+    task's O(segment_size) scratch raise ResourceError when memory runs out.
     """
-    if x < 1:
-        raise DomainError(f"sieve limit must be >= 1, got {x}")
+    if not 1 <= x < 2**31:  # the smooth parts are int32
+        raise DomainError(f"sieve limit must lie in 1..2^31-1, got {x}")
     if not 1 <= k <= 8:
         raise DomainError(f"fold parameter must lie in 1..8, got {k}")
     if segment_size < 1:
         raise DomainError("segment size must be positive")
-    need = 8 * (x + 1) * min(k, 2)  # current and next round
+    los = range(1, x + 1, segment_size)
+    tasks = max(1, min(threads, len(los)))
+    root = math.isqrt(x)
+    composite = np.zeros(root + 1, dtype=bool)  # Eratosthenes up to sqrt(x)
+    composite[:2] = True
+    for p in range(2, math.isqrt(root) + 1):
+        if not composite[p]:
+            composite[p * p :: p] = True
+    primes = np.flatnonzero(~composite).tolist()
+
+    def fill(task_los):
+        # Once per task: scratch allocated per segment in pool threads left
+        # up to 4 MB more peak RSS behind in the allocator.
+        size = min(segment_size, x)
+        scratch = (np.empty(size, np.int32), np.arange(size, dtype=np.int32), np.empty(size, bool))
+        for lo in task_los:
+            _sieve_segment(values[lo : min(lo + segment_size, x + 1)], lo, k, primes, scratch)
+
     try:
         values = np.ones(x + 1, dtype=np.int64)
-        spare = np.empty(x + 1, dtype=np.int64) if k > 1 else None
+        if k > 1 and tasks > 1:
+            list(_pool().map(fill, [los[i::tasks] for i in range(tasks)]))
+        elif k > 1:
+            fill(los)
     except MemoryError as exc:
+        need = 8 * (x + 1) + 9 * min(segment_size, x) * tasks  # table, scratch
         raise ResourceError(f"sieve of {x} values needs ~{need} bytes") from exc
     values[0] = 0
-    for _ in range(k - 1):
-        _divisor_transform(values, spare, threads, segment_size)
-        values, spare = spare, values
     return DkTable(x=x, k=k, values=values)
 
 
@@ -342,12 +355,19 @@ def ap_sums(table: DkTable, q: int, X: int) -> ResidueClassSums:
         out = np.zeros(q + 1, dtype=np.int64)
     except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's largest size
         raise ResourceError(f"class sums mod {q} need ~{8 * (q + 1)} bytes") from exc
-    full = X // q
+    # m rows of q values folded into one row of m q >= FOLDED_ROW values, so
+    # that a small q still reduces along wide rows; the m pieces add after.
+    m = -(-FOLDED_ROW // q)
+    full = X // (m * q)
     if full:
-        out[1:] = _column_sums(v[1 : full * q + 1].reshape(full, q))
-    rest = X - full * q
+        wide = _column_sums(v[1 : full * m * q + 1].reshape(full, m * q))
+        out[1:] = wide.reshape(m, q).sum(axis=0)
+    start = full * m * q + 1
+    rows, rest = divmod(X - start + 1, q)
+    if rows:
+        out[1:] += v[start : start + rows * q].reshape(rows, q).sum(axis=0)
     if rest:
-        out[1 : rest + 1] += v[full * q + 1 : X + 1]
+        out[1 : rest + 1] += v[start + rows * q : X + 1]
     return ResidueClassSums(q=q, X=X, k=table.k, sums=out)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import DivisorLattice, divisor_lattice, euler_phi
-from .errors import DomainError, ResourceError
+from .errors import CertificateError, DomainError, ResourceError
 from .residues import (
     ap_main_term,
     correction_value_at,
@@ -38,6 +38,8 @@ from .sieve import (
 )
 
 DEFAULT_WORK_BUDGET = 4 * 10**9
+IDENTITY_TOL = 1e-9  # the relative gate of the identity checks
+_EPS = float(np.finfo(np.float64).eps)
 _TABLE_BLOCK = 1024  # moduli per lattice block: bounds each pass's temporaries to a few MB
 
 
@@ -67,7 +69,9 @@ class VarianceReport:
 
     congruence_term is the exact integer sum over q of sum_a A(x;q,a)^2;
     cross_term and main_term carry the -2x and x^2 pieces of the expanded
-    square.
+    square.  Their sum cancels down to the total, so a float error of eps
+    in each term can move it by `cancellation` = eps (sum_q |congruence| +
+    |cross| + |main|) / V(x, Q) of itself.
     """
 
     x: int
@@ -78,6 +82,7 @@ class VarianceReport:
     congruence_term: int
     cross_term: float
     main_term: float
+    cancellation: float
 
 
 def _density_table(moduli, x: float, k: int):
@@ -208,15 +213,21 @@ def _checked_fold(table: DkTable, x: int, Q: int, k: int | None) -> int:
 def _variance(table: DkTable, x: int, Q: int, k: int, congruence, moduli) -> VarianceReport:
     terms = _variance_terms(table, x, Q, congruence, moduli)
     per_q = tuple((terms["within"] + terms["between"]).tolist())
+    total = math.fsum(per_q)
+    congruence_term = sum(congruence[1 : Q + 1].tolist())
+    main_term = math.fsum(terms["main"].tolist())
+    # every congruence and main term is >= 0, so these are the sums of |.|
+    spread = float(congruence_term) + math.fsum(np.abs(terms["cross"]).tolist()) + main_term
     return VarianceReport(
         x=x,
         Q=Q,
         k=k,
         per_q=per_q,
-        total=math.fsum(per_q),
-        congruence_term=sum(congruence[1 : Q + 1].tolist()),
+        total=total,
+        congruence_term=congruence_term,
         cross_term=math.fsum(terms["cross"].tolist()),
-        main_term=math.fsum(terms["main"].tolist()),
+        main_term=main_term,
+        cancellation=_EPS * spread / total if total else math.inf,
     )
 
 
@@ -269,12 +280,21 @@ def variance_expansion_check(
 ) -> tuple[float, float]:
     """V(x, Q) computed directly, as sum_q sum_a E(q, a)^2 over the class sums
     of each modulus (O(xQ) work), against its three-term expansion from
-    variance_total, which shares neither the class sums nor the squares."""
+    variance_total, which shares neither the class sums nor the squares.
+
+    The expansion cancels: CertificateError when its `cancellation` could
+    reach IDENTITY_TOL, the gate the two sides are compared at.
+    """
     if x * Q > budget:
         raise ResourceError(
             f"expansion check needs ~{x * Q} element operations, budget {budget}"
         )
     report = variance_total(table, x, Q, k)
+    if report.cancellation >= IDENTITY_TOL:
+        raise CertificateError(
+            f"expansion terms cancel: rounding may reach {report.cancellation:.2e} "
+            f"of V(x, Q), gate {IDENTITY_TOL:g}"
+        )
     start, delta, cw = _density_table(range(1, Q + 1), float(x), report.k)
     direct = []
     for i, q in enumerate(range(1, Q + 1)):

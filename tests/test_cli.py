@@ -387,6 +387,13 @@ class TestVerifyCommand:
         assert code == EXIT_RESOURCE
         assert "resource" in err
 
+    def test_expansion_that_cancels_past_the_gate_fails_the_check(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--suite", "identities", "--x", "100000", "--k", "1"
+        )
+        assert code == EXIT_CHECK_FAILED
+        assert out == "" and "check failed" in err and "cancel" in err
+
     def test_thread_count_does_not_change_report(self, capsys):
         args = ("verify", "--suite", "identities", "--x", "1500", "--k", "2")
         _, a, _ = run(capsys, *args, "--threads", "1")

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from apvar import (
@@ -98,23 +98,56 @@ class TestSieve:
             sieve_dk(10, 9)
 
     def test_memory_exhaustion_reports_required_bytes(self, monkeypatch):
-        from apvar.errors import ResourceError
-
         def explode(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(np, "ones", explode)
-        with pytest.raises(ResourceError, match="bytes"):
+        monkeypatch.setattr(np, "ones", explode)  # the table
+        with pytest.raises(ResourceError, match=r"needs ~\d+ bytes"):
             sieve_dk(10**6, 2)
 
-    def test_second_round_buffer_failure_is_resource_error(self, monkeypatch):
+    def test_segment_scratch_failure_is_resource_error(self, monkeypatch):
         def explode(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(np, "empty", explode)  # the spare round buffer
-        with pytest.raises(ResourceError, match="bytes"):
-            sieve_dk(10**6, 2)
-        assert sieve_dk(10, 1).values[1:].tolist() == [1] * 10  # k = 1 needs no spare
+        monkeypatch.setattr(np, "empty", explode)  # each task's scratch
+        for threads in (1, 2):  # raised in the caller, then in pool tasks
+            with pytest.raises(ResourceError, match=r"needs ~\d+ bytes"):
+                sieve_dk(10**6, 2, threads=threads, segment_size=1000)
+        assert sieve_dk(10, 1).values[1:].tolist() == [1] * 10  # k = 1 needs no scratch
+
+    def test_limit_beyond_int32_smooth_parts_rejected(self):
+        with pytest.raises(DomainError, match="2\\^31"):
+            sieve_dk(2**31, 2)
+
+
+class TestMultiplicativeSieve:
+    """The one-pass sieve against both oracles, over random limits, folds,
+    segment sizes and thread counts."""
+
+    @given(
+        x=st.integers(1, 5000),
+        k=st.integers(1, 8),
+        segment_size=st.integers(1, 600),
+        threads=st.sampled_from((1, 2, 3)),
+    )
+    # x = p^2 and p^2 - 1: the last segment gains or loses the prime p
+    @example(x=49, k=3, segment_size=600, threads=1)
+    @example(x=48, k=3, segment_size=7, threads=2)
+    @example(x=4489, k=2, segment_size=600, threads=3)
+    @example(x=4488, k=4, segment_size=600, threads=3)
+    # 2^10 = 1024 ends the segment [513, 1024]; 3^6 = 729 begins [729, 1456]
+    @example(x=1100, k=5, segment_size=512, threads=2)
+    @example(x=1500, k=8, segment_size=728, threads=2)
+    # the large primes 101, 401, 601 and 601, 1201, 1801, 3001 first in their
+    # segments, and 7^4 = 2401 first in [2401, 3000]
+    @example(x=700, k=3, segment_size=100, threads=3)
+    @example(x=5000, k=2, segment_size=600, threads=2)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_both_oracles(self, x, k, segment_size, threads):
+        got = sieve_dk(x, k, threads=threads, segment_size=segment_size).values
+        assert got[0] == 0
+        assert got[1:].tolist() == naive_convolved_values(x, k)
+        assert got[1:].tolist() == [d_k_of(n, k) for n in range(1, x + 1)]
 
 
 class TestAggregates:
@@ -166,6 +199,20 @@ class TestApSums:
             for a in range(1, q + 1):
                 direct = sum(int(v[n]) for n in range(1, X + 1) if n % q == a % q)
                 assert int(cls.sums[a]) == direct
+
+    @pytest.mark.parametrize("X", (1, 1023, 70 * 1024 + 69, 2**20 + 4099))
+    def test_folded_rows_match_the_unfolded_reduction(self, X):
+        # small q fold rows into rows of >= 1024 values; ragged X leaves a
+        # partial fold, then a partial row
+        values = np.random.default_rng(X).integers(0, 2**40, X + 1)
+        values[0] = 0
+        table = DkTable(x=X, k=2, values=values)
+        for q in range(1, 71):
+            full = X // q
+            want = np.zeros(q + 1, dtype=np.int64)
+            want[1:] = values[1 : full * q + 1].reshape(full, q).sum(axis=0)
+            want[1 : X - full * q + 1] += values[full * q + 1 :]
+            assert np.array_equal(ap_sums(table, q, X).sums, want), q
 
     def test_row_sums_equal_total_for_all_q(self, table_k2_1e4):
         x = 10**4

@@ -300,6 +300,19 @@ class TestVarianceExpansion:
         direct, expanded = variance_expansion_check(table_k3_1e4, 10**4, 100)
         assert direct == pytest.approx(expanded, rel=1e-9)
 
+    def test_cancellation_bounds_the_observed_error(self, table_k3_1e4):
+        direct, expanded = variance_expansion_check(table_k3_1e4, 10**4, 100)
+        report = variance_total(table_k3_1e4, 10**4, 100)
+        assert abs(direct - expanded) / direct < report.cancellation < 1e-9
+
+    def test_cancellation_reaching_the_gate_is_certificate_error(self):
+        # k = 1: sum_a A^2 ~ x^2/q against V_q ~ q, so the terms cancel
+        # by about 2.5e8 at x = 1e5
+        table = sieve_dk(10**5, 1)
+        assert variance_total(table, 10**5, 100).cancellation > 1e-9
+        with pytest.raises(CertificateError, match="cancel"):
+            variance_expansion_check(table, 10**5, 100)
+
     def test_budget_guard(self, table_k2_1e4):
         with pytest.raises(ResourceError):
             variance_expansion_check(table_k2_1e4, 10**4, 100, budget=10)
