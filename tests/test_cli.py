@@ -149,6 +149,23 @@ class TestVarianceCommand:
         assert a == b
 
 
+@pytest.mark.parametrize("k", (2, 3))
+def test_cached_table_prints_the_same_bytes(tmp_path, capsys, k):
+    # a loaded table is int32; the output must not depend on its width
+    path = tmp_path / "t.dktb"
+    run(capsys, "sieve", "--k", str(k), "--x", "65536", "--out", str(path))
+    commands = (
+        ("variance", "--k", str(k), "--x", "65536", "--Q", "4096"),
+        ("variance", "--k", str(k), "--x", "60000", "--Q", "100", "--format", "json"),
+        ("expsum", "--k", str(k), "--x", "65536", "--q", "4099", "--a", "17"),
+        ("expsum", "--k", str(k), "--x", "65000", "--q", "3", "--a", "1", "--format", "json"),
+    )
+    for argv in commands:
+        fresh = run(capsys, *argv)
+        cached = run(capsys, *argv, "--table", str(path))
+        assert fresh[0] == EXIT_OK and cached == fresh, argv
+
+
 class TestExpsumCommand:
     def test_json_output(self, capsys):
         code, out, _ = run(

@@ -288,6 +288,109 @@ class TestPooledApSums:
             sys.setswitchinterval(interval)
 
 
+def int64_class_sums(values, q, X):
+    """A(X; q, a) for a = 0..q by the plain int64 reduction of a value
+    array: full rows of q, then the ragged tail."""
+    wide = np.asarray(values, dtype=np.int64)
+    full = X // q
+    want = np.zeros(q + 1, dtype=np.int64)
+    want[1:] = wide[1 : full * q + 1].reshape(full, q).sum(axis=0, dtype=np.int64)
+    want[1 : X - full * q + 1] += wide[full * q + 1 : X + 1]
+    return want
+
+
+def narrow_table(values, k=2):
+    """An int32 DkTable of the given values."""
+    values = np.asarray(values, dtype=np.int32)
+    return DkTable(x=len(values) - 1, k=k, values=values)
+
+
+# Values whose int32 column sum wraps after 33 rows: ap_sums adds them in
+# int32 exactly 32 rows at a time.
+NEAR_TOP = (sieve_mod.INT32_TOP - 2**20, sieve_mod.INT32_TOP)
+
+
+class TestNarrowApSums:
+    """An int32 table sums chunks of rows in int32, rows * top < 2^31 rows
+    at a time; each result must equal the int64 reduction."""
+
+    @given(
+        X=st.integers(1, 70000),
+        seed=st.integers(0, 2**32 - 1),
+        extra=st.lists(st.integers(1, 70), max_size=3),
+    )
+    @settings(max_examples=25, deadline=None)
+    @example(X=2048, seed=0, extra=[])
+    @example(X=33 * 1024 + 17, seed=1, extra=[1])
+    def test_near_the_int32_bound(self, X, seed, extra):
+        values = np.random.default_rng(seed).integers(*NEAR_TOP, X + 1, endpoint=True)
+        values[0] = 0
+        table = narrow_table(values)
+        assert table.values.dtype == np.int32
+        for q in [*range(1, 71), X // 2 + 1, X + 7]:
+            assert np.array_equal(ap_sums(table, q, X).sums, int64_class_sums(values, q, X)), q
+        for q in extra:  # a shorter cutoff on the same table
+            cut = max(1, X - q)
+            assert np.array_equal(ap_sums(table, q, cut).sums, int64_class_sums(values, q, cut))
+
+    @pytest.mark.parametrize("q", (1, 3, 1000, 12345, POOLED_X // 2 + 1, POOLED_X + 7))
+    def test_pooled_near_the_int32_bound(self, monkeypatch, q):
+        values = np.random.default_rng(q).integers(*NEAR_TOP, POOLED_X + 1, endpoint=True)
+        values[0] = 0
+        table = narrow_table(values)
+        want = int64_class_sums(values, q, POOLED_X)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(sieve_mod, "WORKERS", workers)
+            assert np.array_equal(ap_sums(table, q, POOLED_X).sums, want), workers
+
+    def test_loaded_table_sums_equal_the_sieved(self, table_k3_1e6, tmp_path):
+        path = tmp_path / "d3.dktb"
+        write_table(table_k3_1e6, path)
+        loaded = read_table(path)
+        assert loaded.values.dtype == np.int32
+        for q in (1, 2, 3, 1024, 99991, 10**6 // 2 + 1, 10**6 + 7):
+            want = ap_sums(table_k3_1e6, q, 10**6).sums
+            assert np.array_equal(ap_sums(loaded, q, 10**6).sums, want), q
+
+    def test_square_sum_does_not_wrap(self):
+        # an int32 dot product of these values wraps; square_sum widens
+        values = np.array([0, 46341, 46341, 3], dtype=np.int32)
+        assert int(np.dot(values, values)) != 2 * 46341**2 + 9
+        assert square_sum(narrow_table(values)) == 2 * 46341**2 + 9
+
+    def test_multiple_sums_accumulate_in_int64(self):
+        values = np.array([0] + [2**31 - 1] * 6, dtype=np.int32)
+        out = sieve_mod.multiple_sums(values, 3)
+        assert out.dtype == np.int64
+        assert out.tolist() == [0, 6 * (2**31 - 1), 3 * (2**31 - 1), 2 * (2**31 - 1)]
+        wide = sieve_mod.multiple_sums(values.astype(object), 3)
+        assert wide.dtype == object and wide.tolist() == out.tolist()
+
+    def test_autocorrelation_of_int32_equals_int64(self, table_k3_1e4):
+        values = table_k3_1e4.values[1:]
+        want = sieve_mod.autocorrelation(values)
+        assert np.array_equal(sieve_mod.autocorrelation(values.astype(np.int32)), want)
+
+
+class TestTableGuards:
+    @pytest.mark.parametrize("dtype", (np.float64, np.int16, np.uint32, np.uint64, object))
+    def test_other_dtypes_rejected(self, dtype):
+        with pytest.raises(DomainError, match="int32 or int64"):
+            DkTable(x=2, k=2, values=np.array([0, 1, 2], dtype=dtype))
+
+    @pytest.mark.parametrize(
+        "values", ([0, -1, 2], [0, 1, -(2**31)], [0, sieve_mod.INT32_TOP + 1, 2], [0, 2**31 - 1, 2])
+    )
+    def test_int32_values_beyond_0_to_int32_top_rejected(self, values):
+        with pytest.raises(DomainError, match="must lie in"):
+            DkTable(x=2, k=2, values=np.array(values, dtype=np.int32))
+
+    def test_int32_table_records_its_largest_value(self):
+        values = np.array([0, 7, sieve_mod.INT32_TOP, 3], dtype=np.int32)
+        assert DkTable(x=3, k=2, values=values).top == sieve_mod.INT32_TOP
+        assert DkTable(x=3, k=2, values=values.astype(np.int64)).top is None
+
+
 class TestExpSum:
     def test_zero_fraction_is_total(self):
         t = sieve_dk(100, 2)
@@ -434,6 +537,54 @@ class TestBinaryFormat:
         path.write_bytes(dktb(2, 2, [2**62, 2**62]))
         with pytest.raises(DomainError, match="int64"):
             read_table(path)
+
+
+class TestNarrowLoading:
+    """read_table narrows to int32 exactly when the largest value is at most
+    INT32_TOP; the file bytes do not depend on the width."""
+
+    @pytest.mark.parametrize(
+        "top, dtype",
+        ((sieve_mod.INT32_TOP, np.int32), (sieve_mod.INT32_TOP + 1, np.int64), (2**31, np.int64)),
+    )
+    def test_width_follows_the_largest_value(self, tmp_path, top, dtype):
+        path = tmp_path / "edge.dktb"
+        path.write_bytes(dktb(3, 2, [1, top, 2]))
+        table = read_table(path)
+        assert table.values.dtype == dtype
+        assert table.values.tolist() == [0, 1, top, 2]
+        assert table.top == (top if dtype == np.int32 else None)
+
+    @pytest.mark.parametrize(
+        "value, dtype", ((sieve_mod.INT32_TOP + 1, np.int64), (sieve_mod.INT32_TOP, np.int32))
+    )
+    def test_large_value_past_the_first_buffer(self, tmp_path, value, dtype):
+        # the reader narrows CHUNK values at a time; a wide value after the
+        # first chunk sends it back to read the whole payload as int64
+        x = sieve_mod.CHUNK + 10
+        values = list(range(1, x + 1))
+        values[sieve_mod.CHUNK + 4] = value
+        path = tmp_path / "late.dktb"
+        path.write_bytes(dktb(x, 2, values))
+        table = read_table(path)
+        assert table.values.dtype == dtype
+        assert table.values[1:].tolist() == values
+
+    def test_value_beyond_int64_past_the_first_buffer_rejected(self, tmp_path):
+        x = sieve_mod.CHUNK + 3
+        path = tmp_path / "late_wrap.dktb"
+        path.write_bytes(dktb(x, 2, [1] * (x - 1) + [2**63]))
+        with pytest.raises(DomainError, match="int64"):
+            read_table(path)
+
+    def test_narrow_and_wide_tables_write_the_same_bytes(self, tmp_path):
+        t = sieve_dk(3 * sieve_mod.CHUNK + 5, 3)
+        wide, narrow = tmp_path / "wide.dktb", tmp_path / "narrow.dktb"
+        write_table(t, wide)
+        loaded = read_table(wide)
+        assert loaded.values.dtype == np.int32
+        write_table(loaded, narrow)
+        assert narrow.read_bytes() == wide.read_bytes()
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from apvar import (
     variance_expansion_check,
     variance_total,
 )
-from apvar import sieve
+from apvar import checks, sieve
 from apvar.errors import CertificateError
 from apvar.sieve import autocorrelation, congruence_sums, exact_square_sum, fft_error_bound
 from apvar.stats import _density_table, _moduli_table, _variance_terms, regression_slope
@@ -262,6 +263,49 @@ class TestAllModuliEngine:
             assert terms["within"][q - 1] == pytest.approx(want, rel=1e-9, abs=1e-9)
         rep = variance_total(table, x, Q)
         assert rep.per_q == tuple((terms["within"] + terms["between"]).tolist())
+
+
+@pytest.fixture(scope="module", params=(2, 3))
+def sieved_and_loaded(request, tmp_path_factory):
+    """d_k up to 2^16 as sieved (int64) and as read back from DKTB (int32)."""
+    table = sieve_dk(65536, request.param)
+    path = tmp_path_factory.mktemp("dktb") / f"d{request.param}.dktb"
+    sieve.write_table(table, path)
+    loaded = sieve.read_table(path)
+    assert table.values.dtype == np.int64 and loaded.values.dtype == np.int32
+    return table, loaded
+
+
+class TestLoadedTables:
+    """Every statistic of a loaded int32 table is bit-identical to that of
+    the int64 table it was written from."""
+
+    @pytest.mark.parametrize("x, Q", ((65536, 4096), (65536, 1), (50000, 300)))
+    def test_variance_report(self, sieved_and_loaded, x, Q):
+        table, loaded = sieved_and_loaded
+        want = dataclasses.asdict(variance_total(table, x, Q))
+        assert dataclasses.asdict(variance_total(loaded, x, Q)) == want
+
+    def test_congruence_sums(self, sieved_and_loaded):
+        table, loaded = sieved_and_loaded
+        want = congruence_sums(table, 65536, 4096)
+        got = congruence_sums(loaded, 65536, 4096)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_square_and_total_sums(self, sieved_and_loaded):
+        table, loaded = sieved_and_loaded
+        assert sieve.square_sum(loaded) == sieve.square_sum(table)
+        assert sieve.total_sum(loaded) == sieve.total_sum(table)
+
+    def test_dirichlet_check(self, sieved_and_loaded):
+        table, loaded = sieved_and_loaded
+        assert checks.dirichlet(loaded) == checks.dirichlet(table)
+
+    def test_exp_sums(self, sieved_and_loaded):
+        table, loaded = sieved_and_loaded
+        for q, a in ((1, 0), (2, 1), (7, 3), (4096, 1001), (65521, 12345)):
+            want = sieve.exp_sum(ap_sums(table, q, 65536), a)
+            assert sieve.exp_sum(ap_sums(loaded, q, 65536), a) == want
 
 
 class TestParseval:
