@@ -3,8 +3,9 @@
 Subcommands: sieve, main-term, variance, expsum, farey, verify.  Exit
 codes: 0 success (all checks pass), 1 check failure, 2 usage error,
 3 resource limit.  Output is CSV or JSON with floats printed to 17
-significant digits (round-trip safe); thread count comes from --threads,
-then the APVAR_THREADS environment variable, then the host CPU count.
+significant digits (round-trip safe).  --threads sets the sieve's
+concurrency; without it the APVAR_THREADS environment variable, then the
+host CPU count.  A thread count below 1 is a usage error.
 """
 
 from __future__ import annotations
@@ -36,15 +37,17 @@ def _fmt(v: float) -> str:
 
 
 def _resolve_threads(value) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("APVAR_THREADS")
-    if env:
+    if value is None:
+        env = os.environ.get("APVAR_THREADS")
+        if not env:
+            return WORKERS
         try:
-            return max(1, int(env))
+            value = int(env)
         except ValueError as exc:
             raise DomainError(f"APVAR_THREADS={env!r} is not an integer") from exc
-    return WORKERS
+    if value < 1:
+        raise DomainError(f"thread count must be at least 1, got {value}")
+    return value
 
 
 def _output(out_path):
@@ -97,7 +100,7 @@ def cmd_variance(args) -> int:
         raise DomainError(f"Q={args.Q} exceeds x={args.x}")
     threads = _resolve_threads(args.threads)
     table = _load_or_sieve(args, args.x, args.k, threads)
-    report = stats.variance_total(table, args.x, args.Q, args.k)
+    report = stats.variance_total(table, args.x, args.Q)
     if args.format == "json":
         payload = {
             "x": report.x,

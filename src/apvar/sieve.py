@@ -2,23 +2,20 @@
 
 sieve_dk fills values[n] = d_k(n) for all n <= x in one multiplicative
 pass over fixed-size segments, whatever k is.  Each segment is written to a
-disjoint slice of the output, so running segments on a thread pool is
-bitwise identical to running them serially.  On top of the table sit exact
-prefix/class aggregates, the exact autocorrelation C(h) = sum_n d_k(n)
-d_k(n+h) from one FFT with its congruence sums for every modulus at once,
-and the exponential sums S_X(a/q) assembled from the class sums in O(q).
-
-The sieve and the class sums of large slices share one process-wide
-thread pool of os.cpu_count() workers, made on first use.
+disjoint slice of the output, so running segments on threads is bitwise
+identical to running them serially; each sieve_dk call starts its own
+threads and joins them before it returns.  On top of the table sit exact
+prefix/class aggregates (class sums are one serial pass, memory-bound),
+the exact autocorrelation C(h) = sum_n d_k(n) d_k(n+h) from one FFT with
+its congruence sums for every modulus at once, and the exponential sums
+S_X(a/q) assembled from the class sums in O(q).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import struct
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -28,11 +25,8 @@ from .errors import CertificateError, DomainError, ResourceError
 
 # At x = 10^7 on two cores 2^19 ties 2^20 and 2^18 is about 15% slower.
 DEFAULT_SEGMENT_SIZE = 1 << 19
-# The size of the shared pool, and the CLI's default thread count.
+# The most threads a sieve starts, and the CLI's default thread count.
 WORKERS = os.cpu_count() or 1
-# Class sums over at least this many values are reduced on every core: a
-# pass over them is memory-bound, about 10 ms per 10^7 values on one core.
-POOLED_CLASS_SUM_VALUES = 1 << 20
 # Class sums reduce rows of at least this many values: numpy's column sum
 # over rows of a few values is up to ten times slower than over wide rows.
 FOLDED_ROW = 1024
@@ -109,20 +103,6 @@ class ExpSumValue:
         return complex(self.re, self.im)
 
 
-_pool_lock = threading.Lock()
-_shared_pool: ThreadPoolExecutor | None = None
-
-
-def _pool() -> ThreadPoolExecutor:
-    """The process-wide pool of WORKERS threads, made on first use and kept
-    for the life of the process, so that no call pays for starting threads."""
-    global _shared_pool
-    with _pool_lock:
-        if _shared_pool is None:
-            _shared_pool = ThreadPoolExecutor(max_workers=WORKERS, thread_name_prefix="apvar")
-        return _shared_pool
-
-
 def _sieve_segment(seg: np.ndarray, lo: int, k: int, primes: list[int], scratch) -> None:
     """seg[i] = d_k(lo + i) for lo+i in [lo, hi], hi = lo + len(seg) - 1;
     seg holds ones on entry.
@@ -165,10 +145,11 @@ def sieve_dk(
 ) -> DkTable:
     """Exact d_k(n) for all n <= x, in one pass whatever k is (_sieve_segment).
 
-    Segments go round-robin into `threads` tasks on the shared pool, each
-    writing its own slices, so tables are bit-identical at any thread count
-    and segment size.  The table is the one large allocation; it and each
-    task's O(segment_size) scratch raise ResourceError when memory runs out.
+    Segments go round-robin into `threads` tasks, each writing its own
+    slices, run on at most WORKERS threads that live for this call only, so
+    tables are bit-identical at any thread count and segment size.  The
+    table is the one large allocation; it and each task's O(segment_size)
+    scratch raise ResourceError when memory runs out.
     """
     if not 1 <= x < 2**31:  # the smooth parts are int32
         raise DomainError(f"sieve limit must lie in 1..2^31-1, got {x}")
@@ -176,8 +157,10 @@ def sieve_dk(
         raise DomainError(f"fold parameter must lie in 1..8, got {k}")
     if segment_size < 1:
         raise DomainError("segment size must be positive")
+    if threads < 1:
+        raise DomainError(f"thread count must be positive, got {threads}")
     los = range(1, x + 1, segment_size)
-    tasks = max(1, min(threads, len(los)))
+    tasks = min(threads, len(los))
     root = math.isqrt(x)
     composite = np.zeros(root + 1, dtype=bool)  # Eratosthenes up to sqrt(x)
     composite[:2] = True
@@ -187,7 +170,7 @@ def sieve_dk(
     primes = np.flatnonzero(~composite).tolist()
 
     def fill(task_los):
-        # Once per task: scratch allocated per segment in pool threads left
+        # Once per task: scratch allocated per segment in sieve threads left
         # up to 4 MB more peak RSS behind in the allocator.
         size = min(segment_size, x)
         scratch = (np.empty(size, np.int32), np.arange(size, dtype=np.int32), np.empty(size, bool))
@@ -197,7 +180,8 @@ def sieve_dk(
     try:
         values = np.ones(x + 1, dtype=np.int64)
         if k > 1 and tasks > 1:
-            list(_pool().map(fill, [los[i::tasks] for i in range(tasks)]))
+            with ThreadPoolExecutor(max_workers=min(tasks, WORKERS)) as pool:
+                list(pool.map(fill, [los[i::tasks] for i in range(tasks)]))
         elif k > 1:
             fill(los)
     except MemoryError as exc:
@@ -361,29 +345,13 @@ def congruence_sums(table: DkTable, x: int, Q: int) -> np.ndarray:
     return out
 
 
-def _chunked_column_sums(rows: np.ndarray, step: int, dtype) -> np.ndarray:
+def _column_sums(rows: np.ndarray, step: int, dtype) -> np.ndarray:
     """rows.sum(axis=0) in int64, from the column sums of every `step` rows
-    accumulated in dtype."""
+    accumulated in dtype, which the caller's step keeps from wrapping."""
     out = rows[:step].sum(axis=0, dtype=dtype).astype(np.int64, copy=False)
     for lo in range(step, len(rows), step):
         out += rows[lo : lo + step].sum(axis=0, dtype=dtype)
     return out
-
-
-def _column_sums(rows: np.ndarray, step: int, dtype) -> np.ndarray:
-    """rows.sum(axis=0) in int64, summing `step` rows at a time in dtype,
-    which the caller's step keeps from wrapping.  From
-    POOLED_CLASS_SUM_VALUES values on, one contiguous block of rows per
-    worker, the partial sums added in block order: integer sums, so
-    bit-identical to the serial reduction."""
-    blocks = min(WORKERS, len(rows))
-    if rows.size < POOLED_CLASS_SUM_VALUES or blocks < 2:
-        return _chunked_column_sums(rows, step, dtype)
-    cuts = [len(rows) * i // blocks for i in range(blocks + 1)]
-    parts = _pool().map(
-        lambda i: _chunked_column_sums(rows[cuts[i] : cuts[i + 1]], step, dtype), range(blocks)
-    )
-    return functools.reduce(np.add, parts)
 
 
 def ap_sums(table: DkTable, q: int, X: int) -> ResidueClassSums:

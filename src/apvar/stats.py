@@ -106,28 +106,30 @@ def _density_values(q: int, delta: np.ndarray, cw: np.ndarray) -> np.ndarray:
     return (q / phi * cw)[idx]
 
 
-def error_vector(table: DkTable, q: int, x: int, k: int | None = None) -> ErrorVector:
+def _class_errors(cls: ResidueClassSums, delta: np.ndarray, cw: np.ndarray) -> np.ndarray:
+    """E(q, a) = A(X; q, a) - X f(q, a)/q for a = 1..q, from the class sums
+    and the rows of q in a _density_table at X = cls.X."""
+    q, x = cls.q, cls.X
+    return cls.sums[1:].astype(np.float64) - (x / q) * _density_values(q, delta, cw)
+
+
+def error_vector(table: DkTable, q: int, x: int) -> ErrorVector:
     """Exact class sums minus evaluated main terms."""
-    k = table.k if k is None else k
-    if k != table.k:
-        raise DomainError(f"table holds k={table.k}, requested {k}")
-    counts = ap_sums(table, q, x).sums[1:]
-    _, delta, cw = _density_table([q], float(x), k)
-    f_vals = _density_values(q, delta, cw)
+    cls = ap_sums(table, q, x)
+    _, delta, cw = _density_table([q], float(x), table.k)
     e = np.zeros(q + 1, dtype=np.float64)
-    e[1:] = counts.astype(np.float64) - (x / q) * f_vals
-    return ErrorVector(q=q, x=x, k=k, e=e)
+    e[1:] = _class_errors(cls, delta, cw)
+    return ErrorVector(q=q, x=x, k=table.k, e=e)
 
 
-def delta_value(cls: ResidueClassSums, a: int, k: int | None = None) -> DeltaValue:
+def delta_value(cls: ResidueClassSums, a: int) -> DeltaValue:
     """S_X(a/q) minus X M(q/(q,a)) / (q/(q,a)) at X = cls.X."""
-    k = cls.k if k is None else k
     q = cls.q
     r = a % q
     g = math.gcd(q, r) if r else q
     qr = q // g
     s = exp_sum(cls, a)
-    main = cls.X * eval_logpoly(m_poly(qr, k), float(cls.X)) / qr
+    main = cls.X * eval_logpoly(m_poly(qr, cls.k), float(cls.X)) / qr
     return DeltaValue(value=s.value - main, a=r, q=q, X=cls.X)
 
 
@@ -198,19 +200,15 @@ def _block_terms(congruence, strided, x: int, q, lattice: DivisorLattice, cw) ->
     }
 
 
-def _checked_fold(table: DkTable, x: int, Q: int, k: int | None) -> int:
-    """The fold k (default: the table's), once (x, Q, k) fit the table."""
-    k = table.k if k is None else k
-    if k != table.k:
-        raise DomainError(f"table holds k={table.k}, requested {k}")
+def _check_range(table: DkTable, x: int, Q: int) -> None:
+    """DomainError unless 1 <= Q <= x <= table.x."""
     if not 1 <= Q <= x:
         raise DomainError(f"need 1 <= Q <= x, got Q={Q}, x={x}")
     if x > table.x:
         raise DomainError(f"cutoff {x} beyond table limit {table.x}")
-    return k
 
 
-def _variance(table: DkTable, x: int, Q: int, k: int, congruence, moduli) -> VarianceReport:
+def _variance(table: DkTable, x: int, Q: int, congruence, moduli) -> VarianceReport:
     terms = _variance_terms(table, x, Q, congruence, moduli)
     per_q = tuple((terms["within"] + terms["between"]).tolist())
     total = math.fsum(per_q)
@@ -221,7 +219,7 @@ def _variance(table: DkTable, x: int, Q: int, k: int, congruence, moduli) -> Var
     return VarianceReport(
         x=x,
         Q=Q,
-        k=k,
+        k=table.k,
         per_q=per_q,
         total=total,
         congruence_term=congruence_term,
@@ -235,7 +233,6 @@ def variance_total(
     table: DkTable,
     x: int,
     Q: int,
-    k: int | None = None,
     *,
     threads: int = 1,
 ) -> VarianceReport:
@@ -246,27 +243,25 @@ def variance_total(
     density; see _variance_terms.  `threads` is accepted for existing
     callers and has no effect.
     """
-    k = _checked_fold(table, x, Q, k)
+    _check_range(table, x, Q)
     # The FFT runs before the tables are built, so they reuse its memory.
     congruence = congruence_sums(table, x, Q)
-    return _variance(table, x, Q, k, congruence, _moduli_table(Q, k))
+    return _variance(table, x, Q, congruence, _moduli_table(Q, table.k))
 
 
-def parseval_check(
-    table: DkTable, q: int, x: int, k: int | None = None
-) -> tuple[float, float]:
+def parseval_check(table: DkTable, q: int, x: int) -> tuple[float, float]:
     """Both sides of sum_a E^2 = (1/q) sum_a |Delta(a/q)|^2.
 
     The left side runs through class sums and the density polynomials; the
     right side through exponential sums and the reduced-modulus
-    polynomials.  Agreement is an exact identity up to rounding.
+    polynomials, from the same class sums.  Agreement is an exact identity
+    up to rounding.
     """
-    ev = error_vector(table, q, x, k)
-    lhs = math.fsum(float(t) for t in ev.e[1:] * ev.e[1:])
     cls = ap_sums(table, q, x)
-    rhs = (
-        math.fsum(abs(delta_value(cls, a, k).value) ** 2 for a in range(1, q + 1)) / q
-    )
+    _, delta, cw = _density_table([q], float(x), table.k)
+    e = _class_errors(cls, delta, cw)
+    lhs = math.fsum(float(t) for t in e * e)
+    rhs = math.fsum(abs(delta_value(cls, a).value) ** 2 for a in range(1, q + 1)) / q
     return lhs, rhs
 
 
@@ -274,7 +269,6 @@ def variance_expansion_check(
     table: DkTable,
     x: int,
     Q: int,
-    k: int | None = None,
     *,
     budget: int = DEFAULT_WORK_BUDGET,
 ) -> tuple[float, float]:
@@ -289,18 +283,17 @@ def variance_expansion_check(
         raise ResourceError(
             f"expansion check needs ~{x * Q} element operations, budget {budget}"
         )
-    report = variance_total(table, x, Q, k)
+    report = variance_total(table, x, Q)
     if report.cancellation >= IDENTITY_TOL:
         raise CertificateError(
             f"expansion terms cancel: rounding may reach {report.cancellation:.2e} "
             f"of V(x, Q), gate {IDENTITY_TOL:g}"
         )
-    start, delta, cw = _density_table(range(1, Q + 1), float(x), report.k)
+    start, delta, cw = _density_table(range(1, Q + 1), float(x), table.k)
     direct = []
     for i, q in enumerate(range(1, Q + 1)):
         rows = slice(start[i], start[i + 1])
-        f_vals = _density_values(q, delta[rows], cw[rows])
-        e = ap_sums(table, q, x).sums[1:].astype(np.float64) - (x / q) * f_vals
+        e = _class_errors(ap_sums(table, q, x), delta[rows], cw[rows])
         direct.append(float(np.sum(e * e)))
     expanded = float(report.congruence_term) + report.cross_term + report.main_term
     return math.fsum(direct), expanded
@@ -315,26 +308,22 @@ def density_square_sum_check(q: int, x: float, k: int) -> tuple[float, float]:
     return lhs, rhs
 
 
-def dirichlet_partial_sum_check(
-    table: DkTable, q: int, delta: int, *, s: float = 2.0
-) -> tuple[float, float]:
-    """Partial sum of d_k(n)/n^s over n <= table.x with gcd(n, q) = delta,
-    against zeta(s)^k times the correction product evaluated directly at s.
+def dirichlet_partial_sum_check(table: DkTable, q: int, delta: int) -> tuple[float, float]:
+    """Partial sum of d_k(n)/n^s at s = 2 over n <= table.x with
+    gcd(n, q) = delta, against zeta(2)^k = (pi^2/6)^k times the correction
+    product evaluated directly at s = 2.
 
     `rhs` is the value of the full series, so `lhs` falls short of it by
     the positive tail over n > table.x.  That tail shrinks like
     q (log x)^(k-1) / x; a fixed-tolerance comparison of the pair must
     account for it, as `dirichlet_tail` does.
     """
-    if s != 2.0:
-        raise DomainError("only s=2 is supported (zeta value known in closed form)")
     n = np.arange(table.x + 1, dtype=np.int64)
     mask = np.gcd(n, q) == delta
     mask[0] = False
-    terms = table.values[mask].astype(np.float64) / n[mask].astype(np.float64) ** s
+    terms = table.values[mask].astype(np.float64) / n[mask].astype(np.float64) ** 2.0
     lhs = math.fsum(terms.tolist())
-    zeta_s = math.pi**2 / 6.0
-    rhs = zeta_s**table.k * correction_value_at(q, delta, table.k, s)
+    rhs = (math.pi**2 / 6.0) ** table.k * correction_value_at(q, delta, table.k, 2.0)
     return lhs, rhs
 
 
@@ -371,13 +360,9 @@ def regression_slope(xs, ys) -> float:
     return sxy / sxx
 
 
-def deviation_decay_slope(
-    table: DkTable, q: int, a: int, cutoffs, k: int | None = None
-) -> tuple[list[float], float]:
+def deviation_decay_slope(table: DkTable, q: int, a: int, cutoffs) -> tuple[list[float], float]:
     """|Delta_X(a/q)| at each cutoff plus the slope of log|Delta| vs log X."""
-    mags = [
-        abs(delta_value(ap_sums(table, q, X), a, k).value) for X in cutoffs
-    ]
+    mags = [abs(delta_value(ap_sums(table, q, X), a).value) for X in cutoffs]
     slope = regression_slope(
         [math.log(X) for X in cutoffs], [math.log(m) for m in mags]
     )
@@ -423,15 +408,17 @@ def growth_study(
         else:
             raise DomainError(f"unknown Q rule {kind!r}")
     table = sieve if sieve is not None else sieve_dk(xs[-1], k, threads=threads)
+    if table.k != k:
+        raise DomainError(f"table holds k={table.k}, requested {k}")
     qs = [max(1, min(rule(x), x)) for x in xs]
     for x, Q in zip(xs, qs):
-        _checked_fold(table, x, Q, k)
+        _check_range(table, x, Q)
     # Every FFT runs before the shared table is built, so it reuses their memory.
     congruences = [congruence_sums(table, x, Q) for x, Q in zip(xs, qs)]
     moduli = _moduli_table(max(qs), k)
     rows = []
     for x, Q, congruence in zip(xs, qs, congruences):
-        total = _variance(table, x, Q, k, congruence, moduli).total
+        total = _variance(table, x, Q, congruence, moduli).total
         rows.append((x, Q, total, total / (x * Q)))
     if len(rows) < 2:
         slope = math.nan  # a slope needs at least two grid points

@@ -490,6 +490,20 @@ class TestThreadResolution:
         code, _, err = run(capsys, "variance", "--k", "2", "--x", "50", "--Q", "2")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flag, env",
+        ((["--threads", "0"], None), (["--threads", "-3"], None), ([], "0")),
+        ids=("flag-0", "flag-minus-3", "env-0"),
+    )
+    def test_thread_count_below_one_is_usage_error(self, monkeypatch, capsys, flag, env):
+        if env is None:
+            monkeypatch.delenv("APVAR_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("APVAR_THREADS", env)
+        code, out, err = run(capsys, "variance", "--k", "2", "--x", "50", "--Q", "2", *flag)
+        assert code == EXIT_USAGE
+        assert out == "" and "thread count" in err
+
     def test_defaults_to_cpu_count(self, monkeypatch):
         from apvar.cli import _resolve_threads
 

@@ -1,9 +1,12 @@
 import cmath
 import math
 import operator
+import os
 import struct
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,7 +87,7 @@ class TestSieve:
 
     @pytest.mark.parametrize("threads", (2, 3))
     def test_shared_pool_is_bitwise_identical(self, threads):
-        # 30 segments split round-robin into 2 or 3 tasks on the shared pool
+        # 30 segments split round-robin into 2 or 3 tasks on the call's threads
         serial = sieve_dk(30000, 4, segment_size=1000, threads=1)
         pooled = sieve_dk(30000, 4, segment_size=1000, threads=threads)
         assert np.array_equal(serial.values, pooled.values)
@@ -96,6 +99,15 @@ class TestSieve:
             sieve_dk(10, 0)
         with pytest.raises(DomainError):
             sieve_dk(10, 9)
+
+    def test_thread_count_below_one_rejected(self):
+        with pytest.raises(DomainError, match="thread count"):
+            sieve_dk(10, 2, threads=0)
+
+    def test_sieve_threads_end_with_the_call(self):
+        # a fresh interpreter, so that no thread of an earlier test counts
+        started, left = thread_counts("sieve_dk(30000, 3, segment_size=1000, threads=2)")
+        assert started >= 1 and left == 0
 
     def test_memory_exhaustion_reports_required_bytes(self, monkeypatch):
         def explode(*args, **kwargs):
@@ -110,7 +122,7 @@ class TestSieve:
             raise MemoryError
 
         monkeypatch.setattr(np, "empty", explode)  # each task's scratch
-        for threads in (1, 2):  # raised in the caller, then in pool tasks
+        for threads in (1, 2):  # raised in the caller, then in sieve threads
             with pytest.raises(ResourceError, match=r"needs ~\d+ bytes"):
                 sieve_dk(10**6, 2, threads=threads, segment_size=1000)
         assert sieve_dk(10, 1).values[1:].tolist() == [1] * 10  # k = 1 needs no scratch
@@ -244,43 +256,63 @@ def class_sums_reference(values, q, X):
     return ref
 
 
-POOLED_X = 2**21 + 1001  # odd, and not a multiple of 3 or 1000
+def thread_counts(call: str) -> tuple[int, int]:
+    """(threads started, threads left alive) by `call`, a statement over
+    apvar's exports, counted in a fresh interpreter."""
+    code = (
+        "import threading\nimport numpy as np\nfrom apvar import *\n"
+        "started, start = [], threading.Thread.start\n"
+        "threading.Thread.start = lambda t: (started.append(t), start(t))[1]\n"
+        f"before = threading.active_count()\n{call}\n"
+        "print(len(started), threading.active_count() - before)"
+    )
+    src = str(Path(sieve_mod.__file__).parents[1])  # the apvar under test
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    started, left = run.stdout.split()
+    return int(started), int(left)
+
+
+LARGE_X = 2**21 + 1001  # odd, and not a multiple of 3 or 1000
 
 
 @pytest.fixture(scope="module")
-def pooled_table():
+def large_table():
     """A hand-made table of more than 2^21 random int64 values below 2^40."""
-    values = np.random.default_rng(2024).integers(0, 2**40, POOLED_X + 1)
+    values = np.random.default_rng(2024).integers(0, 2**40, LARGE_X + 1)
     values[0] = 0
-    return DkTable(x=POOLED_X, k=3, values=values), values.tolist()
+    return DkTable(x=LARGE_X, k=3, values=values), values.tolist()
 
 
 class TestPooledApSums:
-    """Class sums over at least 2^20 values are reduced in one block of rows
-    per worker; the result must equal the serial sum exactly."""
+    """Large class sums, over more than 2^21 values with ragged last rows
+    and moduli from 1 to past the cutoff, in one serial pass; the result
+    must equal the Python-int sums exactly."""
 
     @pytest.mark.parametrize(
-        "q", (1, 2, 3, 1000, POOLED_X // 2 + 1, POOLED_X, POOLED_X + 7)
+        "q", (1, 2, 3, 1000, LARGE_X // 2 + 1, LARGE_X, LARGE_X + 7)
     )
-    def test_matches_python_ints(self, pooled_table, monkeypatch, q):
-        table, values = pooled_table
-        want = class_sums_reference(values, q, POOLED_X)
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(sieve_mod, "WORKERS", workers)
-            assert ap_sums(table, q, POOLED_X).sums.tolist() == want, workers
+    def test_matches_python_ints(self, large_table, q):
+        table, values = large_table
+        assert ap_sums(table, q, LARGE_X).sums.tolist() == class_sums_reference(values, q, LARGE_X)
 
-    def test_concurrent_callers_share_the_pool(self, pooled_table, monkeypatch):
-        # more callers than workers and more blocks than cores, with short
-        # switch intervals: every caller must get its own exact sums
-        monkeypatch.setattr(sieve_mod, "WORKERS", 3)
-        table, values = pooled_table
-        want = {q: class_sums_reference(values, q, POOLED_X) for q in (2, 1000)}
+    def test_starts_no_thread(self):
+        call = "ap_sums(DkTable(x=2**21, k=2, values=np.ones(2**21 + 1, np.int64)), 1000, 2**21)"
+        assert thread_counts(call) == (0, 0)
+
+    def test_concurrent_callers_share_the_pool(self, large_table):
+        # more callers than cores, with short switch intervals: every
+        # caller must get its own exact sums
+        table, values = large_table
+        want = {q: class_sums_reference(values, q, LARGE_X) for q in (2, 1000)}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=6) as callers:
                 futures = [
-                    (q, callers.submit(ap_sums, table, q, POOLED_X)) for q in (2, 1000) * 6
+                    (q, callers.submit(ap_sums, table, q, LARGE_X)) for q in (2, 1000) * 6
                 ]
                 for q, future in futures:
                     assert future.result(timeout=60).sums.tolist() == want[q]
@@ -333,15 +365,13 @@ class TestNarrowApSums:
             cut = max(1, X - q)
             assert np.array_equal(ap_sums(table, q, cut).sums, int64_class_sums(values, q, cut))
 
-    @pytest.mark.parametrize("q", (1, 3, 1000, 12345, POOLED_X // 2 + 1, POOLED_X + 7))
-    def test_pooled_near_the_int32_bound(self, monkeypatch, q):
-        values = np.random.default_rng(q).integers(*NEAR_TOP, POOLED_X + 1, endpoint=True)
+    @pytest.mark.parametrize("q", (1, 3, 1000, 12345, LARGE_X // 2 + 1, LARGE_X + 7))
+    def test_pooled_near_the_int32_bound(self, q):
+        # more than 2^21 values: many int32 chunks of 32 rows, ragged last rows
+        values = np.random.default_rng(q).integers(*NEAR_TOP, LARGE_X + 1, endpoint=True)
         values[0] = 0
-        table = narrow_table(values)
-        want = int64_class_sums(values, q, POOLED_X)
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(sieve_mod, "WORKERS", workers)
-            assert np.array_equal(ap_sums(table, q, POOLED_X).sums, want), workers
+        want = int64_class_sums(values, q, LARGE_X)
+        assert np.array_equal(ap_sums(narrow_table(values), q, LARGE_X).sums, want)
 
     def test_loaded_table_sums_equal_the_sieved(self, table_k3_1e6, tmp_path):
         path = tmp_path / "d3.dktb"

@@ -54,11 +54,6 @@ class TestErrorVector:
             ev = error_vector(table_k2_1e4, q, x)
             assert math.fsum(ev.e[1:]) == pytest.approx(float(ev1.e[1]), rel=1e-6)
 
-    def test_wrong_fold_rejected(self, table_k2_1e4):
-        with pytest.raises(DomainError):
-            error_vector(table_k2_1e4, 3, 100, k=3)
-
-
 class TestDeltaValue:
     def test_zero_fraction_matches_trivial_error(self, table_k2_1e4):
         x = 10**4
