@@ -26,7 +26,6 @@ from .farey import (
 )
 from .residues import (
     ap_main_term,
-    constrained_dirichlet_correction,
     correction_value_at,
     eval_logpoly,
     f_star,
@@ -55,7 +54,7 @@ from .stats import (
     delta_value,
     density_square_sum_check,
     deviation_decay_slope,
-    dirichlet_partial_sum_check,
+    dirichlet_sums,
     error_vector,
     growth_study,
     parseval_check,

@@ -2,7 +2,8 @@
 
 Factorization by trial division, the classical multiplicative functions
 (Mobius, Euler phi and its sieve, the k-fold divisor function), Ramanujan
-sums, divisor enumeration, and the divisor lattice of a set of moduli.
+sums, divisor enumeration, the gcd classes of a modulus, and the divisor
+lattice of a set of moduli.
 Everything here is exact integer arithmetic.
 """
 
@@ -101,6 +102,19 @@ def divisors(q: int) -> list[int]:
         out = [d * pp.p**e for d in out for e in range(pp.a + 1)]
     out.sort()
     return out
+
+
+def gcd_index(divisors) -> np.ndarray:
+    """idx with divisors[idx[a - 1]] = gcd(a, q) for a = 1..q, where
+    `divisors` lists the divisors of q ascending, so q is the last.
+
+    The index is filled by divisor slices, ascending, so the last divisor
+    to reach a is the largest one dividing it.
+    """
+    idx = np.empty(int(divisors[-1]), dtype=np.intp)
+    for i, d in enumerate(divisors):
+        idx[d - 1 :: d] = i
+    return idx
 
 
 def ramanujan_sum(q: int, n: int) -> int:

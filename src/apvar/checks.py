@@ -8,6 +8,8 @@ those modules at run time (such as a tracer's) see the calls made here.
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import arith, farey, stats
 from .errors import DomainError, ResourceError
 
@@ -67,17 +69,19 @@ def density_square_sum(x: int, k: int) -> dict:
 
 
 def ramanujan_orthogonality() -> dict:
-    """sum_a c_d1(a) c_d2(a) = q phi(d1) [d1 = d2] exactly for d1, d2 | q <= 100,
-    with each Ramanujan sum evaluated once per (q, d, a)."""
+    """sum_a c_d1(a) c_d2(a) = q phi(d1) [d1 = d2] exactly for d1, d2 | q <= 100.
+
+    c_d(a) depends on a only through gcd(a, q) for d | q, so each Ramanujan
+    sum is evaluated once per pair of divisors of q, and the exact int64
+    columns c_d(a), a = 1..q, are gathered through the gcd index of q.
+    """
     bad = []
     for q in range(1, 101):
         ds = arith.divisors(q)
-        cols = {d: [arith.ramanujan_sum(d, a) for a in range(1, q + 1)] for d in ds}
-        for d1 in ds:
-            for d2 in ds:
-                got = sum(u * v for u, v in zip(cols[d1], cols[d2]))
-                if got != (q * arith.euler_phi(d1) if d1 == d2 else 0):
-                    bad.append((q, d1, d2))
+        pairs = np.array([[arith.ramanujan_sum(d, g) for g in ds] for d in ds], dtype=np.int64)
+        cols = pairs[:, arith.gcd_index(ds)]
+        want = np.diag([q * arith.euler_phi(d) for d in ds])
+        bad += [(q, ds[i], ds[j]) for i, j in np.argwhere(cols @ cols.T != want).tolist()]
     q, d1, d2 = bad[0] if bad else (None, None, None)
     return _count_row("ramanujan orthogonality q<=100", bad, q=q, d1=d1, d2=d2)
 
@@ -120,7 +124,8 @@ def farey_containment(gamma: int) -> dict:
 def farey_histogram() -> dict:
     """F_1000 has 2 fractions of denominator 1 and phi(q) of each q >= 2."""
     counts = farey.denominator_counts(1000)
-    want = [0, 2] + [arith.euler_phi(q) for q in range(2, 1001)]
+    want = arith.totients(1000).tolist()
+    want[1] = 2
     bad = [q for q in range(1, 1001) if counts[q] != want[q]]
     return _check_row(
         "farey length histogram gamma<=1000",
@@ -154,20 +159,18 @@ def growth(k: int, grid: list[int], *, threads: int) -> dict:
     }
 
 
-def dirichlet(table) -> dict:
-    """Partial sums of d_k(n)/n^2 over n <= table.x, gcd(n, q) = delta, plus
-    their predicted tail, against the full series; worst of q <= 30, delta | q.
+def dirichlet(table, x: int) -> dict:
+    """Partial sums of d_k(n)/n^2 over n <= x, gcd(n, q) = delta, plus their
+    predicted tail, against the full series; worst of q <= 30, delta | q.
     The raw_* keys describe the same comparison without the tail."""
     rows, raw = [], []
     for q in range(1, 31):
-        for delta in arith.divisors(q):
-            lhs, rhs = stats.dirichlet_partial_sum_check(table, q, delta)
-            full = lhs + stats.dirichlet_tail(table, q, delta)
-            rows.append(_check_row("", full, rhs, DIRICHLET_TOL, q=q, delta=delta))
-            raw.append(_check_row("", lhs, rhs, DIRICHLET_TOL, q=q, delta=delta))
+        for delta, partial, tail, full in stats.dirichlet_sums(table, q, x):
+            rows.append(_check_row("", partial + tail, full, DIRICHLET_TOL, q=q, delta=delta))
+            raw.append(_check_row("", partial, full, DIRICHLET_TOL, q=q, delta=delta))
     worst_raw = _worst(raw, "")
     return {
-        **_worst(rows, f"dirichlet with tail worst (q<=30, N={table.x})"),
+        **_worst(rows, f"dirichlet with tail worst (q<=30, N={x})"),
         "failing": sum(not r["pass"] for r in rows),
         "cases": len(rows),
         "raw_rel_diff": worst_raw["rel_diff"],

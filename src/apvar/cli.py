@@ -164,8 +164,9 @@ def cmd_verify(args) -> int:
             checks.ramanujan_orthogonality(),
         ]
     if args.suite in ("dirichlet", "all"):
-        table = _load_or_sieve(args, 10**5 if args.x is None else args.x, args.k, threads)
-        rows.append(checks.dirichlet(table))
+        x = 10**5 if args.x is None else args.x
+        table = _load_or_sieve(args, x, args.k, threads)
+        rows.append(checks.dirichlet(table, x))
     if args.suite in ("farey", "all"):
         rows += [checks.farey_containment(gamma), checks.farey_histogram()]
     if args.suite in ("growth", "all"):

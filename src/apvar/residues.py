@@ -156,16 +156,6 @@ def correction_table(lattice: DivisorLattice, k: int, n: int) -> np.ndarray:
     return coeffs
 
 
-def constrained_dirichlet_correction(q: int, delta: int, k: int, n: int) -> np.ndarray:
-    """Product of local factors over p | q so that the Dirichlet series of
-    d_k over {n : gcd(n, q) = delta} equals zeta(s)^k times this series
-    (first n Taylor coefficients about s=1)."""
-    if delta < 1 or q % delta != 0:
-        raise DomainError(f"{delta} does not divide {q}")
-    lattice = divisor_lattice([q])
-    return correction_table(lattice, k, n)[np.searchsorted(lattice.delta, delta)]
-
-
 def _local_correction_value(p: int, alpha: int, beta: int, k: int, s: float) -> float:
     """The local factor evaluated directly at a real point s > 1."""
     euler = (1.0 - p**-s) ** k

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import DivisorLattice, divisor_lattice, euler_phi
+from .arith import DivisorLattice, divisor_lattice, divisors, gcd_index
 from .errors import CertificateError, DomainError, ResourceError
 from .residues import (
+    _residue_polys,
     ap_main_term,
     correction_value_at,
     density_polys,
@@ -85,40 +86,23 @@ class VarianceReport:
     cancellation: float
 
 
-def _density_table(moduli, x: float, k: int):
-    """(start, delta, cw) for every pair (q, delta | q), q in moduli: cw is the
-    density_polys row evaluated at x, so f(q, delta) = q/phi(q/delta) * cw.
-    The rows of the i-th modulus are start[i]:start[i+1], delta ascending."""
-    lattice = divisor_lattice(moduli)
-    return lattice.start, lattice.delta, eval_logpoly(density_polys(lattice, k), x)
-
-
-def _density_values(q: int, delta: np.ndarray, cw: np.ndarray) -> np.ndarray:
-    """f(q, a) for a = 1..q from the rows of q in a _density_table.
-
-    The gcd index is filled by divisor slices, ascending, so the last
-    divisor to reach a is gcd(a, q); its class has phi(q/delta) members.
-    """
-    idx = np.empty(q, dtype=np.intp)
-    for i, d in enumerate(delta.tolist()):
-        idx[d - 1 :: d] = i
-    phi = np.bincount(idx, minlength=len(delta))
-    return (q / phi * cw)[idx]
-
-
 def _class_errors(cls: ResidueClassSums, delta: np.ndarray, cw: np.ndarray) -> np.ndarray:
     """E(q, a) = A(X; q, a) - X f(q, a)/q for a = 1..q, from the class sums
-    and the rows of q in a _density_table at X = cls.X."""
+    and the density_polys rows of q (its divisors delta, ascending)
+    evaluated at X = cls.X: f(q, a) = q/phi(q/delta) * cw at delta = gcd(a, q),
+    a class of phi(q/delta) members."""
     q, x = cls.q, cls.X
-    return cls.sums[1:].astype(np.float64) - (x / q) * _density_values(q, delta, cw)
+    idx = gcd_index(delta)
+    phi = np.bincount(idx, minlength=len(delta))
+    return cls.sums[1:].astype(np.float64) - (x / q) * (q / phi * cw)[idx]
 
 
 def error_vector(table: DkTable, q: int, x: int) -> ErrorVector:
     """Exact class sums minus evaluated main terms."""
     cls = ap_sums(table, q, x)
-    _, delta, cw = _density_table([q], float(x), table.k)
+    delta, polys = _residue_polys(q, table.k)
     e = np.zeros(q + 1, dtype=np.float64)
-    e[1:] = _class_errors(cls, delta, cw)
+    e[1:] = _class_errors(cls, delta, eval_logpoly(polys, float(x)))
     return ErrorVector(q=q, x=x, k=table.k, e=e)
 
 
@@ -258,8 +242,8 @@ def parseval_check(table: DkTable, q: int, x: int) -> tuple[float, float]:
     up to rounding.
     """
     cls = ap_sums(table, q, x)
-    _, delta, cw = _density_table([q], float(x), table.k)
-    e = _class_errors(cls, delta, cw)
+    delta, polys = _residue_polys(q, table.k)
+    e = _class_errors(cls, delta, eval_logpoly(polys, float(x)))
     lhs = math.fsum(float(t) for t in e * e)
     rhs = math.fsum(abs(delta_value(cls, a).value) ** 2 for a in range(1, q + 1)) / q
     return lhs, rhs
@@ -273,8 +257,9 @@ def variance_expansion_check(
     budget: int = DEFAULT_WORK_BUDGET,
 ) -> tuple[float, float]:
     """V(x, Q) computed directly, as sum_q sum_a E(q, a)^2 over the class sums
-    of each modulus (O(xQ) work), against its three-term expansion from
-    variance_total, which shares neither the class sums nor the squares.
+    of each modulus (O(xQ) work), against its three-term expansion from the
+    all-moduli engine, which shares neither the class sums nor the squares.
+    Both sides read their densities from one _moduli_table.
 
     The expansion cancels: CertificateError when its `cancellation` could
     reach IDENTITY_TOL, the gate the two sides are compared at.
@@ -283,18 +268,22 @@ def variance_expansion_check(
         raise ResourceError(
             f"expansion check needs ~{x * Q} element operations, budget {budget}"
         )
-    report = variance_total(table, x, Q)
+    _check_range(table, x, Q)
+    # The FFT runs before the table is built, so the table reuses its memory.
+    congruence = congruence_sums(table, x, Q)
+    moduli = _moduli_table(Q, table.k)
+    report = _variance(table, x, Q, congruence, moduli)
     if report.cancellation >= IDENTITY_TOL:
         raise CertificateError(
             f"expansion terms cancel: rounding may reach {report.cancellation:.2e} "
             f"of V(x, Q), gate {IDENTITY_TOL:g}"
         )
-    start, delta, cw = _density_table(range(1, Q + 1), float(x), table.k)
     direct = []
-    for i, q in enumerate(range(1, Q + 1)):
-        rows = slice(start[i], start[i + 1])
-        e = _class_errors(ap_sums(table, q, x), delta[rows], cw[rows])
-        direct.append(float(np.sum(e * e)))
+    for lo, lattice, polys in moduli:
+        cw = eval_logpoly(polys, float(x))
+        for i, (a, b) in enumerate(zip(lattice.start[:-1], lattice.start[1:])):
+            e = _class_errors(ap_sums(table, lo + i, x), lattice.delta[a:b], cw[a:b])
+            direct.append(float(np.sum(e * e)))
     expanded = float(report.congruence_term) + report.cross_term + report.main_term
     return math.fsum(direct), expanded
 
@@ -308,44 +297,46 @@ def density_square_sum_check(q: int, x: float, k: int) -> tuple[float, float]:
     return lhs, rhs
 
 
-def dirichlet_partial_sum_check(table: DkTable, q: int, delta: int) -> tuple[float, float]:
-    """Partial sum of d_k(n)/n^s at s = 2 over n <= table.x with
-    gcd(n, q) = delta, against zeta(2)^k = (pi^2/6)^k times the correction
-    product evaluated directly at s = 2.
+def dirichlet_sums(table: DkTable, q: int, N: int) -> list[tuple[int, float, float, float]]:
+    """(delta, partial, tail, full) for every delta | q, ascending.
 
-    `rhs` is the value of the full series, so `lhs` falls short of it by
-    the positive tail over n > table.x.  That tail shrinks like
-    q (log x)^(k-1) / x; a fixed-tolerance comparison of the pair must
-    account for it, as `dirichlet_tail` does.
-    """
-    n = np.arange(table.x + 1, dtype=np.int64)
-    mask = np.gcd(n, q) == delta
-    mask[0] = False
-    terms = table.values[mask].astype(np.float64) / n[mask].astype(np.float64) ** 2.0
-    lhs = math.fsum(terms.tolist())
-    rhs = (math.pi**2 / 6.0) ** table.k * correction_value_at(q, delta, table.k, 2.0)
-    return lhs, rhs
-
-
-def dirichlet_tail(table: DkTable, q: int, delta: int) -> float:
-    """Predicted tail sum_{n>N, gcd(n,q)=delta} d_k(n)/n^2 beyond N = table.x.
+    `partial` sums d_k(n)/n^2 over n <= N with gcd(n, q) = delta, and
+    `full` is the whole series, zeta(2)^k = (pi^2/6)^k times the correction
+    product evaluated directly at s = 2.  `partial` falls short of it by the
+    positive tail over n > N, which shrinks like q (log N)^(k-1) / N, so a
+    fixed-tolerance comparison must add `tail`, its prediction.
 
     Abel summation over the constrained count A(t) = sum_{n<=t} d_k(n) gives
     tail = -A(N)/N^2 + 2 int_N^oo A(t) t^-3 dt.  A(N) is exact from the class
     sums; inside the integral A(t) is replaced by its main term t P(log t),
     P = (phi(q/delta)/q) f(q, delta) = sum_j r_j (log t)^j, and
         2 int_N^oo (log t)^j t^-2 dt = (2/N) sum_{i<=j} (j!/i!) (log N)^i.
+    One pass of class sums serves every delta.
     """
-    N = table.x
-    sums = ap_sums(table, q, N).sums
-    count = sum(int(sums[a]) for a in range(1, q + 1) if math.gcd(a, q) == delta)
-    poly = (euler_phi(q // delta) / q) * ap_main_term(q, delta, table.k)
+    if not 1 <= N <= table.x:
+        raise DomainError(f"cutoff must lie in 1..{table.x}, got {N}")
+    k = table.k
+    delta = divisors(q)
+    classes = gcd_index(delta)
+    phi = np.bincount(classes, minlength=len(delta)).tolist()
+    sums = ap_sums(table, q, N).sums[1:]
+    n = np.arange(1, N + 1, dtype=np.float64)
+    terms = table.values[1 : N + 1].astype(np.float64) / n**2.0
+    of_n = np.resize(classes, N)
     L = math.log(N)
-    integral = sum(
-        r * sum(math.factorial(j) / math.factorial(i) * L**i for i in range(j + 1))
-        for j, r in enumerate(poly.tolist())
-    )
-    return -count / N**2 + 2.0 * integral / N
+    out = []
+    for c, d in enumerate(delta):
+        partial = math.fsum(terms[of_n == c].tolist())
+        count = sum(sums[classes == c].tolist())
+        poly = (phi[c] / q) * ap_main_term(q, d, k)
+        integral = sum(
+            r * sum(math.factorial(j) / math.factorial(i) * L**i for i in range(j + 1))
+            for j, r in enumerate(poly.tolist())
+        )
+        tail = -count / N**2 + 2.0 * integral / N
+        full = (math.pi**2 / 6.0) ** k * correction_value_at(q, d, k, 2.0)
+        out.append((d, partial, tail, full))
+    return out
 
 
 def regression_slope(xs, ys) -> float:

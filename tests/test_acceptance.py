@@ -146,14 +146,14 @@ def test_criterion_06_dirichlet_series_correction():
     The partial sum alone stops short of the full series by the positive
     tail beyond n=1e5, which shrinks like q (log n)^(k-1)/n and exceeds 1e-3
     in the classes where delta carries all of q.  The tail comes from Abel
-    summation (`stats.dirichlet_tail`): the exact constrained count at the cutoff
+    summation (`stats.dirichlet_sums`): the exact constrained count at the cutoff
     plus the residue polynomial that criterion 05 verifies.  The corrected
     residual is then of size n^-1/2, far inside the tolerance, so a
     correction product off by 1e-3 in any single class fails.  The report
     shows the worst raw deficit beside the worst corrected residual.
     """
     start = time.perf_counter()
-    rows = {k: checks.dirichlet(sieve_dk(10**5, k)) for k in (1, 2, 3, 4)}
+    rows = {k: checks.dirichlet(sieve_dk(10**5, k), 10**5) for k in (1, 2, 3, 4)}
     elapsed = time.perf_counter() - start
     failing = sum(row["failing"] for row in rows.values())
     cases = sum(row["cases"] for row in rows.values())

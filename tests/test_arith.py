@@ -16,7 +16,8 @@ from apvar import (
     mobius,
     ramanujan_sum,
 )
-from apvar.arith import divisor_lattice, totients
+from apvar import arith, checks
+from apvar.arith import divisor_lattice, gcd_index, totients
 
 
 def trial_division(n):
@@ -188,6 +189,14 @@ class TestTotients:
         assert totients(2000).tolist() == [0] + [euler_phi(n) for n in range(1, 2001)]
 
 
+class TestGcdIndex:
+    def test_matches_gcd_classes(self):
+        for q in range(1, 501):
+            ds = divisors(q)
+            want = np.gcd(np.arange(1, q + 1), q)
+            assert np.array_equal(np.array(ds)[gcd_index(ds)], want), q
+
+
 class TestDivisorLattice:
     def test_rows_and_entries_match_divisors(self):
         moduli = [1, 2, 12, 97, 360, 1024, 30030, *range(400, 460)]
@@ -258,6 +267,18 @@ class TestRamanujanSum:
                     got = sum(u * v for u, v in zip(cols[d1], cols[d2]))
                     want = q * euler_phi(d1) if d1 == d2 else 0
                     assert got == want
+
+    def test_orthogonality_check_uses_library_sums(self, monkeypatch):
+        # the check evaluates c_d at gcd(a, q): one wrong value at
+        # (d, gcd) = (12, 4) must fail it, first at q = 12
+        right = arith.ramanujan_sum
+
+        def wrong_at_12_4(q, n):
+            return right(q, n) + ((q, n) == (12, 4))
+
+        monkeypatch.setattr(arith, "ramanujan_sum", wrong_at_12_4)
+        row = checks.ramanujan_orthogonality()
+        assert not row["pass"] and row["q"] == 12
 
     def test_divisor_indicator_transform(self):
         # sum_{d|q} c_d(a) = q if q | a else 0

@@ -306,6 +306,15 @@ class TestVerifyCommand:
         assert not row["pass"] and row["failing"] == 1
         assert (row["q"], row["delta"]) == (12, 4)
 
+    def test_dirichlet_suite_checks_the_cutoff_of_a_larger_table(self, tmp_path, capsys):
+        # the cutoff is --x, not the limit of the table given by --table
+        path = tmp_path / "d2.dktb"
+        run(capsys, "sieve", "--k", "2", "--x", "200000", "--out", str(path))
+        argv = ("verify", "--suite", "dirichlet", "--k", "2", "--x", "1000")
+        fresh = run(capsys, *argv)
+        assert fresh[0] == EXIT_OK and "N=1000" in fresh[1]
+        assert run(capsys, *argv, "--table", str(path)) == fresh
+
     def test_growth_suite_on_reduced_grid(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "growth", "--k", "2", "--x", str(2**16)

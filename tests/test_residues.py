@@ -6,7 +6,6 @@ import pytest
 from apvar import (
     DomainError,
     ap_main_term,
-    constrained_dirichlet_correction,
     correction_value_at,
     d_k_of,
     divisors,
@@ -19,7 +18,8 @@ from apvar import (
     ramanujan_sum,
     zeta_power_series,
 )
-from apvar.residues import _STIELTJES, _mul, _residue_polys
+from apvar.arith import divisor_lattice
+from apvar.residues import _STIELTJES, _mul, _residue_polys, correction_table
 
 GAMMA0 = 0.5772156649015328606065121
 GAMMA1 = -0.0728158454836767248605864
@@ -145,16 +145,12 @@ class TestLocalCorrection:
 
 class TestConstrainedCorrection:
     def test_trivial_modulus_is_one(self):
-        s = constrained_dirichlet_correction(1, 1, 3, 5)
+        (s,) = correction_table(divisor_lattice([1]), 3, 5)
         assert list(s) == [1.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_value_at_s1_for_q2(self):
-        s = constrained_dirichlet_correction(2, 1, 2, 4)
+        s = correction_table(divisor_lattice([2]), 2, 4)[0]  # delta = 1
         assert s[0] == pytest.approx(0.25, abs=1e-15)
-
-    def test_nondivisor_rejected(self):
-        with pytest.raises(DomainError):
-            constrained_dirichlet_correction(30, 7, 2, 4)
 
     def test_product_over_primes_matches_direct_value(self):
         assert correction_value_at(30, 6, 3, 2.0) == pytest.approx(

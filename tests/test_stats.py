@@ -13,7 +13,7 @@ from apvar import (
     delta_value,
     density_square_sum_check,
     deviation_decay_slope,
-    dirichlet_partial_sum_check,
+    dirichlet_sums,
     divisors,
     error_vector,
     euler_phi,
@@ -25,10 +25,10 @@ from apvar import (
     variance_expansion_check,
     variance_total,
 )
-from apvar import checks, sieve
+from apvar import checks, sieve, stats
 from apvar.errors import CertificateError
 from apvar.sieve import autocorrelation, congruence_sums, exact_square_sum, fft_error_bound
-from apvar.stats import _density_table, _moduli_table, _variance_terms, regression_slope
+from apvar.stats import _moduli_table, _variance_terms, regression_slope
 
 GAMMA0 = 0.5772156649015328606065121
 
@@ -172,7 +172,8 @@ class TestVarianceOracle:
         worst, where, cases = 0.0, None, 0
         for x in (5000.0, 1e12):
             for k in range(1, 9):
-                start, delta, cw = _density_table(range(1, 301), x, k)
+                ((_, lattice, polys),) = _moduli_table(300, k)
+                start, delta, cw = lattice.start, lattice.delta, eval_logpoly(polys, x)
                 for i, q in enumerate(range(1, 301)):
                     assert delta[start[i] : start[i + 1]].tolist() == divisors(q)
                     for r in range(start[i], start[i + 1]):
@@ -294,7 +295,7 @@ class TestLoadedTables:
 
     def test_dirichlet_check(self, sieved_and_loaded):
         table, loaded = sieved_and_loaded
-        assert checks.dirichlet(loaded) == checks.dirichlet(table)
+        assert checks.dirichlet(loaded, table.x) == checks.dirichlet(table, table.x)
 
     def test_exp_sums(self, sieved_and_loaded):
         table, loaded = sieved_and_loaded
@@ -367,12 +368,13 @@ class TestDensitySquareSum:
 class TestDirichletPartialSums:
     def test_example_case_converges(self):
         t = sieve_dk(10**5, 2)
-        lhs, rhs = dirichlet_partial_sum_check(t, 30, 6)
+        delta, lhs, _, rhs = dirichlet_sums(t, 30, 10**5)[4]
+        assert delta == 6
         assert lhs == pytest.approx(rhs, rel=1e-3)
 
     def test_unconstrained_case(self):
         t = sieve_dk(10**5, 2)
-        lhs, rhs = dirichlet_partial_sum_check(t, 1, 1)
+        ((_, lhs, _, rhs),) = dirichlet_sums(t, 1, 10**5)
         assert rhs == pytest.approx((math.pi**2 / 6) ** 2, rel=1e-15)
         assert lhs == pytest.approx(rhs, rel=1e-3)
 
@@ -382,14 +384,32 @@ class TestDirichletPartialSums:
         rels = []
         for n in (10**4, 10**5):
             t = sieve_dk(n, 3)
-            lhs, rhs = dirichlet_partial_sum_check(t, 29, 29)
+            delta, lhs, _, rhs = dirichlet_sums(t, 29, n)[-1]
+            assert delta == 29
             assert lhs < rhs  # positive terms only: partial sums from below
             rels.append((rhs - lhs) / rhs)
         assert rels[1] < rels[0]
 
-    def test_nondivisor_rejected(self, table_k2_1e4):
-        with pytest.raises(DomainError):
-            dirichlet_partial_sum_check(table_k2_1e4, 10, 3)
+    def test_cutoff_out_of_range_rejected(self, table_k2_1e4):
+        for N in (0, 10**4 + 1):
+            with pytest.raises(DomainError):
+                dirichlet_sums(table_k2_1e4, 10, N)
+            with pytest.raises(DomainError):
+                checks.dirichlet(table_k2_1e4, N)
+
+    def test_one_class_sum_pass_per_modulus(self, monkeypatch):
+        # one ap_sums pass serves every delta | q: 30 passes for q <= 30,
+        # not one per (q, delta) pair (111)
+        calls = []
+        counted = stats.ap_sums
+
+        def counting(*args):
+            calls.append(args[1])
+            return counted(*args)
+
+        monkeypatch.setattr(stats, "ap_sums", counting)
+        checks.dirichlet(sieve_dk(10**3, 2), 10**3)
+        assert calls == list(range(1, 31))
 
 
 class TestDeviationDecay:
