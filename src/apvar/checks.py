@@ -145,10 +145,10 @@ def growth_grid(top: int) -> list[int]:
     return grid
 
 
-def growth(k: int, grid: list[int], *, threads: int) -> dict:
-    """Slope of log V(x, x^0.75) against log(xQ) along grid (from growth_grid),
-    which must lie in [0.85, 1.2]; `rows` holds the (x, Q, V, V/(xQ)) points."""
-    study = stats.growth_study(k, grid, ("power", 0.75), threads=threads)
+def growth(table, grid: list[int]) -> dict:
+    """Slope of log V(x, x^0.75) against log(xQ) along grid (from growth_grid)
+    over the table, in [0.85, 1.2]; `rows` holds the (x, Q, V, V/(xQ)) points."""
+    study = stats.growth_study(table.k, grid, ("power", 0.75), sieve=table)
     return {
         "check": "growth slope log V vs log(xQ)",
         "lhs": study.slope,

@@ -170,7 +170,8 @@ def cmd_verify(args) -> int:
     if args.suite in ("farey", "all"):
         rows += [checks.farey_containment(gamma), checks.farey_histogram()]
     if args.suite in ("growth", "all"):
-        rows.append(checks.growth(args.k, grid, threads=threads))
+        table = _load_or_sieve(args, grid[-1], args.k, threads)
+        rows.append(checks.growth(table, grid))
     text = "\n".join(json.dumps(r) for r in rows) + "\n"
     _emit(text, args.out)
     return EXIT_OK if all(r["pass"] for r in rows) else EXIT_CHECK_FAILED

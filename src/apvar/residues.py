@@ -9,10 +9,10 @@ the residue at s=1 of
 and this module extracts it with truncated power series (k terms) in
 u = s-1.  Polynomials in log X are float64 coefficient arrays, increasing
 degree; eval_logpoly evaluates one, or a whole table row by row.
-density_polys builds the residue polynomial of every row (q, delta | q) of
-a divisor lattice at once, for the variance engine.  Three closely related
-polynomial families come out of the same residue (read-only arrays, since
-caches hand them to every caller):
+density_polys builds the class-mass polynomial P(q, delta) of every row
+(q, delta | q) of a divisor lattice at once, the mass X*P of the n <= X with
+gcd(n, q) = delta.  Three closely related polynomial families come out of
+the same residue (read-only arrays, since caches hand them to every caller):
 
   ap_main_term(q, a, k)   density polynomial for the class a mod q;
   m_poly(q, k)            its transform over the divisor lattice of q,
@@ -210,8 +210,9 @@ def logpoly_json(poly: np.ndarray, *, k: int, q: int, a: int | None = None) -> d
 def density_polys(lattice: DivisorLattice, k: int) -> np.ndarray:
     """Residue at s=1 of X^(s-1)/s * zeta(s)^k * C(s), C = correction(q, delta),
     for every row (q, delta) of a divisor lattice: a (rows, k) array of log X
-    coefficients, increasing degree.  Row r times q/phi(q/delta) is the
-    density polynomial f(q, delta).
+    coefficients, increasing degree.  Row r is the class-mass polynomial
+    P(q, delta): the n <= X with gcd(n, q) = delta carry X*P(log X), X*P/phi
+    in each of their phi = phi(q/delta) classes, of density f = q/phi * P.
 
     With g = (u zeta(1+u))^k / (1+u), the residue is the u^(k-1) coefficient
     of X^u C g; so with h = C g, the (log X)^j coefficient is h[k-1-j] / j!.
@@ -223,25 +224,26 @@ def density_polys(lattice: DivisorLattice, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _residue_polys(q: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(delta, polys): the divisors of q ascending and their density_polys rows."""
+def _residue_polys(q: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The density table of q, read-only: (delta, phi, polys) with delta the
+    divisors of q ascending, phi = phi(q/delta) and P(q, delta) their rows."""
     lattice = divisor_lattice([q])
-    return _frozen(lattice.delta), _frozen(density_polys(lattice, k))
+    return _frozen(lattice.delta), _frozen(lattice.phi), _frozen(density_polys(lattice, k))
 
 
 def ap_main_term(q: int, a: int, k: int) -> np.ndarray:
     """Density polynomial f(q, a): the class a mod q holds X*f/q of the
     total divisor-function mass up to X, asymptotically.
 
-    Depends on a only through gcd(q, a).  k coefficients in log X.
+    f = q/phi(q/delta) * P(q, delta) at delta = gcd(q, a); k coefficients.
     """
     if not 1 <= k <= 8:
         raise DomainError(f"fold parameter must lie in 1..8, got {k}")
     if q < 1 or not 1 <= a <= q:
         raise DomainError(f"need 1 <= a <= q, got a={a}, q={q}")
-    delta, polys = _residue_polys(q, k)
-    g = math.gcd(q, a)
-    return _frozen(q / euler_phi(q // g) * polys[np.searchsorted(delta, g)])
+    delta, phi, polys = _residue_polys(q, k)
+    i = np.searchsorted(delta, math.gcd(q, a))
+    return _frozen(q / int(phi[i]) * polys[i])
 
 
 @lru_cache(maxsize=None)

@@ -52,7 +52,8 @@ class DkTable:
 
     values is int64, or int32 with every value in 0..INT32_TOP; for int32,
     top is set to the largest value, which bounds the rows ap_sums adds in
-    int32 at a time.
+    int32 at a time.  x * max|value| must fit in int64, since it bounds
+    every sum over the table.
     """
 
     x: int
@@ -61,15 +62,22 @@ class DkTable:
     top: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.values.dtype == np.int32:
+        values = self.values
+        if self.x < 0 or len(values) != self.x + 1:
+            raise DomainError(f"table to x={self.x} needs {self.x + 1} values, got {len(values)}")
+        if values.dtype == np.int32:
             # viewed unsigned, a negative value reads 2^31 or more
-            top = int(self.values.view(np.uint32).max()) if self.values.size else 0
-            if top > INT32_TOP:
+            bound = int(values.view(np.uint32).max())
+            if bound > INT32_TOP:
                 raise DomainError(f"int32 table values must lie in 0..{INT32_TOP}")
-            object.__setattr__(self, "top", top)
-        elif self.values.dtype != np.int64:
-            raise DomainError(f"table values must be int32 or int64, got {self.values.dtype}")
-        self.values.setflags(write=False)
+            object.__setattr__(self, "top", bound)
+        elif values.dtype == np.int64:  # in Python ints: -np.int64(-2**63) wraps
+            bound = max(int(values.max()), -int(values.min()))
+        else:
+            raise DomainError(f"table values must be int32 or int64, got {values.dtype}")
+        if self.x * bound >= 2**63:
+            raise DomainError(f"x * max |value| = {self.x} * {bound} does not fit in int64")
+        values.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -193,8 +201,7 @@ def sieve_dk(
 
 def total_sum(table: DkTable) -> int:
     """Exact sum of d_k(n) over the table."""
-    # No wrap: a sieved total is below x (1+log x)^(k-1), and read_table
-    # rejects a file whose x * max value reaches 2^63.
+    # No wrap: every DkTable keeps x * max|value| below 2^63.
     return int(table.values[1:].sum(dtype=np.int64))
 
 
@@ -218,15 +225,6 @@ def exact_square_sum(values: np.ndarray) -> int:
 def square_sum(table: DkTable) -> int:
     """Exact sum of d_k(n)^2 over the table."""
     return exact_square_sum(table.values[1:])
-
-
-def _abs_mass(values: np.ndarray) -> int:
-    """sum |v| of an int32 or int64 array, exactly: in int64 chunks when
-    len * max|v| < 2^63 bounds every partial sum, else in Python ints."""
-    top = max(int(values.max()), -int(values.min())) if values.size else 0
-    if values.size * top < 2**63:
-        return sum(int(np.abs(chunk).sum()) for chunk in _int64_chunks(values))
-    return sum(abs(v) for v in values.tolist())
 
 
 def fft_error_bound(norms: float, size: int) -> float:
@@ -332,7 +330,8 @@ def congruence_sums(table: DkTable, x: int, Q: int) -> np.ndarray:
     if not 1 <= Q <= x:
         raise DomainError(f"need 1 <= Q <= x, got Q={Q}, x={x}")
     values = table.values[1 : x + 1]
-    mass = _abs_mass(values)
+    # exact in int64: the table keeps x * max|d_k| below 2^63
+    mass = sum(int(np.abs(chunk).sum()) for chunk in _int64_chunks(values))
     corr = autocorrelation(values)
     if mass * mass >= 2**63:
         corr = corr.astype(object)
@@ -434,27 +433,24 @@ def _zeros(path, x: int, dtype) -> np.ndarray:
         raise ResourceError(f"{path}: table of {x} values needs ~{need} bytes") from exc
 
 
-def _narrow_payload(fh, path, x: int) -> tuple[np.ndarray | None, int]:
-    """(int32 values, largest value) of the payload, narrowed through one
-    buffer of CHUNK u64; (None, the value) at the first value above
-    INT32_TOP."""
+def _narrow_payload(fh, path, x: int) -> np.ndarray | None:
+    """The payload as int32 values, narrowed through one buffer of CHUNK
+    u64; None at the first value above INT32_TOP."""
     values = _zeros(path, x, np.int32)
     buffer = np.empty(min(x, CHUNK), dtype="<u8")
-    top = 0
     for lo in range(1, x + 1, CHUNK):
         chunk = buffer[: min(CHUNK, x + 1 - lo)]
         _read_exact(fh, path, chunk)
-        top = max(top, int(chunk.max()))
-        if top > INT32_TOP:
-            return None, top
+        if chunk.max() > INT32_TOP:
+            return None
         values[lo : lo + len(chunk)] = chunk  # exact: every value is below 2^31
-    return values, top
+    return values
 
 
 def read_table(path) -> DkTable:
     """Read a table written by write_table; validates the header, the file
-    size (before allocating) and that x times the largest value, a bound on
-    every sum over the table, fits in int64.
+    size (before allocating) and that every value fits in int64 (DkTable
+    then checks x times the largest value).
 
     The values load as int32 when the largest is at most INT32_TOP,
     narrowed one CHUNK at a time, so the int64 payload is never held beside them.  A
@@ -474,12 +470,11 @@ def read_table(path) -> DkTable:
         size = os.fstat(fh.fileno()).st_size - _HEADER.size
         if size != 8 * x:
             raise DomainError(f"{path}: expected {8 * x} payload bytes, got {size}")
-        values, top = _narrow_payload(fh, path, x)
+        values = _narrow_payload(fh, path, x)
         if values is None:
             fh.seek(_HEADER.size)
             values = _zeros(path, x, "<i8")
             _read_exact(fh, path, values[1:])
-            top = int(values[1:].view("<u8").max())
-    if x * top >= 2**63:
-        raise DomainError(f"{path}: x * max value = {x} * {top} does not fit in int64")
+            if values.min() < 0:  # a stored value of 2^63 or more
+                raise DomainError(f"{path}: a value beyond 2^63 - 1 does not fit in int64")
     return DkTable(x=int(x), k=int(k), values=values)

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import DivisorLattice, divisor_lattice, divisors, gcd_index
+from .arith import DivisorLattice, divisor_lattice, gcd_index
 from .errors import CertificateError, DomainError, ResourceError
 from .residues import (
     _residue_polys,
-    ap_main_term,
     correction_value_at,
     density_polys,
     eval_logpoly,
@@ -86,23 +85,19 @@ class VarianceReport:
     cancellation: float
 
 
-def _class_errors(cls: ResidueClassSums, delta: np.ndarray, cw: np.ndarray) -> np.ndarray:
-    """E(q, a) = A(X; q, a) - X f(q, a)/q for a = 1..q, from the class sums
-    and the density_polys rows of q (its divisors delta, ascending)
-    evaluated at X = cls.X: f(q, a) = q/phi(q/delta) * cw at delta = gcd(a, q),
-    a class of phi(q/delta) members."""
-    q, x = cls.q, cls.X
-    idx = gcd_index(delta)
-    phi = np.bincount(idx, minlength=len(delta))
-    return cls.sums[1:].astype(np.float64) - (x / q) * (q / phi * cw)[idx]
+def _class_errors(cls: ResidueClassSums, delta, phi, cw) -> np.ndarray:
+    """E(q, a) = A(X; q, a) - X f(q, a)/q for a = 1..q at X = cls.X, from the
+    density table of q with its class-mass polynomials at X as cw: each of
+    the phi classes with gcd(a, q) = delta has main term X f/q = X cw/phi."""
+    return cls.sums[1:].astype(np.float64) - (cls.X * cw / phi)[gcd_index(delta)]
 
 
 def error_vector(table: DkTable, q: int, x: int) -> ErrorVector:
     """Exact class sums minus evaluated main terms."""
     cls = ap_sums(table, q, x)
-    delta, polys = _residue_polys(q, table.k)
+    delta, phi, polys = _residue_polys(q, table.k)
     e = np.zeros(q + 1, dtype=np.float64)
-    e[1:] = _class_errors(cls, delta, eval_logpoly(polys, float(x)))
+    e[1:] = _class_errors(cls, delta, phi, eval_logpoly(polys, float(x)))
     return ErrorVector(q=q, x=x, k=table.k, e=e)
 
 
@@ -119,7 +114,7 @@ def delta_value(cls: ResidueClassSums, a: int) -> DeltaValue:
 
 def _moduli_table(Q: int, k: int) -> list[tuple[int, DivisorLattice, np.ndarray]]:
     """The divisor lattices of the moduli 1..Q, in blocks of _TABLE_BLOCK
-    starting at lo, with the density polynomials of their rows.  None of it
+    starting at lo, with the class-mass polynomials of their rows.  None of it
     depends on x, so one table serves every x and every Q up to this one."""
     blocks = []
     for lo in range(1, Q + 1, _TABLE_BLOCK):
@@ -161,7 +156,8 @@ def _variance_terms(table: DkTable, x: int, Q: int, congruence, moduli) -> dict:
 
 
 def _block_terms(congruence, strided, x: int, q, lattice: DivisorLattice, cw) -> dict:
-    """_variance_terms for one block of consecutive moduli q."""
+    """_variance_terms for one block of consecutive moduli q, with cw the
+    class-mass polynomials of its rows at x, each over lattice.phi classes."""
     mass = strided[lattice.delta]
     for r in range(lattice.ranks):
         row, _, _, _, up = lattice.entries(r)
@@ -173,6 +169,8 @@ def _block_terms(congruence, strided, x: int, q, lattice: DivisorLattice, cw) ->
     within -= np.add.reduceat((square % phi).astype(np.float64) / lattice.phi, seg)
     phi = lattice.phi.astype(np.float64)
     q_row = np.repeat(q.astype(np.float64), np.diff(lattice.start))
+    # x/q times the density q/phi * cw, rounded as the per-modulus reference of
+    # the tests rounds it: where V_q is 0 (k = 1, q | x) both are rounding noise
     main = (x / q_row) * (q_row / phi * cw)
     g = mass.astype(np.float64)
     return {
@@ -223,8 +221,8 @@ def variance_total(
     """V(x, Q) plus the three expansion terms, for every q <= Q at once.
 
     One FFT autocorrelation gives every congruence term, one set of strided
-    sums every gcd-class mass, and one table of density polynomials every
-    density; see _variance_terms.  `threads` is accepted for existing
+    sums every gcd-class mass, and one table of class-mass polynomials every
+    main term; see _variance_terms.  `threads` is accepted for existing
     callers and has no effect.
     """
     _check_range(table, x, Q)
@@ -236,14 +234,14 @@ def variance_total(
 def parseval_check(table: DkTable, q: int, x: int) -> tuple[float, float]:
     """Both sides of sum_a E^2 = (1/q) sum_a |Delta(a/q)|^2.
 
-    The left side runs through class sums and the density polynomials; the
+    The left side runs through class sums and the density table of q; the
     right side through exponential sums and the reduced-modulus
     polynomials, from the same class sums.  Agreement is an exact identity
     up to rounding.
     """
     cls = ap_sums(table, q, x)
-    delta, polys = _residue_polys(q, table.k)
-    e = _class_errors(cls, delta, eval_logpoly(polys, float(x)))
+    delta, phi, polys = _residue_polys(q, table.k)
+    e = _class_errors(cls, delta, phi, eval_logpoly(polys, float(x)))
     lhs = math.fsum(float(t) for t in e * e)
     rhs = math.fsum(abs(delta_value(cls, a).value) ** 2 for a in range(1, q + 1)) / q
     return lhs, rhs
@@ -282,17 +280,19 @@ def variance_expansion_check(
     for lo, lattice, polys in moduli:
         cw = eval_logpoly(polys, float(x))
         for i, (a, b) in enumerate(zip(lattice.start[:-1], lattice.start[1:])):
-            e = _class_errors(ap_sums(table, lo + i, x), lattice.delta[a:b], cw[a:b])
+            cls = ap_sums(table, lo + i, x)
+            e = _class_errors(cls, lattice.delta[a:b], lattice.phi[a:b], cw[a:b])
             direct.append(float(np.sum(e * e)))
     expanded = float(report.congruence_term) + report.cross_term + report.main_term
     return math.fsum(direct), expanded
 
 
 def density_square_sum_check(q: int, x: float, k: int) -> tuple[float, float]:
-    """sum_a f(q, a)^2 at x versus q times the quadratic-mean polynomial."""
-    lhs = math.fsum(
-        eval_logpoly(ap_main_term(q, a, k), x) ** 2 for a in range(1, q + 1)
-    )
+    """sum_a f(q, a)^2 at x, as sum phi f^2 over the gcd classes of q, versus
+    q times the quadratic-mean polynomial."""
+    _, phi, polys = _residue_polys(q, k)
+    f = q * eval_logpoly(polys, x) / phi
+    lhs = math.fsum((phi * f * f).tolist())
     rhs = q * eval_logpoly(f_star(q, k), x)
     return lhs, rhs
 
@@ -309,29 +309,27 @@ def dirichlet_sums(table: DkTable, q: int, N: int) -> list[tuple[int, float, flo
     Abel summation over the constrained count A(t) = sum_{n<=t} d_k(n) gives
     tail = -A(N)/N^2 + 2 int_N^oo A(t) t^-3 dt.  A(N) is exact from the class
     sums; inside the integral A(t) is replaced by its main term t P(log t),
-    P = (phi(q/delta)/q) f(q, delta) = sum_j r_j (log t)^j, and
+    P = sum_j r_j (log t)^j the class-mass polynomial of (q, delta), and
         2 int_N^oo (log t)^j t^-2 dt = (2/N) sum_{i<=j} (j!/i!) (log N)^i.
     One pass of class sums serves every delta.
     """
     if not 1 <= N <= table.x:
         raise DomainError(f"cutoff must lie in 1..{table.x}, got {N}")
     k = table.k
-    delta = divisors(q)
+    delta, _, polys = _residue_polys(q, k)
     classes = gcd_index(delta)
-    phi = np.bincount(classes, minlength=len(delta)).tolist()
     sums = ap_sums(table, q, N).sums[1:]
     n = np.arange(1, N + 1, dtype=np.float64)
     terms = table.values[1 : N + 1].astype(np.float64) / n**2.0
     of_n = np.resize(classes, N)
     L = math.log(N)
     out = []
-    for c, d in enumerate(delta):
+    for c, d in enumerate(delta.tolist()):
         partial = math.fsum(terms[of_n == c].tolist())
         count = sum(sums[classes == c].tolist())
-        poly = (phi[c] / q) * ap_main_term(q, d, k)
         integral = sum(
             r * sum(math.factorial(j) / math.factorial(i) * L**i for i in range(j + 1))
-            for j, r in enumerate(poly.tolist())
+            for j, r in enumerate(polys[c].tolist())
         )
         tail = -count / N**2 + 2.0 * integral / N
         full = (math.pi**2 / 6.0) ** k * correction_value_at(q, d, k, 2.0)
@@ -382,7 +380,7 @@ def growth_study(
 
     q_rule is either a callable x -> Q, a ("power", c) pair for Q = x^c, or
     a ("ratio", r) pair for Q = x/r.  One table is sieved at max(x_grid),
-    and one table of density polynomials built for the largest Q, and both
+    and one table of class-mass polynomials built for the largest Q, and both
     are shared across the grid.
     """
     xs = sorted(set(int(t) for t in x_grid))

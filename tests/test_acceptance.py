@@ -279,7 +279,7 @@ def test_criterion_10_ramanujan_orthogonality():
 def test_criterion_11_growth_study():
     """Slope of log V against log(xQ) for k=2, Q=x^(3/4), x=2^14..2^18."""
     start = time.perf_counter()
-    row = checks.growth(2, checks.growth_grid(2**18), threads=1)
+    row = checks.growth(sieve_dk(2**18, 2), checks.growth_grid(2**18))
     elapsed = time.perf_counter() - start
     ok = row["pass"] and elapsed < 180.0
     rows = ", ".join(f"(x=2^{int(math.log2(x))}, V/xQ={r:.2f})" for x, _, _, r in row["rows"])

@@ -3,6 +3,7 @@ import json
 import math
 import struct
 import time
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,10 @@ FAREY_CSV = {
     300: ("fb59fad4b6274682cdc6954dd16dfec28a2fea4dcf240cdd4aabbf7921341ecb", 27399, 622327),
     1000: ("c807438c6a39a09133c6f3b0d81f5ef604c8b3a1bd60dcaf731aa138ad2159e6", 304193, 7930461),
 }
+
+# Pinned `apvar main-term --k K --q Q --a A --x 1e6` stdout: sha256 by "K,Q,A"
+# for K = 1..8, Q in (1, 2, 12, 30, 97, 360, 1024) and A in (1, 5, Q), A <= Q
+MAIN_TERM_SHA256 = json.loads((Path(__file__).parent / "main_term_sha256.json").read_text())
 
 
 def run(capsys, *argv):
@@ -52,6 +57,13 @@ class TestSieveCommand:
 
 
 class TestMainTermCommand:
+    @pytest.mark.parametrize("case", sorted(MAIN_TERM_SHA256))
+    def test_stdout_bytes_are_pinned(self, capsys, case):
+        k, q, a = case.split(",")
+        code, out, _ = run(capsys, "main-term", "--k", k, "--q", q, "--a", a, "--x", "1e6")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == MAIN_TERM_SHA256[case]
+
     def test_trivial_modulus(self, capsys):
         code, out, _ = run(capsys, "main-term", "--k", "2", "--q", "1", "--a", "1")
         assert code == EXIT_OK
@@ -322,6 +334,27 @@ class TestVerifyCommand:
         row = json.loads(out.strip().splitlines()[0])
         assert code == EXIT_OK
         assert row["pass"] and 0.85 <= row["lhs"] <= 1.2
+
+    def test_growth_suite_reads_its_table_from_table(self, tmp_path, capsys):
+        path = tmp_path / "d2.dktb"
+        run(capsys, "sieve", "--k", "2", "--x", str(2**15 + 7), "--out", str(path))
+        argv = ("verify", "--suite", "growth", "--k", "2", "--x", str(2**15))
+        fresh = run(capsys, *argv)
+        assert fresh[0] == EXIT_OK
+        assert run(capsys, *argv, "--table", str(path)) == fresh
+
+    @pytest.mark.parametrize("k, x", ((3, 2**15), (2, 1000)))
+    def test_growth_suite_refuses_a_table_of_other_k_or_too_short(
+        self, tmp_path, capsys, k, x
+    ):
+        path = tmp_path / "t.dktb"
+        run(capsys, "sieve", "--k", str(k), "--x", str(x), "--out", str(path))
+        code, out, err = run(
+            capsys, "verify", "--suite", "growth", "--k", "2", "--x", str(2**15),
+            "--table", str(path),
+        )
+        assert code == EXIT_USAGE
+        assert out == "" and "cached table" in err
 
     def test_growth_suite_needs_two_grid_points(self, capsys):
         code, _, _ = run(

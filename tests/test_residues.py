@@ -18,7 +18,7 @@ from apvar import (
     ramanujan_sum,
     zeta_power_series,
 )
-from apvar.arith import divisor_lattice
+from apvar.arith import divisor_lattice, gcd_index
 from apvar.residues import _STIELTJES, _mul, _residue_polys, correction_table
 
 GAMMA0 = 0.5772156649015328606065121
@@ -262,6 +262,24 @@ class TestApMainTerm:
         assert int(counts.sums[1]) == pytest.approx(predicted, rel=2e-3)
 
 
+class TestDensityTable:
+    """_residue_polys(q, k) = (delta, phi, polys), the one density table of q."""
+
+    def test_phi_counts_each_gcd_class(self):
+        for q in range(1, 361):
+            delta, phi, _ = _residue_polys(q, 2)
+            assert delta.tolist() == divisors(q), q
+            assert phi.tolist() == [euler_phi(q // d) for d in delta.tolist()], q
+            assert phi.tolist() == np.bincount(gcd_index(delta)).tolist(), q
+
+    def test_class_mass_times_q_over_phi_is_the_density(self):
+        # a class with gcd delta holds X P / phi: f(q, a) = q/phi * P
+        delta, phi, polys = _residue_polys(360, 4)
+        for a in (1, 7, 12, 90, 360):
+            i = divisors(360).index(math.gcd(360, a))
+            assert ap_main_term(360, a, 4).tolist() == (360 / phi[i] * polys[i]).tolist()
+
+
 class TestMPoly:
     def test_base_case_equals_density(self):
         assert m_poly(1, 2).tolist() == ap_main_term(1, 1, 2).tolist()
@@ -340,7 +358,7 @@ class TestEvalLogpoly:
 
     def test_table_equals_row_by_row(self):
         # one call over a (rows, k) table is the 1-D evaluation of each row
-        _, polys = _residue_polys(360, 5)
+        _, _, polys = _residue_polys(360, 5)
         got = eval_logpoly(polys, 1e6)
         assert got.shape == (len(divisors(360)),)
         assert got.tolist() == [eval_logpoly(row, 1e6) for row in polys]
@@ -364,10 +382,11 @@ class TestCachedArraysAreReadOnly:
         (
             lambda: m_poly(12, 3),
             lambda: ap_main_term(12, 4, 3),
+            lambda: _residue_polys(12, 3)[2],
             lambda: _residue_polys(12, 3)[1],
             lambda: _residue_polys(12, 3)[0],
         ),
-        ids=("m_poly", "ap_main_term", "residue_polys", "residue_deltas"),
+        ids=("m_poly", "ap_main_term", "residue_polys", "residue_phi", "residue_deltas"),
     )
     def test_write_raises_and_later_calls_keep_values(self, get):
         before = get().tolist()

@@ -415,6 +415,18 @@ class TestTableGuards:
         with pytest.raises(DomainError, match="must lie in"):
             DkTable(x=2, k=2, values=np.array(values, dtype=np.int32))
 
+    @pytest.mark.parametrize("values", ([0] + [2**60] * 16, [0] + [-(2**63)] + [0] * 15))
+    def test_int64_table_whose_sums_could_wrap_rejected(self, values):
+        # 16 * 2^60 = 2^64: total_sum and ap_sums used to read 0
+        with pytest.raises(DomainError, match="int64"):
+            DkTable(x=16, k=1, values=np.array(values, dtype=np.int64))
+
+    @pytest.mark.parametrize("dtype", (np.int32, np.int64))
+    @pytest.mark.parametrize("length", (0, 4, 6))
+    def test_values_must_run_to_x(self, dtype, length):
+        with pytest.raises(DomainError, match="needs 5 values"):
+            DkTable(x=4, k=2, values=np.ones(length, dtype=dtype))
+
     def test_int32_table_records_its_largest_value(self):
         values = np.array([0, 7, sieve_mod.INT32_TOP, 3], dtype=np.int32)
         assert DkTable(x=3, k=2, values=values).top == sieve_mod.INT32_TOP

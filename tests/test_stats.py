@@ -397,6 +397,30 @@ class TestDirichletPartialSums:
             with pytest.raises(DomainError):
                 checks.dirichlet(table_k2_1e4, N)
 
+    def test_reads_the_density_table_not_main_terms_or_divisors(self, monkeypatch):
+        # delta, phi(q/delta) and the class-mass polynomial all come from
+        # _residue_polys, even when its cache is cold
+        from apvar import arith, residues
+
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return wrapper
+
+        for name, fn in (("ap_main_term", residues.ap_main_term), ("divisors", arith.divisors)):
+            for module in (arith, residues, stats):
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counting(name, fn))
+        residues._residue_polys.cache_clear()
+        table = sieve_dk(10**3, 2)
+        for q in range(1, 31):
+            dirichlet_sums(table, q, 10**3)
+        assert calls == []
+
     def test_one_class_sum_pass_per_modulus(self, monkeypatch):
         # one ap_sums pass serves every delta | q: 30 passes for q <= 30,
         # not one per (q, delta) pair (111)
