@@ -148,7 +148,7 @@ def growth_grid(top: int) -> list[int]:
 def growth(table, grid: list[int]) -> dict:
     """Slope of log V(x, x^0.75) against log(xQ) along grid (from growth_grid)
     over the table, in [0.85, 1.2]; `rows` holds the (x, Q, V, V/(xQ)) points."""
-    study = stats.growth_study(table.k, grid, ("power", 0.75), sieve=table)
+    study = stats.growth_study(table, grid, ("power", 0.75))
     return {
         "check": "growth slope log V vs log(xQ)",
         "lhs": study.slope,

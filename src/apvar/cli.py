@@ -5,7 +5,9 @@ codes: 0 success (all checks pass), 1 check failure, 2 usage error,
 3 resource limit.  Output is CSV or JSON with floats printed to 17
 significant digits (round-trip safe).  --threads sets the sieve's
 concurrency; without it the APVAR_THREADS environment variable, then the
-host CPU count.  A thread count below 1 is a usage error.
+host CPU count.  A thread count below 1 is a usage error.  verify checks
+its arguments, then reads or sieves one d_k table at the largest cutoff of
+its selected suites; each suite reads its own cutoff of that table.
 """
 
 from __future__ import annotations
@@ -96,8 +98,8 @@ def cmd_main_term(args) -> int:
 
 
 def cmd_variance(args) -> int:
-    if args.Q > args.x:
-        raise DomainError(f"Q={args.Q} exceeds x={args.x}")
+    if not 1 <= args.Q <= args.x:
+        raise DomainError(f"need 1 <= Q <= x, got Q={args.Q}, x={args.x}")
     threads = _resolve_threads(args.threads)
     table = _load_or_sieve(args, args.x, args.k, threads)
     report = stats.variance_total(table, args.x, args.Q)
@@ -119,6 +121,8 @@ def cmd_variance(args) -> int:
 
 
 def cmd_expsum(args) -> int:
+    if args.q < 1:
+        raise DomainError(f"modulus must be >= 1, got {args.q}")
     threads = _resolve_threads(args.threads)
     table = _load_or_sieve(args, args.x, args.k, threads)
     cls = ap_sums(table, args.q, args.x)
@@ -144,33 +148,39 @@ def cmd_farey(args) -> int:
 
 def cmd_verify(args) -> int:
     threads = _resolve_threads(args.threads)
-    # Checked first, so that a bad --x or --gamma, or a Farey sweep beyond
-    # --budget, fails before any suite runs.
-    if args.suite in ("growth", "all"):
+    suites = SUITES[:-1] if args.suite == "all" else (args.suite,)
+    # Arguments first, then the one table at the largest cutoff, before any suite runs.
+    x_id, x_dir = (10**4, 10**5) if args.x is None else (args.x, args.x)
+    cutoffs = []
+    if "identities" in suites:
+        Q = min(100, x_id) if args.Q is None else args.Q
+        if not 1 <= Q <= x_id:
+            raise DomainError(f"need 1 <= Q <= x, got Q={Q}, x={x_id}")
+        cutoffs.append(x_id)
+    if "dirichlet" in suites:
+        cutoffs.append(x_dir)
+    if "growth" in suites:
         grid = checks.growth_grid(2**18 if args.x is None else args.x)
-    if args.suite in ("farey", "all"):
+        cutoffs.append(grid[-1])
+    if "farey" in suites:
         gamma = checks.farey_order(
             300 if args.gamma is None else args.gamma, budget=args.budget
         )
+    if cutoffs:
+        table = _load_or_sieve(args, max(cutoffs), args.k, threads)
     rows = []
-    if args.suite in ("identities", "all"):
-        x = 10**4 if args.x is None else args.x
-        table = _load_or_sieve(args, x, args.k, threads)
-        Q = min(100, x) if args.Q is None else args.Q
+    if "identities" in suites:
         rows += [
-            checks.parseval(table, x),
-            checks.variance_expansion(table, x, Q, budget=args.budget),
-            checks.density_square_sum(x, args.k),
+            checks.parseval(table, x_id),
+            checks.variance_expansion(table, x_id, Q, budget=args.budget),
+            checks.density_square_sum(x_id, args.k),
             checks.ramanujan_orthogonality(),
         ]
-    if args.suite in ("dirichlet", "all"):
-        x = 10**5 if args.x is None else args.x
-        table = _load_or_sieve(args, x, args.k, threads)
-        rows.append(checks.dirichlet(table, x))
-    if args.suite in ("farey", "all"):
+    if "dirichlet" in suites:
+        rows.append(checks.dirichlet(table, x_dir))
+    if "farey" in suites:
         rows += [checks.farey_containment(gamma), checks.farey_histogram()]
-    if args.suite in ("growth", "all"):
-        table = _load_or_sieve(args, grid[-1], args.k, threads)
+    if "growth" in suites:
         rows.append(checks.growth(table, grid))
     text = "\n".join(json.dumps(r) for r in rows) + "\n"
     _emit(text, args.out)

@@ -34,7 +34,6 @@ from .sieve import (
     congruence_sums,
     exp_sum,
     multiple_sums,
-    sieve_dk,
 )
 
 DEFAULT_WORK_BUDGET = 4 * 10**9
@@ -225,8 +224,8 @@ def variance_total(
     main term; see _variance_terms.  `threads` is accepted for existing
     callers and has no effect.
     """
-    _check_range(table, x, Q)
-    # The FFT runs before the tables are built, so they reuse its memory.
+    # congruence_sums checks 1 <= Q <= x <= table.x; the tables, built after
+    # its FFT, reuse its memory.
     congruence = congruence_sums(table, x, Q)
     return _variance(table, x, Q, congruence, _moduli_table(Q, table.k))
 
@@ -262,11 +261,11 @@ def variance_expansion_check(
     The expansion cancels: CertificateError when its `cancellation` could
     reach IDENTITY_TOL, the gate the two sides are compared at.
     """
+    _check_range(table, x, Q)
     if x * Q > budget:
         raise ResourceError(
             f"expansion check needs ~{x * Q} element operations, budget {budget}"
         )
-    _check_range(table, x, Q)
     # The FFT runs before the table is built, so the table reuses its memory.
     congruence = congruence_sums(table, x, Q)
     moduli = _moduli_table(Q, table.k)
@@ -368,20 +367,13 @@ class GrowthStudy:
     slope: float
 
 
-def growth_study(
-    k: int,
-    x_grid,
-    q_rule,
-    *,
-    threads: int = 1,
-    sieve=None,
-) -> GrowthStudy:
-    """Compute V(x, Q) along x_grid with Q = q_rule(x).
+def growth_study(table: DkTable, x_grid, q_rule) -> GrowthStudy:
+    """Compute V(x, Q) along x_grid with Q = q_rule(x), every x a cutoff of
+    the caller's table, which must reach max(x_grid).
 
     q_rule is either a callable x -> Q, a ("power", c) pair for Q = x^c, or
-    a ("ratio", r) pair for Q = x/r.  One table is sieved at max(x_grid),
-    and one table of class-mass polynomials built for the largest Q, and both
-    are shared across the grid.
+    a ("ratio", r) pair for Q = x/r.  One table of class-mass polynomials is
+    built for the largest Q and shared across the grid.
     """
     xs = sorted(set(int(t) for t in x_grid))
     if not xs:
@@ -396,15 +388,12 @@ def growth_study(
             rule = lambda t: int(round(t / value))
         else:
             raise DomainError(f"unknown Q rule {kind!r}")
-    table = sieve if sieve is not None else sieve_dk(xs[-1], k, threads=threads)
-    if table.k != k:
-        raise DomainError(f"table holds k={table.k}, requested {k}")
     qs = [max(1, min(rule(x), x)) for x in xs]
     for x, Q in zip(xs, qs):
         _check_range(table, x, Q)
     # Every FFT runs before the shared table is built, so it reuses their memory.
     congruences = [congruence_sums(table, x, Q) for x, Q in zip(xs, qs)]
-    moduli = _moduli_table(max(qs), k)
+    moduli = _moduli_table(max(qs), table.k)
     rows = []
     for x, Q, congruence in zip(xs, qs, congruences):
         total = _variance(table, x, Q, congruence, moduli).total
@@ -416,4 +405,4 @@ def growth_study(
             [math.log(x * Q) for x, Q, _, _ in rows],
             [math.log(v) for _, _, v, _ in rows],
         )
-    return GrowthStudy(k=k, rows=tuple(rows), slope=slope)
+    return GrowthStudy(k=table.k, rows=tuple(rows), slope=slope)

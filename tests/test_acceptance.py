@@ -300,8 +300,8 @@ def test_criterion_12_determinism(capsys):
     tables_equal = np.array_equal(sieve_1.values, sieve_n.values)
 
     grid = [2**14, 2**15]
-    g_1 = growth_study(2, grid, ("power", 0.75), threads=1)
-    g_n = growth_study(2, grid, ("power", 0.75), threads=MAX_THREADS)
+    g_1 = growth_study(sieve_dk(2**15, 2, threads=1), grid, ("power", 0.75))
+    g_n = growth_study(sieve_dk(2**15, 2, threads=MAX_THREADS), grid, ("power", 0.75))
     growth_equal = g_1.rows == g_n.rows and g_1.slope == g_n.slope
 
     outputs = []

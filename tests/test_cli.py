@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from apvar import read_table, total_sum
-from apvar.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
+from apvar import read_table, sieve_dk, total_sum, write_table
+from apvar.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, SUITES, main
 
 GAMMA0 = 0.5772156649015328606065121
 
@@ -203,6 +203,33 @@ class TestExpsumCommand:
         code, out, err = run(capsys, "expsum", "--k", "2", "--x", "1000", "--q", q, "--a", "1")
         assert code == EXIT_RESOURCE
         assert out == "" and err.startswith("resource limit: ")
+
+
+@pytest.mark.parametrize("table", (False, True))
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("variance", "--k", "2", "--x", "10000000", "--Q", "0"),
+        ("variance", "--k", "2", "--x", "10000000", "--Q", "10000001"),
+        ("expsum", "--k", "2", "--x", "10000000", "--q", "0", "--a", "1"),
+    ),
+)
+def test_bad_modulus_is_refused_before_the_table_is_built(
+    tmp_path, capsys, monkeypatch, argv, table
+):
+    # `--Q 0` and `--q 0` used to sieve 10^7 values (about 80 MB) first
+    from apvar import cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a table was built before the modulus was checked")
+
+    monkeypatch.setattr(cli, "sieve_dk", must_not_run)
+    monkeypatch.setattr(cli, "read_table", must_not_run)
+    if table:
+        argv += ("--table", str(tmp_path / "unused.dktb"))
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error: ")
 
 
 class TestFareyCommand:
@@ -409,6 +436,87 @@ class TestVerifyCommand:
         assert code == EXIT_RESOURCE
         assert out == "" and "101351590326 arcs" in err
         assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("suite", ("identities", "all"))
+    @pytest.mark.parametrize("Q", ("0", "200000"))
+    def test_identities_modulus_bound_is_checked_before_any_suite_runs(
+        self, capsys, monkeypatch, suite, Q
+    ):
+        # Q above x used to run the Parseval check, then exit 3 from the
+        # expansion check's work budget
+        from apvar import checks, cli
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a suite ran before --Q was checked")
+
+        for name in ("parseval", "dirichlet", "farey_containment", "growth"):
+            monkeypatch.setattr(checks, name, must_not_run)
+        monkeypatch.setattr(cli, "sieve_dk", must_not_run)
+        code, out, err = run(
+            capsys, "verify", "--suite", suite, "--k", "3", "--x", "100000", "--Q", Q
+        )
+        assert code == EXIT_USAGE
+        assert out == "" and f"Q={Q}" in err
+
+    @pytest.fixture
+    def table_calls(self, monkeypatch):
+        """(name, first argument) of every cli.sieve_dk and cli.read_table call."""
+        from apvar import cli
+
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append((fn.__name__, args[0]))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(cli, "sieve_dk", counted(cli.sieve_dk))
+        monkeypatch.setattr(cli, "read_table", counted(cli.read_table))
+        return calls
+
+    def test_all_suites_share_one_table_and_print_each_suite_in_order(
+        self, capsys, table_calls
+    ):
+        # the identities, dirichlet and growth suites each used to sieve their own
+        argv = ("--k", "2", "--x", "32768", "--gamma", "50")
+        code, out, _ = run(capsys, "verify", "--suite", "all", *argv)
+        assert code == EXIT_OK
+        assert table_calls == [("sieve_dk", 32768)]
+        alone = [run(capsys, "verify", "--suite", s, *argv) for s in SUITES[:-1]]
+        assert [r[0] for r in alone] == [EXIT_OK] * 4
+        assert out == "".join(r[1] for r in alone)
+
+    def test_default_cutoffs_sieve_once_at_the_largest(self, capsys, table_calls):
+        # 10^4, 10^5 and 2^18 used to be three sieves
+        code, _, _ = run(capsys, "verify", "--suite", "all", "--k", "2", "--gamma", "50")
+        assert code == EXIT_OK
+        assert table_calls == [("sieve_dk", 2**18)]
+
+    def test_all_suites_read_table_once(self, tmp_path, capsys, table_calls):
+        path = tmp_path / "d2.dktb"
+        write_table(sieve_dk(40000, 2), path)
+        code, _, _ = run(
+            capsys, "verify", "--suite", "all", "--k", "2", "--x", "32768", "--gamma", "50",
+            "--table", str(path),
+        )
+        assert code == EXIT_OK
+        assert table_calls == [("read_table", str(path))]
+
+    def test_farey_suite_neither_sieves_nor_reads_a_table(self, tmp_path, capsys, monkeypatch):
+        from apvar import cli
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the farey suite built a table")
+
+        monkeypatch.setattr(cli, "sieve_dk", must_not_run)
+        monkeypatch.setattr(cli, "read_table", must_not_run)
+        code, _, _ = run(
+            capsys, "verify", "--suite", "farey", "--gamma", "50",
+            "--table", str(tmp_path / "unused.dktb"),
+        )
+        assert code == EXIT_OK
 
     def test_default_farey_sweep_fits_the_budget(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "farey")

@@ -464,16 +464,14 @@ class TestRegressionSlope:
 
 class TestGrowthStudy:
     def test_single_modulus_rule_reduces_to_trivial_variance(self, table_k2_1e4):
-        study = growth_study(
-            2, [10**3, 10**4], lambda x: 1, sieve=table_k2_1e4
-        )
+        study = growth_study(table_k2_1e4, [10**3, 10**4], lambda x: 1)
         for x, Q, v, ratio in study.rows:
             assert Q == 1
             ev = error_vector(table_k2_1e4, 1, x)
             assert v == pytest.approx(float(ev.e[1]) ** 2, rel=1e-12)
 
     def test_power_rule_rows_and_ratio(self, table_k2_1e4):
-        study = growth_study(2, [512, 2048, 8192], ("power", 0.5), sieve=table_k2_1e4)
+        study = growth_study(table_k2_1e4, [512, 2048, 8192], ("power", 0.5))
         assert [r[0] for r in study.rows] == [512, 2048, 8192]
         for x, Q, v, ratio in study.rows:
             assert Q == int(round(x**0.5))
@@ -482,7 +480,7 @@ class TestGrowthStudy:
             assert v == variance_total(table_k2_1e4, x, Q).total
 
     def test_ratio_rule(self, table_k2_1e4):
-        study = growth_study(2, [1000], ("ratio", 10), sieve=table_k2_1e4)
+        study = growth_study(table_k2_1e4, [1000], ("ratio", 10))
         assert study.rows[0][1] == 100
 
     def test_doubling_Q_roughly_doubles_variance(self, table_k2_1e4):
