@@ -18,6 +18,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import checks, stats
 from . import farey as farey_mod
 from .errors import CertificateError, DomainError, ResourceError
@@ -32,6 +34,7 @@ EXIT_RESOURCE = 3
 SUITES = ("identities", "dirichlet", "farey", "growth", "all")
 
 CSV_CHUNK = 1 << 16  # arcs formatted per write
+_CSV_TOP = 2**32  # |value| bound of _csv_lines, whose digit pass runs in uint32
 
 
 def _fmt(v: float) -> str:
@@ -61,7 +64,39 @@ def _emit(text: str, out_path) -> None:
         fh.write(text)
 
 
+def _csv_lines(columns) -> bytes:
+    """The rows of equal-length integer columns as "%d,...,%d\n" lines, in
+    ASCII, formatted in numpy.
+
+    Each value gets a cell of width + 1 bytes: a sign slot, its digits right
+    aligned, and a ',' (a '\n' after the last column).  One boolean mask
+    keeps the significant digits, the '-' just before them and the
+    separator, and gathers the kept bytes in row order.
+    """
+    m = np.stack(columns, axis=1)
+    top = max(int(m.max(initial=0)), -int(m.min(initial=0)))
+    if top >= _CSV_TOP:
+        raise DomainError(f"CSV value of magnitude {top} reaches the 2^32 bound")
+    v = np.abs(m).astype(np.uint32)
+    width = len(str(top)) + 1
+    cells = np.empty(m.shape + (width + 1,), dtype=np.uint8)
+    keep = np.ones(cells.shape, dtype=bool)
+    for j in range(width - 1, 0, -1):
+        cells[..., j] = v % 10 + ord("0")
+        v //= 10
+        keep[..., j - 1] = v > 0  # a digit left for slot j - 1
+    cells[:, :-1, width] = ord(",")
+    cells[:, -1, width] = ord("\n")
+    rows, cols = np.nonzero(m < 0)
+    sign = width - 1 - keep[rows, cols, :width].sum(axis=1)
+    cells[rows, cols, sign] = ord("-")
+    keep[rows, cols, sign] = True
+    return cells.ravel()[keep.ravel()].tobytes()
+
+
 def _load_or_sieve(args, x: int, k: int, threads: int):
+    if x < 1:
+        raise DomainError(f"cutoff must be at least 1, got {x}")
     if getattr(args, "table", None):
         table = read_table(args.table)
         if table.k != k or table.x < x:
@@ -141,8 +176,8 @@ def cmd_farey(args) -> int:
         fh.write("a,q,left_num,left_den,right_num,right_den\n")
         for arrays in slices:
             for i in range(0, arrays[0].size, CSV_CHUNK):
-                rows = zip(*(x[i : i + CSV_CHUNK].tolist() for x in arrays))
-                fh.write("".join("%d,%d,%d,%d,%d,%d\n" % row for row in rows))
+                chunk = _csv_lines([x[i : i + CSV_CHUNK] for x in arrays])
+                fh.write(chunk.decode("ascii"))
     return EXIT_OK
 
 

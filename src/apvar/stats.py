@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import DivisorLattice, divisor_lattice, gcd_index
+from .arith import DivisorLattice, divisor_lattice, divisors, gcd_index
 from .errors import CertificateError, DomainError, ResourceError
 from .residues import (
     _residue_polys,
@@ -230,19 +230,33 @@ def variance_total(
     return _variance(table, x, Q, congruence, _moduli_table(Q, table.k))
 
 
+def _exp_sums(cls: ResidueClassSums) -> np.ndarray:
+    """S_X(a/q) for a = 1..q from one length-q DFT of the class sums.
+
+    The DFT of the sums by residue b = 0..q-1 holds S(-b/q) at index b, so
+    a = 1..q reads it backwards.
+    """
+    return np.fft.fft(np.roll(cls.sums[1:], 1))[::-1]
+
+
 def parseval_check(table: DkTable, q: int, x: int) -> tuple[float, float]:
     """Both sides of sum_a E^2 = (1/q) sum_a |Delta(a/q)|^2.
 
     The left side runs through class sums and the density table of q; the
-    right side through exponential sums and the reduced-modulus
-    polynomials, from the same class sums.  Agreement is an exact identity
-    up to rounding.
+    right side through the exponential sums of every a (one DFT) less
+    x M(q/g)/(q/g), g = gcd(a, q), from the same class sums.  Agreement is
+    an exact identity up to rounding.
     """
     cls = ap_sums(table, q, x)
     delta, phi, polys = _residue_polys(q, table.k)
     e = _class_errors(cls, delta, phi, eval_logpoly(polys, float(x)))
     lhs = math.fsum(float(t) for t in e * e)
-    rhs = math.fsum(abs(delta_value(cls, a).value) ** 2 for a in range(1, q + 1)) / q
+    divs = divisors(q)
+    main = np.array(
+        [x * eval_logpoly(m_poly(q // g, table.k), float(x)) / (q // g) for g in divs]
+    )
+    d = _exp_sums(cls) - main[gcd_index(divs)]
+    rhs = math.fsum((d.real * d.real + d.imag * d.imag).tolist()) / q
     return lhs, rhs
 
 

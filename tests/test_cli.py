@@ -1,14 +1,20 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import struct
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from apvar import read_table, sieve_dk, total_sum, write_table
 from apvar.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, SUITES, main
+from apvar.errors import DomainError
 
 GAMMA0 = 0.5772156649015328606065121
 
@@ -212,12 +218,16 @@ class TestExpsumCommand:
         ("variance", "--k", "2", "--x", "10000000", "--Q", "0"),
         ("variance", "--k", "2", "--x", "10000000", "--Q", "10000001"),
         ("expsum", "--k", "2", "--x", "10000000", "--q", "0", "--a", "1"),
+        ("verify", "--suite", "dirichlet", "--k", "2", "--x", "0"),
+        ("expsum", "--k", "2", "--x", "0", "--q", "3", "--a", "1"),
+        ("expsum", "--k", "2", "--x", "-1", "--q", "3", "--a", "1"),
     ),
 )
 def test_bad_modulus_is_refused_before_the_table_is_built(
     tmp_path, capsys, monkeypatch, argv, table
 ):
-    # `--Q 0` and `--q 0` used to sieve 10^7 values (about 80 MB) first
+    # `--Q 0` and `--q 0` used to sieve 10^7 values (about 80 MB) first, and
+    # a cutoff below 1 used to read the whole --table before it was refused
     from apvar import cli
 
     def must_not_run(*args, **kwargs):
@@ -230,6 +240,42 @@ def test_bad_modulus_is_refused_before_the_table_is_built(
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert out == "" and err.startswith("error: ")
+
+
+# a CSV value: a digit or a magnitude up to the formatter's bound
+_CSV_VALUE = st.one_of(st.integers(-9, 9), st.integers(-(2**32) + 1, 2**32 - 1))
+
+
+class TestCsvLines:
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda c: st.lists(
+                st.lists(_CSV_VALUE, min_size=c, max_size=c), min_size=1, max_size=40
+            )
+        )
+    )
+    @example([[0, 0, 0, 0, 0, 0]])
+    @example([[-1, 3, 1, 3, 0, 1]])
+    @example([[2**32 - 1, -(2**32) + 1, 7, -7, 10, -10]])
+    def test_matches_percent_formatting(self, rows):
+        from apvar import cli
+
+        columns = [np.array(col, dtype=np.int64) for col in zip(*rows)]
+        want = "".join(",".join("%d" % v for v in row) + "\n" for row in rows)
+        assert cli._csv_lines(columns) == want.encode("ascii")
+
+    @pytest.mark.parametrize("value", (2**32, -(2**32), 2**63 - 1, -(2**63)))
+    def test_magnitude_past_the_bound_is_refused(self, value):
+        from apvar import cli
+
+        columns = [np.array([1, value], dtype=np.int64), np.array([2, 3], dtype=np.int64)]
+        with pytest.raises(DomainError, match="2\\^32"):
+            cli._csv_lines(columns)
+
+    def test_mediant_denominators_fit_the_bound(self):
+        from apvar import cli, farey
+
+        assert 2 * farey.MAX_ORDER < cli._CSV_TOP
 
 
 class TestFareyCommand:
@@ -281,6 +327,14 @@ class TestFareyCommand:
             monkeypatch.setattr(cli, "CSV_CHUNK", 3)
         code, out, _ = run(capsys, "farey", "--gamma", str(gamma))
         assert code == EXIT_OK and out == want
+
+    def test_redirected_stdout_gets_the_same_text(self, capsys):
+        _, want, _ = run(capsys, "farey", "--gamma", "10")
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink):
+            code = main(["farey", "--gamma", "10"])
+        assert code == EXIT_OK
+        assert sink.getvalue() == want and capsys.readouterr().out == ""
 
     def test_order_below_two_is_usage_error(self, tmp_path, capsys):
         target = tmp_path / "arcs.csv"

@@ -28,7 +28,7 @@ from apvar import (
 from apvar import checks, sieve, stats
 from apvar.errors import CertificateError
 from apvar.sieve import autocorrelation, congruence_sums, exact_square_sum, fft_error_bound
-from apvar.stats import _moduli_table, _variance_terms, regression_slope
+from apvar.stats import _exp_sums, _moduli_table, _variance_terms, regression_slope
 
 GAMMA0 = 0.5772156649015328606065121
 
@@ -323,6 +323,40 @@ class TestParseval:
             for q in range(1, 51):
                 lhs, rhs = parseval_check(table, q, 10**3)
                 assert lhs == pytest.approx(rhs, rel=1e-9)
+
+    def test_one_dft_per_modulus(self, monkeypatch, table_k3_1e4):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("parseval_check summed one a at a time")
+
+        monkeypatch.setattr(stats, "exp_sum", must_not_run)
+        monkeypatch.setattr(stats, "delta_value", must_not_run)
+        lhs, rhs = parseval_check(table_k3_1e4, 50, 10**4)
+        assert lhs == pytest.approx(rhs, rel=1e-9)
+
+    @pytest.mark.parametrize("q", (1, 2, 12, 49, 97, 360))
+    def test_dft_matches_exp_sum_for_every_a(self, table_k2_1e4, q):
+        cls = ap_sums(table_k2_1e4, q, 10**4)
+        want = np.array([sieve.exp_sum(cls, a).value for a in range(1, q + 1)])
+        err = np.abs(_exp_sums(cls) - want).max()
+        assert err <= 1e-13 * int(cls.sums.sum())
+
+    def test_dft_matches_mpmath_at_a_large_prime(self):
+        """Random class sums below 2^20 mod the prime 99991: S(a/q) from the
+        DFT within 1e-13 of their mass from a 25-digit sum."""
+        import mpmath as mp
+
+        q = 99991
+        sums = np.random.default_rng(99991).integers(0, 2**20, q + 1)
+        sums[0] = 0
+        got = _exp_sums(sieve.ResidueClassSums(q=q, X=q, k=2, sums=sums))
+        with mp.workdps(25):
+            step = 2 * mp.pi / q
+            for a in (12345, q - 1):
+                want = mp.fsum(
+                    int(sums[n]) * mp.expj(step * (a * n % q)) for n in range(1, q + 1)
+                )
+                err = float(abs(mp.mpc(got[a - 1]) - want))
+                assert err <= 1e-13 * int(sums.sum())
 
 
 class TestVarianceExpansion:
