@@ -33,7 +33,6 @@ EXIT_RESOURCE = 3
 
 SUITES = ("identities", "dirichlet", "farey", "growth", "all")
 
-CSV_CHUNK = 1 << 16  # arcs formatted per write
 _CSV_TOP = 2**32  # |value| bound of _csv_lines, whose digit pass runs in uint32
 
 
@@ -174,10 +173,8 @@ def cmd_farey(args) -> int:
     slices = farey_mod.arc_slices(args.gamma)
     with _output(args.out) as fh:
         fh.write("a,q,left_num,left_den,right_num,right_den\n")
-        for arrays in slices:
-            for i in range(0, arrays[0].size, CSV_CHUNK):
-                chunk = _csv_lines([x[i : i + CSV_CHUNK] for x in arrays])
-                fh.write(chunk.decode("ascii"))
+        for arrays in slices:  # one block per slice, of about farey.SLICE rows
+            fh.write(_csv_lines(arrays).decode("ascii"))
     return EXIT_OK
 
 
@@ -185,12 +182,15 @@ def cmd_verify(args) -> int:
     threads = _resolve_threads(args.threads)
     suites = SUITES[:-1] if args.suite == "all" else (args.suite,)
     # Arguments first, then the one table at the largest cutoff, before any suite runs.
+    if args.budget < 0:
+        raise DomainError(f"work budget must be >= 0, got {args.budget}")
     x_id, x_dir = (10**4, 10**5) if args.x is None else (args.x, args.x)
     cutoffs = []
     if "identities" in suites:
         Q = min(100, x_id) if args.Q is None else args.Q
         if not 1 <= Q <= x_id:
             raise DomainError(f"need 1 <= Q <= x, got Q={Q}, x={x_id}")
+        stats.expansion_budget(x_id, Q, args.budget)
         cutoffs.append(x_id)
     if "dirichlet" in suites:
         cutoffs.append(x_dir)

@@ -9,7 +9,8 @@ pair has b*q - a*r == 1 and q + r > gamma, which characterises F_gamma
 (Hardy-Wright, An Introduction to the Theory of Numbers, ch. III).  The
 unit interval is generated in slices of about SLICE fractions, carrying the
 last fractions of one slice into the next; every check looks only at
-neighbours, so peak memory stays bounded whatever the order.
+neighbours, so peak memory is one slice's plus O(gamma): about 3 MiB of
+traced arrays for verify_containment(3000), over 2.7 million fractions.
 
 Each fraction but 1/1 gets the arc between its mediants with its two
 neighbours.  The arcs around 0/1 and 1/1 are the same arc up to
@@ -38,7 +39,7 @@ MAX_VERIFY_ORDER = 10**4
 # the neighbours correctly while 1/gamma^2 >= 2^8 * eps: gamma <= 2^22.
 MAX_ORDER = math.isqrt(int(1 / (2**8 * np.finfo(np.float64).eps)))
 
-SLICE = 1 << 21  # fractions generated per slice of the unit interval
+SLICE = 1 << 15  # fractions per slice of the unit interval: ~2 MB of arrays
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ def _slices(gamma: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         start = stop
         if not a.size:
             continue
-        order = np.argsort(a / q, kind="stable")
+        order = np.argsort(a / q)  # distinct keys: any sort gives one order
         a, q = a[order], q[order]
         _certify(
             np.concatenate((carry_a, a)),

@@ -260,6 +260,15 @@ def parseval_check(table: DkTable, q: int, x: int) -> tuple[float, float]:
     return lhs, rhs
 
 
+def expansion_budget(x: int, Q: int, budget: int) -> None:
+    """ResourceError unless the ~x*Q element operations of the direct side
+    of variance_expansion_check fit in budget."""
+    if x * Q > budget:
+        raise ResourceError(
+            f"expansion check needs ~{x * Q} element operations, budget {budget}"
+        )
+
+
 def variance_expansion_check(
     table: DkTable,
     x: int,
@@ -276,10 +285,7 @@ def variance_expansion_check(
     reach IDENTITY_TOL, the gate the two sides are compared at.
     """
     _check_range(table, x, Q)
-    if x * Q > budget:
-        raise ResourceError(
-            f"expansion check needs ~{x * Q} element operations, budget {budget}"
-        )
+    expansion_budget(x, Q, budget)
     # The FFT runs before the table is built, so the table reuses its memory.
     congruence = congruence_sums(table, x, Q)
     moduli = _moduli_table(Q, table.k)

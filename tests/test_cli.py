@@ -314,7 +314,7 @@ class TestFareyCommand:
     def test_csv_matches_fraction_dissection(
         self, capsys, monkeypatch, gamma, small_pieces
     ):
-        from apvar import cli, dissection, farey
+        from apvar import dissection, farey
 
         want = "a,q,left_num,left_den,right_num,right_den\n" + "".join(
             f"{arc.center.numerator},{arc.center.denominator},"
@@ -322,9 +322,8 @@ class TestFareyCommand:
             f"{arc.right.numerator},{arc.right.denominator}\n"
             for arc in dissection(gamma)
         )
-        if small_pieces:  # many slices and many write chunks per slice
+        if small_pieces:  # many slices, each written as its own CSV block
             monkeypatch.setattr(farey, "SLICE", 5)
-            monkeypatch.setattr(cli, "CSV_CHUNK", 3)
         code, out, _ = run(capsys, "farey", "--gamma", str(gamma))
         assert code == EXIT_OK and out == want
 
@@ -511,6 +510,44 @@ class TestVerifyCommand:
         )
         assert code == EXIT_USAGE
         assert out == "" and f"Q={Q}" in err
+
+    @pytest.mark.parametrize("suite", ("identities", "all"))
+    @pytest.mark.parametrize("cached", (False, True))
+    def test_expansion_beyond_budget_reads_or_sieves_nothing(
+        self, tmp_path, capsys, monkeypatch, suite, cached
+    ):
+        # x*Q = 10^7 > 5e6 used to sieve d_3 to 1e5 and run all 50 Parseval
+        # checks before the expansion check exited 3
+        from apvar import checks, cli
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("work ran before the expansion was budgeted")
+
+        for name in ("parseval", "dirichlet", "farey_containment", "growth"):
+            monkeypatch.setattr(checks, name, must_not_run)
+        monkeypatch.setattr(cli, "sieve_dk", must_not_run)
+        monkeypatch.setattr(cli, "read_table", must_not_run)
+        table = ("--table", str(tmp_path / "unused.dktb")) if cached else ()
+        code, out, err = run(
+            capsys, "verify", "--suite", suite, "--k", "3", "--x", "100000",
+            "--budget", "5000000", *table,
+        )
+        assert code == EXIT_RESOURCE
+        assert out == "" and "10000000 element operations, budget 5000000" in err
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_negative_budget_is_usage_error(self, capsys, monkeypatch, suite):
+        from apvar import checks, cli
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("work ran before --budget was checked")
+
+        for name in ("parseval", "dirichlet", "farey_containment", "growth"):
+            monkeypatch.setattr(checks, name, must_not_run)
+        monkeypatch.setattr(cli, "sieve_dk", must_not_run)
+        code, out, err = run(capsys, "verify", "--suite", suite, "--budget", "-1")
+        assert code == EXIT_USAGE
+        assert out == "" and "budget" in err
 
     @pytest.fixture
     def table_calls(self, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -153,6 +154,43 @@ class TestSlices:
         )
         assert sliced == whole
         assert sliced[0] == brute_force_sequence(gamma)
+
+    @pytest.mark.parametrize("gamma", (1000, 3000))
+    def test_slices_hold_at_most_slice_fractions(self, gamma):
+        sizes = [a.size for a, _ in farey._slices(gamma)]
+        assert max(sizes) <= 1 << 15
+        assert sum(sizes) == sum(denominator_counts(gamma))
+        assert len(sizes) == 1 + gamma * gamma // (3 * farey.SLICE)
+
+    def test_one_fraction_slices_skip_empty_slices_and_short_windows(
+        self, monkeypatch
+    ):
+        # the paths test_sliced_results_match_one_slice[1] goes through
+        monkeypatch.setattr(farey, "SLICE", 1)
+        slices = list(farey._slices(61))
+        assert len(slices) < 1 + 61 * 61 // 3
+        assert slices[0][0].tolist() == [0]  # [0, 1/1241) holds only 0/1
+        assert len(list(farey._windows(61, slices))) == len(slices) - 1
+
+    @pytest.mark.parametrize(
+        "work",
+        (
+            lambda: verify_containment(3000),
+            lambda: denominator_counts(3000),
+            lambda: sum(1 for _ in farey.arc_slices(3000)),
+        ),
+        ids=("verify_containment", "denominator_counts", "arc_slices"),
+    )
+    def test_peak_memory_stays_below_8_mib_at_order_3000(self, work):
+        # F_3000 has 2.7 million fractions; one slice at a time used to peak
+        # at 97-121 MiB here
+        tracemalloc.start()
+        try:
+            work()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestDissection:
