@@ -1,9 +1,11 @@
 """Exact elementary number theory.
 
-Factorization by trial division, the classical multiplicative functions
-(Mobius, Euler phi and its sieve, the k-fold divisor function), Ramanujan
-sums, divisor enumeration, the gcd classes of a modulus, and the divisor
-lattice of a set of moduli.
+Factorization (by trial division: one integer at a time in `factorize`, a
+whole block of moduli at once in `divisor_lattice`), the classical
+multiplicative functions (Mobius, Euler phi and its sieve, the k-fold
+divisor function), the primes up to n, Ramanujan sums, divisor
+enumeration, the gcd classes of a modulus, and the divisor lattice of a
+set of moduli.
 Everything here is exact integer arithmetic.
 """
 
@@ -14,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
+
+# divisor_lattice divides out the primes up to FACTOR_BOUND; a cofactor that
+# is still FACTOR_BOUND^2 = 2^40 or more would need larger primes.
+FACTOR_BOUND = 1 << 20
+# Cofactors times primes in one trial-division pass: 512 KB of int64.
+_TRIAL_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -78,6 +86,16 @@ def totients(n: int) -> np.ndarray:
         if phi[p] == p:  # untouched by every smaller prime, so p is prime
             phi[p::p] -= phi[p::p] // p
     return phi
+
+
+def primes_up_to(n: int) -> np.ndarray:
+    """The primes p <= n, ascending, by the sieve of Eratosthenes."""
+    composite = np.zeros(n + 1, dtype=bool)
+    composite[:2] = True
+    for p in range(2, math.isqrt(n) + 1):
+        if not composite[p]:
+            composite[p * p :: p] = True
+    return np.flatnonzero(~composite)
 
 
 def d_k_of(n: int, k: int) -> int:
@@ -189,8 +207,55 @@ class DivisorLattice:
         )
 
 
+def _prime_powers(moduli: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(owner, p, alpha), one row per p^alpha || moduli[owner], by owner and
+    then p ascending: trial division of every modulus at once.
+
+    Each pass tests the live cofactors against a run of primes as one
+    (cofactors x primes) remainder table.  A cofactor leaves once it is
+    below (t + 1)^2, with every prime up to t divided out of it, so it is
+    1 or the largest prime of its modulus.
+    Primes are sieved in stages, only as far as the live cofactors need:
+    ResourceError when one would need primes past FACTOR_BOUND.
+    """
+    cofactor = moduli.copy()
+    live = np.flatnonzero(cofactor >= 4)
+    tried = 1  # every prime up to it is divided out of every cofactor
+    found = []
+    while live.size:
+        if tried >= FACTOR_BOUND:
+            raise ResourceError(
+                f"modulus {int(moduli[live[0]])} leaves the cofactor {int(cofactor[live[0]])},"
+                f" which trial division by the primes up to {FACTOR_BOUND} cannot factor"
+            )
+        top = min(math.isqrt(int(cofactor[live].max())), FACTOR_BOUND, max(1024, 16 * tried))
+        primes = primes_up_to(top)
+        primes = primes[primes > tried]
+        while primes.size and live.size:
+            run, primes = np.split(primes, [max(1, _TRIAL_CELLS // live.size)])
+            i, j = np.nonzero(cofactor[live, None] % run == 0)
+            owner, p = live[i], run[j]
+            rest = cofactor[owner] // p
+            alpha = np.ones_like(p)
+            while (more := rest % p == 0).any():
+                rest[more] //= p[more]
+                alpha += more
+            np.floor_divide.at(cofactor, owner, p**alpha)
+            found.append((owner, p, alpha))
+            live = live[cofactor[live] >= (int(run[-1]) + 1) ** 2]
+        tried = top
+        live = live[cofactor[live] >= (tried + 1) ** 2]
+    big = np.flatnonzero(cofactor > 1)
+    found.append((big, cofactor[big], np.ones_like(big)))
+    owner, p, alpha = (np.concatenate(col) for col in zip(*found))
+    order = np.argsort(owner, kind="stable")
+    return owner[order], p[order], alpha[order]
+
+
 def divisor_lattice(moduli) -> DivisorLattice:
-    """The divisor lattice of the given moduli, one factorization each.
+    """The divisor lattice of the given moduli, factored all at once by
+    _prime_powers: ResourceError for a modulus that leaves a cofactor of
+    2^40 or more once the primes up to FACTOR_BOUND = 2^20 are divided out.
 
     Every array is either per row or per prime factor, so memory grows with
     the number of rows; the per-row prime data is rebuilt one prime rank at
@@ -199,15 +264,14 @@ def divisor_lattice(moduli) -> DivisorLattice:
     moduli = [int(q) for q in moduli]
     if moduli and (min(moduli) < 1 or max(moduli) >= 2**63):
         raise DomainError("moduli must lie in 1..2^63-1")
-    factors, sizes = [], []
-    for i, q in enumerate(moduli):
-        stride = 1
-        for r, pp in enumerate(factorize(q)):
-            factors.append((i, pp.p, pp.a, r, stride))
-            stride *= pp.a + 1
-        sizes.append(stride)
-    owner, p, alpha, rank, stride = np.array(factors, dtype=np.int64).reshape(-1, 5).T
-    sizes = np.array(sizes, dtype=np.int64)
+    owner, p, alpha = _prime_powers(np.array(moduli, dtype=np.int64))
+    rank = np.arange(owner.size) - np.searchsorted(owner, owner)
+    stride = np.ones_like(alpha)
+    for r in range(1, int(rank.max(initial=0)) + 1):
+        at = np.flatnonzero(rank == r)
+        stride[at] = stride[at - 1] * (alpha[at - 1] + 1)
+    sizes = np.ones(len(moduli), dtype=np.int64)
+    np.multiply.at(sizes, owner, alpha + 1)
     start = np.zeros(len(moduli) + 1, dtype=np.int64)
     start[1:] = np.cumsum(sizes)
     delta = np.ones(start[-1], dtype=np.int64)

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import DivisorLattice, d_k_of, divisor_lattice, divisors, euler_phi, factorize
+from .arith import DivisorLattice, divisor_lattice, divisors, euler_phi, factorize
 from .errors import DomainError
 
 # Laurent coefficients of zeta about s=1:  zeta(s) = 1/u + sum_n c_n u^n
@@ -97,7 +97,8 @@ def local_correction_series(
         (1 - p^-s)^k * d_k(p^beta) p^(-beta*s)          if beta < alpha,
         1 - (1 - p^-s)^k * sum_{j<alpha} d_k(p^j) p^-js  if beta = alpha,
     as its first n Taylor coefficients about s=1 (read-only, since the
-    cache hands the same array to every caller).  Value at s=1 is positive.
+    cache hands the same array to every caller), with d_k(p^j) =
+    C(j + k - 1, k - 1).  Value at s=1 is positive.
     """
     if alpha < 1 or beta < 0 or beta > alpha:
         raise DomainError(f"need 0 <= beta <= alpha with alpha >= 1, got ({alpha}, {beta})")
@@ -114,9 +115,9 @@ def local_correction_series(
     for _ in range(k - 1):
         euler = _mul(euler, one_minus)
     if beta < alpha:
-        out = d_k_of(p**beta, k) * _mul(euler, p_pow(beta))
+        out = math.comb(beta + k - 1, k - 1) * _mul(euler, p_pow(beta))
     else:
-        out = -_mul(euler, sum(d_k_of(p**j, k) * p_pow(j) for j in range(alpha)))
+        out = -_mul(euler, sum(math.comb(j + k - 1, k - 1) * p_pow(j) for j in range(alpha)))
         out[0] += 1.0
     return _frozen(out)
 
@@ -160,8 +161,8 @@ def _local_correction_value(p: int, alpha: int, beta: int, k: int, s: float) -> 
     """The local factor evaluated directly at a real point s > 1."""
     euler = (1.0 - p**-s) ** k
     if beta < alpha:
-        return euler * d_k_of(p**beta, k) * p ** (-beta * s)
-    return 1.0 - euler * sum(d_k_of(p**j, k) * p ** (-j * s) for j in range(alpha))
+        return euler * math.comb(beta + k - 1, k - 1) * p ** (-beta * s)
+    return 1.0 - euler * sum(math.comb(j + k - 1, k - 1) * p ** (-j * s) for j in range(alpha))
 
 
 def correction_value_at(q: int, delta: int, k: int, s: float) -> float:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arith import primes_up_to
 from .errors import CertificateError, DomainError, ResourceError
 
 # At x = 10^7 on two cores 2^19 ties 2^20 and 2^18 is about 15% slower.
@@ -169,13 +170,7 @@ def sieve_dk(
         raise DomainError(f"thread count must be positive, got {threads}")
     los = range(1, x + 1, segment_size)
     tasks = min(threads, len(los))
-    root = math.isqrt(x)
-    composite = np.zeros(root + 1, dtype=bool)  # Eratosthenes up to sqrt(x)
-    composite[:2] = True
-    for p in range(2, math.isqrt(root) + 1):
-        if not composite[p]:
-            composite[p * p :: p] = True
-    primes = np.flatnonzero(~composite).tolist()
+    primes = primes_up_to(math.isqrt(x)).tolist()
 
     def fill(task_los):
         # Once per task: scratch allocated per segment in sieve threads left
@@ -305,12 +300,21 @@ def autocorrelation(values: np.ndarray) -> np.ndarray:
 
 def multiple_sums(a: np.ndarray, Q: int) -> np.ndarray:
     """out[e] = sum of a[m] over the multiples m >= e of e, for 1 <= e <= Q
-    (out[0] = 0): one strided sum per e, x log Q element reads in all.
+    (out[0] = 0), by Dirichlet's hyperbola split at B = min(Q, isqrt(n)),
+    n = len(a) - 1: one strided sum for each e <= B, and for B < e <= Q,
+    whose multiples j e all have j <= n // (B + 1), one pass per multiplier j
+    that adds a[j e] to every such e at once, about 2 sqrt(n) passes in all.
     Accumulated in int64 (an int32 table's strided sums pass 2^31), or in
-    Python ints when a holds them."""
+    Python ints when a holds them; integer sums do not depend on the order."""
     out = np.zeros(Q + 1, dtype=object if a.dtype == object else np.int64)
-    for e in range(1, Q + 1):
+    n = len(a) - 1
+    B = min(Q, math.isqrt(n))
+    for e in range(1, B + 1):
         out[e] = a[e::e].sum(dtype=out.dtype)
+    if Q > B:
+        for j in range(1, n // (B + 1) + 1):
+            top = min(Q, n // j)
+            out[B + 1 : top + 1] += a[j * (B + 1) : j * top + 1 : j]
     return out
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from apvar import (
     DomainError,
     PrimePower,
+    ResourceError,
     d_k_of,
     divisors,
     euler_phi,
@@ -17,7 +18,7 @@ from apvar import (
     ramanujan_sum,
 )
 from apvar import arith, checks
-from apvar.arith import divisor_lattice, gcd_index, totients
+from apvar.arith import divisor_lattice, gcd_index, primes_up_to, totients
 
 
 def trial_division(n):
@@ -35,6 +36,32 @@ def trial_division(n):
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def lattice_oracle(moduli):
+    """Every DivisorLattice array, built one modulus at a time from factorize
+    and divisors: factors by modulus then prime, rows by modulus then delta,
+    and row_at[start + t] the row of the divisor at mixed-radix position t."""
+    start, delta, phi, row_at, factors = [0], [], [], [], []
+    for i, q in enumerate(moduli):
+        fac, divs = factorize(q), divisors(q)
+        stride = 1
+        for r, pp in enumerate(fac):
+            factors.append((i, pp.p, pp.a, r, stride))
+            stride *= pp.a + 1
+        for t in range(stride):
+            d, step = 1, 1
+            for pp in fac:
+                d *= pp.p ** (t // step % (pp.a + 1))
+                step *= pp.a + 1
+            row_at.append(start[-1] + divs.index(d))
+        delta += divs
+        phi += [euler_phi(q // d) for d in divs]
+        start.append(start[-1] + len(divs))
+    columns = np.array(factors, dtype=np.int64).reshape(-1, 5).T
+    rows = (start, delta, phi, row_at)
+    names = ("start", "delta", "phi", "row_at", "owner", "p", "alpha", "rank", "stride")
+    return dict(zip(names, [np.array(col, dtype=np.int64) for col in rows] + list(columns)))
 
 
 def ramanujan_exponential(q, n):
@@ -231,6 +258,45 @@ class TestDivisorLattice:
     def test_out_of_range_rejected(self):
         with pytest.raises(DomainError):
             divisor_lattice([0, 5])
+
+    @pytest.mark.parametrize(
+        "moduli",
+        (range(1, 2**12 + 1), [1], [97, 64, 1], [2**60], [30030 * 1024], [10**12 + 39]),
+        ids=("1..2^12", "one", "97,64,1", "2^60", "30030*2^10", "10^12+39"),
+    )
+    def test_arrays_match_the_one_modulus_oracle(self, moduli):
+        lat = divisor_lattice(moduli)
+        for name, want in lattice_oracle(list(moduli)).items():
+            assert np.array_equal(getattr(lat, name), want), name
+
+    @pytest.mark.parametrize(
+        "q",
+        (
+            1048573**2,  # the largest prime below 2^20, squared: the last stage finds it
+            1048573 * 1048583,  # 1048583 > 2^20 is the prime left over
+            2**22 * (2**40 - 87),  # a prime cofactor just below 2^40
+        ),
+    )
+    def test_cofactors_below_two_to_the_forty_factor(self, q):
+        lat = divisor_lattice([q])
+        assert lat.delta.tolist() == divisors(q)
+        assert lat.p.tolist() == [pp.p for pp in factorize(q)]
+
+    @pytest.mark.parametrize("q", (2**61 - 1, 1048583 * 1048589, 3 * (2**61 - 1)))
+    def test_cofactor_past_the_trial_division_bound_is_resource_error(self, q):
+        # no prime up to 2^20 divides what is left, and it is 2^40 or more
+        with pytest.raises(ResourceError):
+            divisor_lattice([6, q])
+
+
+class TestPrimesUpTo:
+    def test_matches_trial_division(self):
+        for n in range(0, 300):
+            want = [p for p in range(2, n + 1) if trial_division(p) == [(p, 1)]]
+            assert primes_up_to(n).tolist() == want
+
+    def test_prime_counts(self):
+        assert [primes_up_to(10**e).size for e in range(1, 7)] == [4, 25, 168, 1229, 9592, 78498]
 
 
 class TestRamanujanSum:

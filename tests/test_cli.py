@@ -118,6 +118,21 @@ class TestMainTermCommand:
         assert code == EXIT_USAGE
         assert "error" in err
 
+    def test_prime_modulus_past_the_trial_division_bound_is_resource_error(self, capsys):
+        # 2^61 - 1 is prime: trial division up to its square root ran for minutes
+        start = time.perf_counter()
+        code, out, err = run(capsys, "main-term", "--k", "2", "--q", str(2**61 - 1), "--a", "1")
+        assert code == EXIT_RESOURCE
+        assert out == "" and err.startswith("resource limit: ")
+        assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("q", (2**60, 10**12 + 39))
+    def test_large_moduli_within_the_bound_succeed(self, capsys, q):
+        code, out, _ = run(capsys, "main-term", "--k", "2", "--q", str(q), "--a", "1")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["f"]["q"] == payload["M"]["q"] == q
+
 
 class TestVarianceCommand:
     def test_single_modulus_row(self, capsys):

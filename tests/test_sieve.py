@@ -395,11 +395,39 @@ class TestNarrowApSums:
         assert out.tolist() == [0, 6 * (2**31 - 1), 3 * (2**31 - 1), 2 * (2**31 - 1)]
         wide = sieve_mod.multiple_sums(values.astype(object), 3)
         assert wide.dtype == object and wide.tolist() == out.tolist()
+        # one strided sum per e, against the hyperbola split's two halves:
+        # Q below, at and above sqrt(n), n = len - 1, up to n + 1
+        rng = np.random.default_rng(18)
+        for dtype, top in ((np.int32, 2**31), (np.int64, 2**40), (object, 2**70)):
+            for size in (1, 2, 50, 1024, 1025):
+                values = rng.integers(-(2**31), 2**31, size).tolist()
+                a = np.array([v * (top >> 31) for v in values], dtype=dtype)
+                root = math.isqrt(size - 1)
+                for Q in sorted({1, max(root - 1, 1), max(root, 1), root + 1, max(size - 1, 1), size}):
+                    got = sieve_mod.multiple_sums(a, Q)
+                    assert got.dtype == (object if dtype is object else np.int64)
+                    want = [0] + [sum(a[e::e].tolist()) for e in range(1, Q + 1)]
+                    assert got.tolist() == want, (dtype, size, Q)
 
     def test_autocorrelation_of_int32_equals_int64(self, table_k3_1e4):
         values = table_k3_1e4.values[1:]
         want = sieve_mod.autocorrelation(values)
         assert np.array_equal(sieve_mod.autocorrelation(values.astype(np.int32)), want)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_congruence_sums_satisfy_the_montgomery_hooley_identity(k):
+    # sum_{q<=Q} sum_a A(x; q, a)^2 = Q C(0) + 2 sum_{1<=h<x} tau_Q(h) C(h):
+    # the pairs n < m with q | m - n, counted by h = m - n instead of by q
+    x = 55**2  # isqrt(x) = 55, isqrt(x - 1) = 54: the split point moves at Q = 55
+    table = sieve_dk(x, k)
+    corr = sieve_mod.autocorrelation(table.values[1:]).tolist()
+    for Q in (1, math.isqrt(x), math.isqrt(x) + 1, x):
+        tau = np.zeros(x, dtype=np.int64)  # tau[h] = #{q <= Q : q | h}
+        for q in range(1, Q + 1):
+            tau[q::q] += 1
+        right = Q * corr[0] + 2 * sum(t * c for t, c in zip(tau[1:].tolist(), corr[1:]))
+        assert sum(sieve_mod.congruence_sums(table, x, Q)[1:].tolist()) == right, Q
 
 
 class TestTableGuards:
