@@ -175,21 +175,22 @@ class DivisorLattice:
     stride: np.ndarray
 
     def entries(self, rank: int) -> tuple[np.ndarray, ...]:
-        """(row, p, alpha, beta, up) for every row of a modulus with more than
-        `rank` primes, at its prime of that rank: beta = v_p(delta), and up
-        is the row of delta * p, or -1 where beta = alpha."""
-        sel = self.rank == rank
+        """(row, factor, beta, up) for every row of a modulus with more than
+        `rank` primes, at its prime of that rank: factor indexes p and alpha,
+        beta = v_p(delta), and up is the row of delta * p, or -1 where
+        beta = alpha."""
+        sel = (self.rank == rank).nonzero()[0]
         owner = self.owner[sel]
-        size = self.start[owner + 1] - self.start[owner]
-        which = np.repeat(np.arange(owner.size), size)
-        base = self.start[owner][which]
-        position = np.arange(size.sum()) - (np.cumsum(size) - size)[which]
-        p, alpha, stride = (col[sel][which] for col in (self.p, self.alpha, self.stride))
+        first = self.start[owner]
+        size = self.start[owner + 1] - first
+        position = np.arange(size.sum()) - (size.cumsum() - size).repeat(size)
+        at = position + first.repeat(size)
+        stride = self.stride[sel].repeat(size)
+        alpha = self.alpha[sel].repeat(size)
         beta = position // stride % (alpha + 1)
         low = beta < alpha
-        up = np.full_like(position, -1)
-        up[low] = self.row_at[(base + position + stride)[low]]
-        return self.row_at[base + position], p, alpha, beta, up
+        up = np.where(low, self.row_at[at + stride * low], -1)
+        return self.row_at[at], sel.repeat(size), beta, up
 
     @property
     def ranks(self) -> int:
@@ -282,7 +283,8 @@ def divisor_lattice(moduli) -> DivisorLattice:
         start, delta, phi, np.arange(start[-1]), owner, p, alpha, rank, stride
     )
     for r in range(by_position.ranks):
-        row, p_r, alpha_r, beta, _ = by_position.entries(r)
+        row, factor, beta, _ = by_position.entries(r)
+        p_r, alpha_r = p[factor], alpha[factor]
         delta[row] *= p_r**beta
         low = beta < alpha_r
         phi[row[low]] *= p_r[low] ** (alpha_r[low] - beta[low] - 1) * (p_r[low] - 1)

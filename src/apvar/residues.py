@@ -19,7 +19,12 @@ the same residue (read-only arrays, since caches hand them to every caller):
                           recovered by the recursion through f(d, d);
   f_star(q, k)            the quadratic mean sum_{d|q} phi(d) M(d)^2 / d^2.
 
-Coefficients are double precision; exactness claims live in the tests.
+The local factor at v_p(delta) = v_p(q) is taken in its negative-binomial
+tail form, which has no cancellation.  Series products are sums in one
+fixed order by elementwise ufuncs, with no BLAS call, log p comes from
+math.log, and powers are formed by products, so the coefficients are the
+same bytes on any BLAS kernel and SIMD level.  Coefficients are double
+precision; exactness claims live in the tests.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import DivisorLattice, divisor_lattice, divisors, euler_phi, factorize
+from .arith import FACTOR_BOUND, DivisorLattice, divisor_lattice, divisors, factorize
 from .errors import DomainError
 
 # Laurent coefficients of zeta about s=1:  zeta(s) = 1/u + sum_n c_n u^n
@@ -56,8 +61,15 @@ _STIELTJES = (
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two power series in u, truncated to the length of a."""
-    return np.convolve(a, b)[: len(a)]
+    """Products of power series in u along the first axis, truncated to the
+    length of a; b is at least as long, and the other axes broadcast.  Each
+    coefficient is summed in one fixed order by elementwise ufuncs, with no
+    BLAS, so its bytes are the same on any kernel and SIMD level."""
+    n = len(a)
+    out = a[0] * b[:n]
+    for i in range(1, n):
+        out[i:] += a[i] * b[: n - i]
+    return out
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -87,6 +99,52 @@ def zeta_power_series(k: int, n: int) -> np.ndarray:
     return out
 
 
+def _local_series(
+    p: np.ndarray, log_p: np.ndarray, alpha: np.ndarray, k: int, n: int
+) -> np.ndarray:
+    """The local factors of distinct pairs (p, alpha), given log p, as an
+    (n, rows) array: columns offset..offset + alpha, with offset the running
+    sum of alpha + 1 over the pairs before, hold beta = 0..alpha as
+    local_correction_series defines them.
+
+    With x = p^-s = p^-1 exp(-u log p), the factor at beta < alpha is
+    d_k(p^beta) (1 - x)^k x^beta, and at beta = alpha the negative-binomial
+    tail
+        1 - (1 - x)^k sum_{j<alpha} d_k(p^j) x^j
+            = x^alpha sum_{i<k} C(alpha+k-1, alpha+i) x^i (1 - x)^(k-1-i),
+    a sum of positive terms at s = 1, however small x^alpha is.
+    """
+    size = alpha + 1
+    pair = np.arange(alpha.size).repeat(size)
+    beta = np.arange(pair.size) - (size.cumsum() - size).repeat(size)
+    top = max(int(alpha.max(initial=0)), k)
+    # x^j = p^-j exp(-j u log p) for j = 0..top: its u^i coefficient is
+    # p^-j (-j log p)^i / i!, each power formed by products
+    x = np.empty((n, top + 1, alpha.size))
+    x[0, 0] = 1.0
+    x[0, 1:] = 1.0 / p
+    x[0] = np.multiply.accumulate(x[0])
+    t = -np.arange(top + 1)[:, None] * log_p
+    for i in range(1, n):
+        x[i] = x[i - 1] * t / i
+    # y[:, m] = (1 - x)^m for m = 0..k, and comb[a, r] = C(a + k - 1, r)
+    y = np.zeros((n, k + 1, alpha.size))
+    y[0] = 1.0
+    y[:, 1] -= x[:, 1]
+    for m in range(2, k + 1):
+        y[:, m] = _mul(y[:, m - 1], y[:, 1])
+    comb = np.array([[math.comb(a + k - 1, r) for r in range(k)] for a in range(top + 1)])
+    # the tail's sum over i < k, then every factor as a series times x^beta
+    terms = _mul(x[:, :k], y[:, k - 1 :: -1]) * comb[alpha].T[::-1]
+    tail = terms[:, 0]
+    for i in range(1, k):
+        tail = tail + terms[:, i]
+    left = y[:, k, pair] * comb[beta, k - 1]
+    pinned = beta == alpha[pair]
+    left[:, pinned] = tail[:, pair[pinned]]
+    return _mul(left, x[:, beta, pair])
+
+
 @lru_cache(maxsize=None)
 def local_correction_series(
     p: int, alpha: int, beta: int, k: int, n: int
@@ -98,37 +156,13 @@ def local_correction_series(
         1 - (1 - p^-s)^k * sum_{j<alpha} d_k(p^j) p^-js  if beta = alpha,
     as its first n Taylor coefficients about s=1 (read-only, since the
     cache hands the same array to every caller), with d_k(p^j) =
-    C(j + k - 1, k - 1).  Value at s=1 is positive.
+    C(j + k - 1, k - 1).  Value at s=1 is positive.  One column of the
+    builder that correction_table runs over a whole lattice.
     """
     if alpha < 1 or beta < 0 or beta > alpha:
         raise DomainError(f"need 0 <= beta <= alpha with alpha >= 1, got ({alpha}, {beta})")
-    terms = np.arange(n)
-    fact = np.array([math.factorial(i) for i in range(n)], dtype=float)
-
-    def p_pow(j: int) -> np.ndarray:
-        """p^(-j s) = p^-j exp(-j u log p)."""
-        return p**-j * (-j * math.log(p)) ** terms / fact
-
-    one_minus = -p_pow(1)
-    one_minus[0] += 1.0
-    euler = one_minus
-    for _ in range(k - 1):
-        euler = _mul(euler, one_minus)
-    if beta < alpha:
-        out = math.comb(beta + k - 1, k - 1) * _mul(euler, p_pow(beta))
-    else:
-        out = -_mul(euler, sum(math.comb(j + k - 1, k - 1) * p_pow(j) for j in range(alpha)))
-        out[0] += 1.0
-    return _frozen(out)
-
-
-def _mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-by-row truncated products of two stacks of power series in u."""
-    n = a.shape[1]
-    out = np.zeros_like(a)
-    for i in range(n):
-        out[:, i:] += a[:, i : i + 1] * b[:, : n - i]
-    return out
+    series = _local_series(np.array([p]), np.array([math.log(p)]), np.array([alpha]), k, n)
+    return _frozen(series[:, beta])
 
 
 def correction_table(lattice: DivisorLattice, k: int, n: int) -> np.ndarray:
@@ -136,25 +170,28 @@ def correction_table(lattice: DivisorLattice, k: int, n: int) -> np.ndarray:
 
     coeffs[r] holds the first n Taylor coefficients about s=1 of the product
     over p^alpha || q of local_correction_series(p, alpha, v_p(delta), k, n).
-    Each local series is multiplied into all rows that share it at once,
-    one prime rank of q per pass.
+    The local series of every distinct (p, alpha) of the lattice are built
+    at once.  One pass per prime rank of q multiplies every row by its local
+    series at that rank, or by 1 where q has fewer primes.  The table is
+    built as an (n, rows) array and returned transposed.
     """
-    coeffs = np.zeros((len(lattice.delta), n))
-    coeffs[:, 0] = 1.0
+    # p < FACTOR_BOUND^2 = 2^40 and alpha < 64, so the key is exact in int64
+    if lattice.p.max(initial=0) >= FACTOR_BOUND**2:
+        raise DomainError(f"lattice prime {lattice.p.max()} is not below {FACTOR_BOUND**2}")
+    pairs, pair = np.unique(lattice.p * 64 + lattice.alpha, return_inverse=True)
+    p, alpha = pairs // 64, pairs % 64
+    local = _local_series(p, np.array([math.log(v) for v in p.tolist()]), alpha, k, n)
+    one = local.shape[1]  # the column of the series 1, appended
+    local = np.concatenate((local, np.eye(n, 1)), axis=1)
+    first = ((alpha + 1).cumsum() - (alpha + 1))[pair]  # the beta = 0 column of each factor
+    coeffs = local.take(np.full(len(lattice.delta), one), axis=1)
     for r in range(lattice.ranks):
-        row, p, alpha, beta, _ = lattice.entries(r)
-        _, p_index = np.unique(p, return_inverse=True)
-        _, first, which = np.unique(
-            (p_index * 64 + alpha) * 64 + beta, return_index=True, return_inverse=True
-        )
-        local = np.array(
-            [
-                local_correction_series(int(p[j]), int(alpha[j]), int(beta[j]), k, n)
-                for j in first
-            ]
-        ).reshape(len(first), n)
-        coeffs[row] = _mul_rows(coeffs[row], local[which])
-    return coeffs
+        row, factor, beta, _ = lattice.entries(r)
+        at = np.full(len(lattice.delta), one)
+        at[row] = first[factor] + beta
+        series = local.take(at, axis=1)
+        coeffs = series if r == 0 else _mul(coeffs, series)
+    return coeffs.T
 
 
 def _local_correction_value(p: int, alpha: int, beta: int, k: int, s: float) -> float:
@@ -208,6 +245,12 @@ def logpoly_json(poly: np.ndarray, *, k: int, q: int, a: int | None = None) -> d
     return out
 
 
+@lru_cache(maxsize=None)
+def _pole_series(k: int) -> np.ndarray:
+    """g = (u zeta(1+u))^k / (1+u), k terms, read-only."""
+    return _frozen(_mul(zeta_power_series(k, k), np.resize([1.0, -1.0], k)))
+
+
 def density_polys(lattice: DivisorLattice, k: int) -> np.ndarray:
     """Residue at s=1 of X^(s-1)/s * zeta(s)^k * C(s), C = correction(q, delta),
     for every row (q, delta) of a divisor lattice: a (rows, k) array of log X
@@ -218,10 +261,8 @@ def density_polys(lattice: DivisorLattice, k: int) -> np.ndarray:
     With g = (u zeta(1+u))^k / (1+u), the residue is the u^(k-1) coefficient
     of X^u C g; so with h = C g, the (log X)^j coefficient is h[k-1-j] / j!.
     """
-    coeffs = correction_table(lattice, k, k)
-    g = _mul(zeta_power_series(k, k), (-1.0) ** np.arange(k))
-    h = _mul_rows(coeffs, np.broadcast_to(g, coeffs.shape))
-    return h[:, ::-1] / np.array([math.factorial(j) for j in range(k)], dtype=float)
+    h = _mul(correction_table(lattice, k, k).T, _pole_series(k)[:, None])
+    return (h[::-1] / np.array([math.factorial(j) for j in range(k)])[:, None]).T
 
 
 @lru_cache(maxsize=None)
@@ -259,17 +300,21 @@ def m_poly(q: int, k: int) -> np.ndarray:
     if q < 1:
         raise DomainError(f"modulus must be >= 1, got {q}")
     acc = ap_main_term(q, q, k)
-    for d in divisors(q)[:-1]:
-        acc = acc - (euler_phi(d) / d) * m_poly(d, k)
-    return _frozen((q / euler_phi(q)) * acc)
+    # phi(d) for the divisors d of q ascending: phi(q/delta) read backwards
+    _, phi, _ = _residue_polys(q, k)
+    for d, phi_d in zip(divisors(q)[:-1], phi[:0:-1].tolist()):
+        acc = acc - (phi_d / d) * m_poly(d, k)
+    return _frozen((q / int(phi[0])) * acc)
 
 
 def f_star(q: int, k: int) -> np.ndarray:
     """Quadratic mean sum_{d|q} phi(d) M(d)^2 / d^2, 2k-1 coefficients."""
     if q < 1:
         raise DomainError(f"modulus must be >= 1, got {q}")
+    delta, phi, _ = _residue_polys(q, k)
+    m = np.zeros((2 * k - 1, len(delta)))
+    m[:k] = np.array([m_poly(d, k) for d in delta.tolist()]).T
     acc = np.zeros(2 * k - 1)
-    for d in divisors(q):
-        m = m_poly(d, k)
-        acc += (euler_phi(d) / d**2) * np.convolve(m, m)
+    for d, phi_d, square in zip(delta.tolist(), phi[::-1].tolist(), _mul(m, m).T):
+        acc += (phi_d / d**2) * square
     return _frozen(acc)

@@ -159,7 +159,7 @@ def _block_terms(congruence, strided, x: int, q, lattice: DivisorLattice, cw) ->
     class-mass polynomials of its rows at x, each over lattice.phi classes."""
     mass = strided[lattice.delta]
     for r in range(lattice.ranks):
-        row, _, _, _, up = lattice.entries(r)
+        row, _, _, up = lattice.entries(r)
         mass[row[up >= 0]] -= mass[up[up >= 0]]
     square = mass * mass
     phi = lattice.phi.astype(mass.dtype)

@@ -234,7 +234,8 @@ class TestDivisorLattice:
             assert lat.phi[rows].tolist() == [euler_phi(q // d) for d in divisors(q)]
         seen = 0
         for r in range(lat.ranks):
-            for row, p, alpha, beta, up in zip(*lat.entries(r)):
+            for row, factor, beta, up in zip(*lat.entries(r)):
+                p, alpha = lat.p[factor], lat.alpha[factor]
                 i = int(np.searchsorted(lat.start, row, side="right")) - 1
                 q, d = moduli[i], int(lat.delta[row])
                 assert [pp.p for pp in factorize(q)][r] == p and q % p**alpha == 0

@@ -3,7 +3,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from apvar import cli as cli_mod
 from apvar import read_table, sieve_dk, total_sum, write_table
 from apvar.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, SUITES, main
 from apvar.errors import DomainError
@@ -69,6 +73,45 @@ class TestMainTermCommand:
         code, out, _ = run(capsys, "main-term", "--k", k, "--q", q, "--a", a, "--x", "1e6")
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == MAIN_TERM_SHA256[case]
+
+    def test_stdout_bytes_hold_on_another_kernel(self):
+        # the same 144 digests from a process on OpenBLAS's Haswell kernel with
+        # numpy's AVX-512 dispatch off: the main terms use no BLAS, and no
+        # exp, log or power whose rounding depends on the SIMD level
+        umath = (np._core if hasattr(np, "_core") else np.core)._multiarray_umath
+        avx512 = [
+            f
+            for f in umath.__cpu_dispatch__
+            if f.startswith(("AVX512", "X86_V4")) and umath.__cpu_features__[f]
+        ]
+        code = (
+            "import contextlib, hashlib, io, json, sys\n"
+            "from apvar.cli import main\n"
+            "out = {}\n"
+            "for case in json.loads(sys.stdin.read()):\n"
+            "    buf = io.StringIO()\n"
+            "    k, q, a = case.split(',')\n"
+            "    with contextlib.redirect_stdout(buf):\n"
+            "        main(['main-term', '--k', k, '--q', q, '--a', a, '--x', '1e6'])\n"
+            "    out[case] = hashlib.sha256(buf.getvalue().encode()).hexdigest()\n"
+            "print(json.dumps(out))\n"
+        )
+        src = str(Path(cli_mod.__file__).parents[1])  # the apvar under test
+        env = {
+            **os.environ,
+            "PYTHONPATH": src,
+            "OPENBLAS_CORETYPE": "Haswell",
+            "NPY_DISABLE_CPU_FEATURES": " ".join(avx512),
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            input=json.dumps(sorted(MAIN_TERM_SHA256)),
+            capture_output=True,
+            text=True,
+            check=True,
+            env=env,
+        )
+        assert json.loads(proc.stdout) == MAIN_TERM_SHA256
 
     def test_trivial_modulus(self, capsys):
         code, out, _ = run(capsys, "main-term", "--k", "2", "--q", "1", "--a", "1")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -152,6 +153,12 @@ class TestConstrainedCorrection:
         s = correction_table(divisor_lattice([2]), 2, 4)[0]  # delta = 1
         assert s[0] == pytest.approx(0.25, abs=1e-15)
 
+    def test_prime_past_the_factor_bound_rejected(self):
+        # the (p, alpha) key p * 64 + alpha is exact only for p < 2^40
+        lattice = dataclasses.replace(divisor_lattice([97]), p=np.array([2**40 + 15]))
+        with pytest.raises(DomainError):
+            correction_table(lattice, 2, 2)
+
     def test_product_over_primes_matches_direct_value(self):
         assert correction_value_at(30, 6, 3, 2.0) == pytest.approx(
             correction_value_at(2, 2, 3, 2.0)
@@ -208,6 +215,23 @@ def test_main_terms_match_mpmath_residue_oracle():
                 if err > worst:
                     worst, where = err, (k, q, delta)
     assert cases == 952
+    assert worst <= 1e-11, f"worst relative error {worst:.2e} at (k, q, delta) = {where}"
+
+
+def test_main_terms_match_the_oracle_up_to_two_to_the_eighteen():
+    # the pinned factor beta = alpha is about p^(-alpha): at 3^11, 5^7 and the
+    # prime 262139 the form 1 - (1 - x)^k sum_{j<alpha} cancels past 1e-11
+    worst, where, cases = 0.0, None, 0
+    for k in range(1, 9):
+        for q in (5**7, 3**11, 262139, 2**18):
+            for delta in divisors(q):
+                want = residue_oracle(q, delta, k)
+                got = ap_main_term(q, delta, k)
+                err = max(abs(a - b) for a, b in zip(got, want)) / max(map(abs, want))
+                cases += 1
+                if err > worst:
+                    worst, where = err, (k, q, delta)
+    assert cases == 8 * (8 + 12 + 2 + 19)
     assert worst <= 1e-11, f"worst relative error {worst:.2e} at (k, q, delta) = {where}"
 
 
