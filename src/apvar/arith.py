@@ -5,7 +5,8 @@ whole block of moduli at once in `divisor_lattice`), the classical
 multiplicative functions (Mobius, Euler phi and its sieve, the k-fold
 divisor function), the primes up to n, Ramanujan sums, divisor
 enumeration, the gcd classes of a modulus, and the divisor lattice of a
-set of moduli.
+set of moduli: its rows (q, delta | q) and, one prime rank at a time, the
+link of each row to the row of delta times that prime.
 Everything here is exact integer arithmetic.
 """
 
@@ -154,57 +155,33 @@ class DivisorLattice:
     Rows run by modulus, then delta ascending: the rows of the i-th modulus
     are start[i]:start[i+1], and phi[r] = phi(q/delta) counts the residues
     a mod q with gcd(a, q) = delta.  Each prime power p^alpha || q of the
-    i-th modulus is one factor (owner = i, p, alpha, rank = the index of p
-    among the primes of q, ascending).
+    i-th modulus is one factor (owner = i, p, alpha), by modulus and then p.
 
-    The divisors of each modulus also have mixed-radix positions: with
-    stride the product of alpha + 1 over the smaller primes of q, the
-    divisor at position t has v_p(delta) = (t // stride) % (alpha + 1), so
-    delta * p sits stride positions further on.  row_at[start[i] + t] is
-    the row at position t of the i-th modulus.
+    links[r] = (row, factor, beta, up) holds every row of a modulus with
+    more than r primes, at its prime of rank r (the (r+1)-th smallest):
+    factor indexes p and alpha, beta = v_p(delta), and up is the row of
+    delta * p, or -1 where beta = alpha.  Each level runs by modulus.
     """
 
     start: np.ndarray
     delta: np.ndarray
     phi: np.ndarray
-    row_at: np.ndarray
     owner: np.ndarray
     p: np.ndarray
     alpha: np.ndarray
-    rank: np.ndarray
-    stride: np.ndarray
-
-    def entries(self, rank: int) -> tuple[np.ndarray, ...]:
-        """(row, factor, beta, up) for every row of a modulus with more than
-        `rank` primes, at its prime of that rank: factor indexes p and alpha,
-        beta = v_p(delta), and up is the row of delta * p, or -1 where
-        beta = alpha."""
-        sel = (self.rank == rank).nonzero()[0]
-        owner = self.owner[sel]
-        first = self.start[owner]
-        size = self.start[owner + 1] - first
-        position = np.arange(size.sum()) - (size.cumsum() - size).repeat(size)
-        at = position + first.repeat(size)
-        stride = self.stride[sel].repeat(size)
-        alpha = self.alpha[sel].repeat(size)
-        beta = position // stride % (alpha + 1)
-        low = beta < alpha
-        up = np.where(low, self.row_at[at + stride * low], -1)
-        return self.row_at[at], sel.repeat(size), beta, up
-
-    @property
-    def ranks(self) -> int:
-        """The largest number of primes of any modulus."""
-        return int(self.rank.max()) + 1 if self.rank.size else 0
+    links: tuple[tuple[np.ndarray, ...], ...]
 
     def prefix(self, m: int) -> DivisorLattice:
         """The lattice of the first m moduli, as views of this one."""
         end = self.start[m]
         cut = int(np.searchsorted(self.owner, m))
-        rows = (self.delta, self.phi, self.row_at)
-        factors = (self.owner, self.p, self.alpha, self.rank, self.stride)
+        cuts = [np.count_nonzero(level[0] < end) for level in self.links]
         return DivisorLattice(
-            self.start[: m + 1], *(col[:end] for col in rows), *(col[:cut] for col in factors)
+            self.start[: m + 1],
+            self.delta[:end],
+            self.phi[:end],
+            *(col[:cut] for col in (self.owner, self.p, self.alpha)),
+            tuple(tuple(col[:n] for col in level) for level, n in zip(self.links, cuts) if n),
         )
 
 
@@ -258,37 +235,44 @@ def divisor_lattice(moduli) -> DivisorLattice:
     _prime_powers: ResourceError for a modulus that leaves a cofactor of
     2^40 or more once the primes up to FACTOR_BOUND = 2^20 are divided out.
 
-    Every array is either per row or per prime factor, so memory grows with
-    the number of rows; the per-row prime data is rebuilt one prime rank at
-    a time by DivisorLattice.entries.
+    One pass per prime rank fills delta, phi and that rank's links with the
+    divisors of each modulus in mixed-radix order: with stride the product
+    of alpha + 1 over the smaller primes of q, the divisor at position t has
+    v_p(delta) = (t // stride) % (alpha + 1), so delta * p sits stride
+    positions further on.  One sort by delta then maps positions to rows.
     """
     moduli = [int(q) for q in moduli]
     if moduli and (min(moduli) < 1 or max(moduli) >= 2**63):
         raise DomainError("moduli must lie in 1..2^63-1")
     owner, p, alpha = _prime_powers(np.array(moduli, dtype=np.int64))
     rank = np.arange(owner.size) - np.searchsorted(owner, owner)
-    stride = np.ones_like(alpha)
-    for r in range(1, int(rank.max(initial=0)) + 1):
-        at = np.flatnonzero(rank == r)
-        stride[at] = stride[at - 1] * (alpha[at - 1] + 1)
     sizes = np.ones(len(moduli), dtype=np.int64)
     np.multiply.at(sizes, owner, alpha + 1)
     start = np.zeros(len(moduli) + 1, dtype=np.int64)
     start[1:] = np.cumsum(sizes)
     delta = np.ones(start[-1], dtype=np.int64)
     phi = np.ones_like(delta)
-    # The same lattice with its rows in mixed-radix order, each row at its
-    # own position: entries() needs no more, and delta and phi fill in place.
-    by_position = DivisorLattice(
-        start, delta, phi, np.arange(start[-1]), owner, p, alpha, rank, stride
-    )
-    for r in range(by_position.ranks):
-        row, factor, beta, _ = by_position.entries(r)
+    stride = np.ones_like(alpha)
+    links = []
+    for r in range(int(rank.max(initial=-1)) + 1):
+        sel = np.flatnonzero(rank == r)
+        if r:
+            stride[sel] = stride[sel - 1] * (alpha[sel - 1] + 1)
+        size = sizes[owner[sel]]
+        position = np.arange(size.sum()) - (size.cumsum() - size).repeat(size)
+        at = position + start[owner[sel]].repeat(size)
+        step = stride[sel].repeat(size)
+        factor = sel.repeat(size)
         p_r, alpha_r = p[factor], alpha[factor]
-        delta[row] *= p_r**beta
+        beta = position // step % (alpha_r + 1)
+        delta[at] *= p_r**beta
         low = beta < alpha_r
-        phi[row[low]] *= p_r[low] ** (alpha_r[low] - beta[low] - 1) * (p_r[low] - 1)
+        phi[at[low]] *= p_r[low] ** (alpha_r[low] - beta[low] - 1) * (p_r[low] - 1)
+        links.append((at, factor, beta, np.where(low, at + step, -1)))
     order = np.lexsort((delta, np.repeat(np.arange(len(moduli)), sizes)))
-    row_at = np.empty_like(order)
-    row_at[order] = np.arange(order.size)
-    return DivisorLattice(start, delta[order], phi[order], row_at, owner, p, alpha, rank, stride)
+    row = np.empty_like(order)
+    row[order] = np.arange(order.size)
+    for at, _, _, up in links:  # from positions to rows, in place
+        at[:] = row[at]
+        up[:] = np.where(up >= 0, row[up], -1)
+    return DivisorLattice(start, delta[order], phi[order], owner, p, alpha, tuple(links))

@@ -185,8 +185,7 @@ def correction_table(lattice: DivisorLattice, k: int, n: int) -> np.ndarray:
     local = np.concatenate((local, np.eye(n, 1)), axis=1)
     first = ((alpha + 1).cumsum() - (alpha + 1))[pair]  # the beta = 0 column of each factor
     coeffs = local.take(np.full(len(lattice.delta), one), axis=1)
-    for r in range(lattice.ranks):
-        row, factor, beta, _ = lattice.entries(r)
+    for r, (row, factor, beta, _) in enumerate(lattice.links):
         at = np.full(len(lattice.delta), one)
         at[row] = first[factor] + beta
         series = local.take(at, axis=1)

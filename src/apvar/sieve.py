@@ -394,11 +394,11 @@ def exp_sum(cls: ResidueClassSums, a: int) -> ExpSumValue:
     """S_X(a/q) assembled from the class sums in O(q).
 
     With n = B j + i (0 <= i < B ~ sqrt q), e(r n/q) = e(r i/q) e(r B j/q):
-    the class sums, as a (rows, B) matrix, are summed against the table lo
-    of B roots of unity, then against the table hi of rows of them.  Every
-    exponent is reduced mod q exactly in int64 (so q^2 < 2^63) before it
-    becomes an angle below 2 pi.  No BLAS call: plain numpy multiplies and
-    sums.
+    the class sums, as a (rows, B) matrix, are summed against the cosines
+    and sines of the B angles lo, then against those of the rows angles hi.
+    Every exponent is reduced mod q exactly in int64 (so q^2 < 2^63) before
+    it becomes an angle below 2 pi.  Only real products and sums: no complex
+    ufunc and no BLAS call, whose rounding would follow the SIMD level.
     """
     q = cls.q
     if q * q >= 2**63:
@@ -409,10 +409,13 @@ def exp_sum(cls: ResidueClassSums, a: int) -> ExpSumValue:
     w = np.zeros(rows * B)
     w[1 : q + 1] = cls.sums[1:]  # class q sits at n = q, where e(r q/q) = 1
     n = np.arange(max(B, rows), dtype=np.int64)
-    lo = np.exp((2j * math.pi / q) * (n[:B] * r % q))
-    hi = np.exp((2j * math.pi / q) * (n[:rows] * (r * B % q) % q))
-    val = complex(((w.reshape(rows, B) * lo).sum(axis=1) * hi).sum())
-    return ExpSumValue(re=val.real, im=val.imag, a=r, q=q, X=cls.X)
+    lo = (2 * math.pi / q) * (n[:B] * r % q)
+    hi = (2 * math.pi / q) * (n[:rows] * (r * B % q) % q)
+    re, im = (w.reshape(rows, 1, B) * np.stack((np.cos(lo), np.sin(lo)))).sum(axis=2).T
+    hc, hs = np.cos(hi), np.sin(hi)
+    val_re = float((re * hc).sum() - (im * hs).sum())
+    val_im = float((re * hs).sum() + (im * hc).sum())
+    return ExpSumValue(re=val_re, im=val_im, a=r, q=q, X=cls.X)
 
 
 def write_table(table: DkTable, path) -> None:

@@ -13,6 +13,7 @@ last step; long float reductions go through math.fsum.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,7 @@ from .sieve import (
 DEFAULT_WORK_BUDGET = 4 * 10**9
 IDENTITY_TOL = 1e-9  # the relative gate of the identity checks
 _EPS = float(np.finfo(np.float64).eps)
-_TABLE_BLOCK = 1024  # moduli per lattice block: bounds each pass's temporaries to a few MB
+_TABLE_BLOCK = 1024  # moduli per lattice block: the held block and its temporaries stay a few MB
 
 
 @dataclass(frozen=True)
@@ -111,20 +112,19 @@ def delta_value(cls: ResidueClassSums, a: int) -> DeltaValue:
     return DeltaValue(value=s.value - main, a=r, q=q, X=cls.X)
 
 
-def _moduli_table(Q: int, k: int) -> list[tuple[int, DivisorLattice, np.ndarray]]:
+def _moduli_blocks(Q: int, k: int) -> Iterator[tuple[int, DivisorLattice, np.ndarray]]:
     """The divisor lattices of the moduli 1..Q, in blocks of _TABLE_BLOCK
-    starting at lo, with the class-mass polynomials of their rows.  None of it
-    depends on x, so one table serves every x and every Q up to this one."""
-    blocks = []
+    starting at lo, with the class-mass polynomials of their rows, built one
+    block at a time as the caller asks for it.  None of it depends on x."""
     for lo in range(1, Q + 1, _TABLE_BLOCK):
         lattice = divisor_lattice(range(lo, min(lo + _TABLE_BLOCK, Q + 1)))
-        blocks.append((lo, lattice, density_polys(lattice, k)))
-    return blocks
+        yield lo, lattice, density_polys(lattice, k)
 
 
-def _variance_terms(table: DkTable, x: int, Q: int, congruence, moduli) -> dict:
-    """Per-q arrays for q = 1..Q from congruence_sums(table, x, Q) and a
-    _moduli_table over at least 1..Q.
+def _variances(table: DkTable, points) -> list[VarianceReport]:
+    """The VarianceReport of every point (x, Q, congruence_sums(table, x, Q)),
+    from one walk over the lattice blocks of 1..max Q: every point takes its
+    terms from a block before the next block is built.
 
     With G(q, delta) the mass of the n <= x with gcd(n, q) = delta, and
     F = x f(q, delta)/q the main term of each of its phi(q/delta) classes,
@@ -139,27 +139,51 @@ def _variance_terms(table: DkTable, x: int, Q: int, congruence, moduli) -> dict:
     sum_delta (G^2 mod phi)/phi is a float.  `cross` and `main` are the -2x
     and x^2 pieces of the expanded square.
     """
-    values = table.values[: x + 1]
-    if congruence.dtype == object:
-        values = values.astype(object)
-    strided = multiple_sums(values, Q)
-    parts = []
-    for lo, lattice, polys in moduli:
-        if lo > Q:
-            break
-        lattice = lattice.prefix(min(len(lattice.start) - 1, Q + 1 - lo))
-        q = np.arange(lo, lo + len(lattice.start) - 1)
-        cw = eval_logpoly(polys[: lattice.start[-1]], x)
-        parts.append(_block_terms(congruence[q], strided, x, q, lattice, cw))
-    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+    strided = []
+    for x, Q, congruence in points:
+        values = table.values[: x + 1]
+        if congruence.dtype == object:
+            values = values.astype(object)
+        strided.append(multiple_sums(values, Q))
+    parts = [[] for _ in points]
+    for lo, lattice, polys in _moduli_blocks(max(Q for _, Q, _ in points), table.k):
+        for (x, Q, congruence), sums, part in zip(points, strided, parts):
+            if lo <= Q:
+                block = lattice.prefix(min(len(lattice.start) - 1, Q + 1 - lo))
+                q = np.arange(lo, lo + len(block.start) - 1)
+                cw = eval_logpoly(polys[: block.start[-1]], x)
+                part.append(_block_terms(congruence[q], sums, x, q, block, cw))
+    reports = []
+    for (x, Q, congruence), part in zip(points, parts):
+        terms = {name: np.concatenate([block[name] for block in part]) for name in part[0]}
+        per_q = tuple((terms["within"] + terms["between"]).tolist())
+        total = math.fsum(per_q)
+        congruence_term = sum(congruence[1 : Q + 1].tolist())
+        main_term = math.fsum(terms["main"].tolist())
+        # every congruence and main term is >= 0, so these are the sums of |.|
+        spread = float(congruence_term) + math.fsum(np.abs(terms["cross"]).tolist()) + main_term
+        reports.append(
+            VarianceReport(
+                x=x,
+                Q=Q,
+                k=table.k,
+                per_q=per_q,
+                total=total,
+                congruence_term=congruence_term,
+                cross_term=math.fsum(terms["cross"].tolist()),
+                main_term=main_term,
+                cancellation=_EPS * spread / total if total else math.inf,
+            )
+        )
+    return reports
 
 
 def _block_terms(congruence, strided, x: int, q, lattice: DivisorLattice, cw) -> dict:
-    """_variance_terms for one block of consecutive moduli q, with cw the
-    class-mass polynomials of its rows at x, each over lattice.phi classes."""
+    """The per-q terms of _variances for one block of consecutive moduli q,
+    with cw the class-mass polynomials of its rows at x, each over
+    lattice.phi classes."""
     mass = strided[lattice.delta]
-    for r in range(lattice.ranks):
-        row, _, _, up = lattice.entries(r)
+    for row, _, _, up in lattice.links:
         mass[row[up >= 0]] -= mass[up[up >= 0]]
     square = mass * mass
     phi = lattice.phi.astype(mass.dtype)
@@ -189,27 +213,6 @@ def _check_range(table: DkTable, x: int, Q: int) -> None:
         raise DomainError(f"cutoff {x} beyond table limit {table.x}")
 
 
-def _variance(table: DkTable, x: int, Q: int, congruence, moduli) -> VarianceReport:
-    terms = _variance_terms(table, x, Q, congruence, moduli)
-    per_q = tuple((terms["within"] + terms["between"]).tolist())
-    total = math.fsum(per_q)
-    congruence_term = sum(congruence[1 : Q + 1].tolist())
-    main_term = math.fsum(terms["main"].tolist())
-    # every congruence and main term is >= 0, so these are the sums of |.|
-    spread = float(congruence_term) + math.fsum(np.abs(terms["cross"]).tolist()) + main_term
-    return VarianceReport(
-        x=x,
-        Q=Q,
-        k=table.k,
-        per_q=per_q,
-        total=total,
-        congruence_term=congruence_term,
-        cross_term=math.fsum(terms["cross"].tolist()),
-        main_term=main_term,
-        cancellation=_EPS * spread / total if total else math.inf,
-    )
-
-
 def variance_total(
     table: DkTable,
     x: int,
@@ -221,13 +224,13 @@ def variance_total(
 
     One FFT autocorrelation gives every congruence term, one set of strided
     sums every gcd-class mass, and one table of class-mass polynomials every
-    main term; see _variance_terms.  `threads` is accepted for existing
+    main term; see _variances.  `threads` is accepted for existing
     callers and has no effect.
     """
-    # congruence_sums checks 1 <= Q <= x <= table.x; the tables, built after
+    # congruence_sums checks 1 <= Q <= x <= table.x; the blocks, built after
     # its FFT, reuse its memory.
-    congruence = congruence_sums(table, x, Q)
-    return _variance(table, x, Q, congruence, _moduli_table(Q, table.k))
+    (report,) = _variances(table, [(x, Q, congruence_sums(table, x, Q))])
+    return report
 
 
 def _exp_sums(cls: ResidueClassSums) -> np.ndarray:
@@ -279,24 +282,23 @@ def variance_expansion_check(
     """V(x, Q) computed directly, as sum_q sum_a E(q, a)^2 over the class sums
     of each modulus (O(xQ) work), against its three-term expansion from the
     all-moduli engine, which shares neither the class sums nor the squares.
-    Both sides read their densities from one _moduli_table.
+    Both sides read their densities from the same lattice blocks, which the
+    direct side builds again.
 
     The expansion cancels: CertificateError when its `cancellation` could
     reach IDENTITY_TOL, the gate the two sides are compared at.
     """
     _check_range(table, x, Q)
     expansion_budget(x, Q, budget)
-    # The FFT runs before the table is built, so the table reuses its memory.
-    congruence = congruence_sums(table, x, Q)
-    moduli = _moduli_table(Q, table.k)
-    report = _variance(table, x, Q, congruence, moduli)
+    # The FFT runs before the blocks are built, so they reuse its memory.
+    (report,) = _variances(table, [(x, Q, congruence_sums(table, x, Q))])
     if report.cancellation >= IDENTITY_TOL:
         raise CertificateError(
             f"expansion terms cancel: rounding may reach {report.cancellation:.2e} "
             f"of V(x, Q), gate {IDENTITY_TOL:g}"
         )
     direct = []
-    for lo, lattice, polys in moduli:
+    for lo, lattice, polys in _moduli_blocks(Q, table.k):
         cw = eval_logpoly(polys, float(x))
         for i, (a, b) in enumerate(zip(lattice.start[:-1], lattice.start[1:])):
             cls = ap_sums(table, lo + i, x)
@@ -392,8 +394,8 @@ def growth_study(table: DkTable, x_grid, q_rule) -> GrowthStudy:
     the caller's table, which must reach max(x_grid).
 
     q_rule is either a callable x -> Q, a ("power", c) pair for Q = x^c, or
-    a ("ratio", r) pair for Q = x/r.  One table of class-mass polynomials is
-    built for the largest Q and shared across the grid.
+    a ("ratio", r) pair for Q = x/r.  The lattice blocks of 1..max Q are
+    built once, each shared across the grid while it is held.
     """
     xs = sorted(set(int(t) for t in x_grid))
     if not xs:
@@ -411,13 +413,9 @@ def growth_study(table: DkTable, x_grid, q_rule) -> GrowthStudy:
     qs = [max(1, min(rule(x), x)) for x in xs]
     for x, Q in zip(xs, qs):
         _check_range(table, x, Q)
-    # Every FFT runs before the shared table is built, so it reuses their memory.
-    congruences = [congruence_sums(table, x, Q) for x, Q in zip(xs, qs)]
-    moduli = _moduli_table(max(qs), table.k)
-    rows = []
-    for x, Q, congruence in zip(xs, qs, congruences):
-        total = _variance(table, x, Q, congruence, moduli).total
-        rows.append((x, Q, total, total / (x * Q)))
+    # Every FFT runs before the first block is built, so the blocks reuse their memory.
+    points = [(x, Q, congruence_sums(table, x, Q)) for x, Q in zip(xs, qs)]
+    rows = [(r.x, r.Q, r.total, r.total / (r.x * r.Q)) for r in _variances(table, points)]
     if len(rows) < 2:
         slope = math.nan  # a slope needs at least two grid points
     else:

@@ -41,27 +41,43 @@ def trial_division(n):
 def lattice_oracle(moduli):
     """Every DivisorLattice array, built one modulus at a time from factorize
     and divisors: factors by modulus then prime, rows by modulus then delta,
-    and row_at[start + t] the row of the divisor at mixed-radix position t."""
-    start, delta, phi, row_at, factors = [0], [], [], [], []
+    and at each rank r the links (row, factor, beta, up) of every row of a
+    modulus with more than r primes, in mixed-radix order of the divisors."""
+    start, delta, phi, factors, links = [0], [], [], [], []
     for i, q in enumerate(moduli):
         fac, divs = factorize(q), divisors(q)
-        stride = 1
+        radix = [pp.a + 1 for pp in fac]
+        # the exponents of the divisor at each mixed-radix position t
+        digits = [
+            [t // math.prod(radix[:j]) % n for j, n in enumerate(radix)]
+            for t in range(math.prod(radix))
+        ]
         for r, pp in enumerate(fac):
-            factors.append((i, pp.p, pp.a, r, stride))
-            stride *= pp.a + 1
-        for t in range(stride):
-            d, step = 1, 1
-            for pp in fac:
-                d *= pp.p ** (t // step % (pp.a + 1))
-                step *= pp.a + 1
-            row_at.append(start[-1] + divs.index(d))
+            if r == len(links):
+                links.append([])
+            for v in digits:
+                d = math.prod(f.p**b for f, b in zip(fac, v))
+                up = start[-1] + divs.index(d * pp.p) if v[r] < pp.a else -1
+                links[r].append((start[-1] + divs.index(d), len(factors), v[r], up))
+            factors.append((i, pp.p, pp.a))
         delta += divs
         phi += [euler_phi(q // d) for d in divs]
         start.append(start[-1] + len(divs))
-    columns = np.array(factors, dtype=np.int64).reshape(-1, 5).T
-    rows = (start, delta, phi, row_at)
-    names = ("start", "delta", "phi", "row_at", "owner", "p", "alpha", "rank", "stride")
-    return dict(zip(names, [np.array(col, dtype=np.int64) for col in rows] + list(columns)))
+    columns = (start, delta, phi, *np.array(factors, dtype=np.int64).reshape(-1, 3).T)
+    out = {
+        name: np.array(col, dtype=np.int64)
+        for name, col in zip(("start", "delta", "phi", "owner", "p", "alpha"), columns)
+    }
+    out["links"] = [tuple(np.array(col, dtype=np.int64) for col in zip(*level)) for level in links]
+    return out
+
+
+def assert_links_equal(got, want):
+    assert len(got) == len(want)
+    for r, (level, wanted) in enumerate(zip(got, want)):
+        assert len(level) == len(wanted) == 4
+        for name, col, w in zip(("row", "factor", "beta", "up"), level, wanted):
+            assert np.array_equal(col, w), (r, name)
 
 
 def ramanujan_exponential(q, n):
@@ -233,8 +249,8 @@ class TestDivisorLattice:
             assert lat.delta[rows].tolist() == divisors(q)
             assert lat.phi[rows].tolist() == [euler_phi(q // d) for d in divisors(q)]
         seen = 0
-        for r in range(lat.ranks):
-            for row, factor, beta, up in zip(*lat.entries(r)):
+        for r, level in enumerate(lat.links):
+            for row, factor, beta, up in zip(*level):
                 p, alpha = lat.p[factor], lat.alpha[factor]
                 i = int(np.searchsorted(lat.start, row, side="right")) - 1
                 q, d = moduli[i], int(lat.delta[row])
@@ -250,11 +266,9 @@ class TestDivisorLattice:
     def test_prefix_is_the_lattice_of_the_first_moduli(self):
         whole, head = divisor_lattice(range(1, 301)), divisor_lattice(range(1, 101))
         part = whole.prefix(100)
-        for name in ("start", "delta", "phi", "row_at", "owner", "p", "alpha", "rank"):
+        for name in ("start", "delta", "phi", "owner", "p", "alpha"):
             assert np.array_equal(getattr(part, name), getattr(head, name)), name
-        for r in range(head.ranks):
-            for got, want in zip(part.entries(r), head.entries(r)):
-                assert np.array_equal(got, want)
+        assert_links_equal(part.links, head.links)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(DomainError):
@@ -267,8 +281,10 @@ class TestDivisorLattice:
     )
     def test_arrays_match_the_one_modulus_oracle(self, moduli):
         lat = divisor_lattice(moduli)
-        for name, want in lattice_oracle(list(moduli)).items():
-            assert np.array_equal(getattr(lat, name), want), name
+        want = lattice_oracle(list(moduli))
+        assert_links_equal(lat.links, want.pop("links"))
+        for name, col in want.items():
+            assert np.array_equal(getattr(lat, name), col), name
 
     @pytest.mark.parametrize(
         "q",

@@ -32,6 +32,19 @@ FAREY_CSV = {
 # for K = 1..8, Q in (1, 2, 12, 30, 97, 360, 1024) and A in (1, 5, Q), A <= Q
 MAIN_TERM_SHA256 = json.loads((Path(__file__).parent / "main_term_sha256.json").read_text())
 
+# Pinned stdout of the variance engine (`variance` and the growth suite):
+# sha256 by command line
+ENGINE_SHA256 = json.loads((Path(__file__).parent / "engine_sha256.json").read_text())
+
+
+def dispatch_settings():
+    """NPY_DISABLE_CPU_FEATURES values from numpy's default dispatch down:
+    none, the AVX-512 groups the host has, and those with X86_V3."""
+    umath = (np._core if hasattr(np, "_core") else np.core)._multiarray_umath
+    has = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    avx512 = [f for f in has if f.startswith(("AVX512", "X86_V4"))]
+    return ["", " ".join(avx512), " ".join([f for f in has if f == "X86_V3"] + avx512)]
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -78,12 +91,6 @@ class TestMainTermCommand:
         # the same 144 digests from a process on OpenBLAS's Haswell kernel with
         # numpy's AVX-512 dispatch off: the main terms use no BLAS, and no
         # exp, log or power whose rounding depends on the SIMD level
-        umath = (np._core if hasattr(np, "_core") else np.core)._multiarray_umath
-        avx512 = [
-            f
-            for f in umath.__cpu_dispatch__
-            if f.startswith(("AVX512", "X86_V4")) and umath.__cpu_features__[f]
-        ]
         code = (
             "import contextlib, hashlib, io, json, sys\n"
             "from apvar.cli import main\n"
@@ -101,7 +108,7 @@ class TestMainTermCommand:
             **os.environ,
             "PYTHONPATH": src,
             "OPENBLAS_CORETYPE": "Haswell",
-            "NPY_DISABLE_CPU_FEATURES": " ".join(avx512),
+            "NPY_DISABLE_CPU_FEATURES": dispatch_settings()[1],
         }
         proc = subprocess.run(
             [sys.executable, "-c", code],
@@ -242,7 +249,37 @@ def test_cached_table_prints_the_same_bytes(tmp_path, capsys, k):
         assert fresh[0] == EXIT_OK and cached == fresh, argv
 
 
+@pytest.mark.parametrize("case", sorted(ENGINE_SHA256))
+def test_engine_stdout_bytes_are_pinned(capsys, case):
+    # the variance and growth rows stay bit-identical across engine changes
+    _, out, _ = run(capsys, *case.split())
+    assert hashlib.sha256(out.encode()).hexdigest() == ENGINE_SHA256[case]
+
+
 class TestExpsumCommand:
+    def test_stdout_bytes_hold_at_every_dispatch_level(self):
+        # real cosine and sine tables: no complex ufunc whose rounding
+        # follows numpy's SIMD level
+        code = (
+            "from apvar.cli import main\n"
+            "for q, a in ((7, 3), (97, 5), (1000, 7), (9973, 1234)):\n"
+            "    main(['expsum', '--k', '2', '--x', '100000', '--q', str(q), '--a', str(a),"
+            " '--format', 'json'])\n"
+        )
+        src = str(Path(cli_mod.__file__).parents[1])  # the apvar under test
+        outs = {}
+        for features in dispatch_settings():
+            env = {**os.environ, "PYTHONPATH": src, "NPY_DISABLE_CPU_FEATURES": features}
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, env=env
+            )
+            if proc.returncode and "You cannot disable CPU feature" in proc.stderr:
+                continue  # numpy refuses this setting at import on this host
+            assert proc.returncode == 0, proc.stderr
+            outs[features] = proc.stdout
+        assert outs[""].count('"re"') == 4
+        assert all(out == outs[""] for out in outs.values()), sorted(outs)
+
     def test_json_output(self, capsys):
         code, out, _ = run(
             capsys, "expsum", "--k", "2", "--x", "10", "--q", "2", "--a", "1",

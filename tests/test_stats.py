@@ -28,7 +28,7 @@ from apvar import (
 from apvar import checks, sieve, stats
 from apvar.errors import CertificateError
 from apvar.sieve import autocorrelation, congruence_sums, exact_square_sum, fft_error_bound
-from apvar.stats import _exp_sums, _moduli_table, _variance_terms, regression_slope
+from apvar.stats import _block_terms, _exp_sums, _moduli_blocks, regression_slope
 
 GAMMA0 = 0.5772156649015328606065121
 
@@ -172,7 +172,7 @@ class TestVarianceOracle:
         worst, where, cases = 0.0, None, 0
         for x in (5000.0, 1e12):
             for k in range(1, 9):
-                ((_, lattice, polys),) = _moduli_table(300, k)
+                ((_, lattice, polys),) = _moduli_blocks(300, k)
                 start, delta, cw = lattice.start, lattice.delta, eval_logpoly(polys, x)
                 for i, q in enumerate(range(1, 301)):
                     assert delta[start[i] : start[i + 1]].tolist() == divisors(q)
@@ -245,9 +245,11 @@ class TestAllModuliEngine:
         # within = sum_a (A - G/phi)^2 over each gcd class, against class sums
         table = table_k3_1e4 if k == 3 else sieve_dk(10**4, 1)
         x, Q = 7919, 120
-        terms = _variance_terms(
-            table, x, Q, congruence_sums(table, x, Q), _moduli_table(Q, k)
-        )
+        ((_, lattice, polys),) = _moduli_blocks(Q, k)
+        q = np.arange(1, Q + 1)
+        strided = sieve.multiple_sums(table.values[: x + 1], Q)
+        cw = eval_logpoly(polys, x)
+        terms = _block_terms(congruence_sums(table, x, Q)[q], strided, x, q, lattice, cw)
         assert (terms["within"] >= 0.0).all()
         for q in range(1, Q + 1):
             counts = ap_sums(table, q, x).sums[1:].astype(np.float64)
@@ -516,6 +518,31 @@ class TestGrowthStudy:
     def test_ratio_rule(self, table_k2_1e4):
         study = growth_study(table_k2_1e4, [1000], ("ratio", 10))
         assert study.rows[0][1] == 100
+
+    def test_lattice_blocks_stream(self, table_k2_1e4, monkeypatch):
+        # each block of 1024 moduli is built once, and every x takes its
+        # terms from it before the next block is built
+        events = []
+        build, use = stats.divisor_lattice, stats._block_terms
+
+        def recording_build(moduli):
+            events.append(("build", moduli[0]))
+            return build(moduli)
+
+        def recording_use(congruence, strided, x, q, lattice, cw):
+            events.append(("use", int(q[0]), x))
+            return use(congruence, strided, x, q, lattice, cw)
+
+        monkeypatch.setattr(stats, "divisor_lattice", recording_build)
+        monkeypatch.setattr(stats, "_block_terms", recording_use)
+        study = growth_study(table_k2_1e4, [3000, 10000], ("ratio", 2))
+        grid = [(x, Q) for x, Q, _, _ in study.rows]
+        assert grid == [(3000, 1500), (10000, 5000)] and 5000 > 2 * 1024
+        want = []
+        for lo in range(1, 5001, 1024):
+            want.append(("build", lo))
+            want += [("use", lo, x) for x, Q in grid if lo <= Q]
+        assert events == want
 
     def test_doubling_Q_roughly_doubles_variance(self, table_k2_1e4):
         x = 10**4
