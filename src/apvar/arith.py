@@ -79,13 +79,25 @@ def euler_phi(n: int) -> int:
 
 
 def totients(n: int) -> np.ndarray:
-    """phi(m) for m = 0..n as an int64 array (phi(0) = 0), by one sieve."""
+    """phi(m) for m = 0..n as an int64 array (phi(0) = 0), by one sieve.
+
+    Each prime p <= B = isqrt(n) takes one strided pass.  A prime above B
+    divides each m <= n at most once and is the only such prime of m, so
+    they all go in one pass per multiplier j <= n // (B + 1), about 2
+    sqrt(n) passes in all.  phi[m] -= phi[m] // p is exact in any order.
+    """
     if n < 0:
         raise DomainError(f"totient sieve needs n >= 0, got {n}")
     phi = np.arange(n + 1, dtype=np.int64)
-    for p in range(2, n + 1):
+    B = math.isqrt(n)
+    for p in range(2, B + 1):
         if phi[p] == p:  # untouched by every smaller prime, so p is prime
             phi[p::p] -= phi[p::p] // p
+    # untouched above B: no prime factor up to B, so prime
+    big = B + 1 + np.flatnonzero(phi[B + 1 :] == np.arange(B + 1, n + 1))
+    for j in range(1, n // (B + 1) + 1):
+        p = big[: np.searchsorted(big, n // j, side="right")]
+        phi[j * p] -= phi[j * p] // p
     return phi
 
 

@@ -86,34 +86,28 @@ def ramanujan_orthogonality() -> dict:
     return _count_row("ramanujan orthogonality q<=100", bad, q=q, d1=d1, d2=d2)
 
 
-def farey_sweep_arcs(gamma: int) -> int:
-    """Arcs that farey_containment(gamma) checks: the sum over the orders
-    g = 2..gamma of |F_g| - 1 = sum_{q<=g} phi(q), from one totient sieve."""
-    per_order = arith.totients(gamma)[1:].cumsum()
-    return int(per_order[1:].sum())
-
-
 def farey_order(gamma: int, *, budget: int) -> int:
     """The Farey check's top order, which must lie in 2..MAX_VERIFY_ORDER and
-    whose sweep over every order 2..gamma must fit in the work budget."""
+    whose one pass over the 1 + sum_{q<=gamma} phi(q) fractions of F_gamma
+    must fit in the work budget."""
     if not 2 <= gamma <= farey.MAX_VERIFY_ORDER:
         raise DomainError(
             f"farey check needs 2 <= gamma <= {farey.MAX_VERIFY_ORDER}, got {gamma}"
         )
-    arcs = farey_sweep_arcs(gamma)
-    if arcs > budget:
+    fractions = 1 + int(arith.totients(gamma).sum())
+    if fractions > budget:
         raise ResourceError(
-            f"farey check of orders 2..{gamma} touches {arcs} arcs, budget {budget}"
+            f"farey check of orders 2..{gamma} walks {fractions} fractions, budget {budget}"
         )
     return gamma
 
 
 def farey_containment(gamma: int) -> dict:
     """Exact containment and tiling of the Farey arcs at orders 2..gamma,
-    all from one F_gamma."""
-    reports = farey.verify_orders(gamma)
-    arcs = sum(rep.arcs_checked for rep in reports)
-    bad = [rep.gamma for rep in reports if not rep.ok]
+    all from one pass over F_gamma."""
+    # the orders g = 2..gamma have |F_g| - 1 = sum_{q<=g} phi(q) arcs each
+    arcs = int(arith.totients(gamma)[1:].cumsum()[1:].sum())
+    bad = farey.failing_orders(gamma)
     return _count_row(
         f"farey containment+tiling gamma<={gamma} ({arcs} arcs)",
         bad,

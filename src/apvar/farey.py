@@ -12,6 +12,11 @@ last fractions of one slice into the next; every check looks only at
 neighbours, so peak memory is one slice's plus O(gamma): about 3 MiB of
 traced arrays for verify_containment(3000), over 2.7 million fractions.
 
+failing_orders checks every order g <= gamma in one pass over the slices
+of F_gamma: O(gamma^2) fractions, not the ~0.1 gamma^3 arcs of all the F_g.
+F_g needs no certificate of its own, as a subsequence of the certified
+F_gamma.
+
 Each fraction but 1/1 gets the arc between its mediants with its two
 neighbours.  The arcs around 0/1 and 1/1 are the same arc up to
 periodicity; it is kept once, attached to 0/1, its left end the mediant
@@ -98,17 +103,13 @@ def _certify(a, q, gamma: int, *, opens: bool = True, closes: bool = True) -> No
         raise CertificateError(f"F_{gamma}: ends at {a[-1]}/{q[-1]}, not 1/1")
 
 
-def _slices(gamma: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """F_gamma as certified (a, q) int64 slices, in increasing order.
-
-    The j-th of n slices holds the a/q in [(j-1)/n, j/n), the last one 1/1
-    as well; each nonempty one is certified together with the last fraction
-    before it.
-    """
+def _sorted_slices(gamma: int) -> Iterator[tuple[np.ndarray, np.ndarray, bool]]:
+    """F_gamma as uncertified (a, q) int64 slices in increasing order, each
+    with whether it is the last: the j-th of n slices holds the a/q in
+    [(j-1)/n, j/n), the last one 1/1 as well; empty slices are skipped."""
     n = 1 + gamma * gamma // (3 * SLICE)  # F_gamma has ~0.3 gamma^2 fractions
     qs = np.arange(1, gamma + 1, dtype=np.int64)
     start = np.zeros_like(qs)  # least numerator of the slice, per q
-    carry_a = carry_q = np.empty(0, dtype=np.int64)
     for j in range(1, n + 1):
         stop = -(-j * qs // n) if j < n else qs + 1
         counts = stop - start
@@ -118,16 +119,22 @@ def _slices(gamma: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         keep = np.gcd(a, q) == 1
         a, q = a[keep], q[keep]
         start = stop
-        if not a.size:
-            continue
-        order = np.argsort(a / q)  # distinct keys: any sort gives one order
-        a, q = a[order], q[order]
+        if a.size:
+            order = np.argsort(a / q)  # distinct keys: any sort gives one order
+            yield a[order], q[order], j == n
+
+
+def _slices(gamma: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """F_gamma as certified (a, q) int64 slices, in increasing order; each
+    is certified together with the last fraction before it."""
+    carry_a = carry_q = np.empty(0, dtype=np.int64)
+    for a, q, closes in _sorted_slices(gamma):
         _certify(
             np.concatenate((carry_a, a)),
             np.concatenate((carry_q, q)),
             gamma,
-            opens=j == 1,
-            closes=j == n,
+            opens=not carry_a.size,
+            closes=closes,
         )
         yield a, q
         carry_a, carry_q = a[-1:].copy(), q[-1:].copy()
@@ -183,19 +190,28 @@ def _centers(ca, cq, mask) -> list[tuple[int, int]]:
     return list(zip(ca[mask].tolist(), cq[mask].tolist()))
 
 
+def _clears(gap, den, g):
+    """Whether an arc end at gap/(den*q) past its centre a/q (den > 0)
+    clears the radius 1/(2qg); once true, true at every higher order g."""
+    return 2 * gap * g >= den
+
+
+def _overshoots(gap, den, g):
+    """Whether that end lies beyond the radius 1/(qg); once true, true at
+    every higher order g."""
+    return gap * g > den
+
+
 def _check_window(gamma: int, a, q) -> tuple:
     """Arc count, containment and positive-length failures, and the outer
     endpoints of the arcs of one window of F_gamma."""
     ca, cq, ln, ld, rn, rd = _arcs(a, q)
-    g2 = 2 * cq * gamma
-    inner = (ln * g2 <= ld * (2 * ca * gamma - 1)) & (
-        rn * g2 >= rd * (2 * ca * gamma + 1)
-    )
-    g1 = cq * gamma
-    outer = (ln * g1 >= ld * (ca * gamma - 1)) & (rn * g1 <= rd * (ca * gamma + 1))
+    fine = np.ones(ca.size, dtype=bool)
+    for gap, den in ((ca * ld - ln * cq, ld), (rn * cq - ca * rd, rd)):
+        fine &= _clears(gap, den, gamma) & ~_overshoots(gap, den, gamma)
     return (
         ca.size,
-        _centers(ca, cq, ~(inner & outer)),
+        _centers(ca, cq, ~fine),
         _centers(ca, cq, ln * rd >= rn * ld),
         (int(ln[0]), int(ld[0])),
         (int(rn[-1]), int(rd[-1])),
@@ -232,21 +248,72 @@ def verify_containment(gamma: int) -> ContainmentReport:
     return _verify(gamma, _windows(gamma, _slices(gamma)))
 
 
-def verify_orders(gamma: int) -> list[ContainmentReport]:
-    """verify_containment(g) for every g in 2..gamma from one F_gamma.
+def _first(test, gap, den, lo, hi) -> np.ndarray:
+    """Per pair, the least order g in lo..hi at which test(gap, den, g)
+    holds, else hi + 1, for a test that holds at every order after it first
+    does: both ends, then bisection where it first holds strictly inside."""
+    at = np.where(test(gap, den, lo), lo, hi + 1)
+    inside = np.flatnonzero((at > hi) & test(gap, den, hi))
+    gap, den, lo, hi = gap[inside], den[inside], lo[inside], hi[inside]
+    while np.any(hi - lo > 1):  # test fails at lo and holds at hi
+        mid = (lo + hi) // 2
+        holds = test(gap, den, mid)
+        lo, hi = np.where(holds, lo, mid), np.where(holds, mid, hi)
+    at[inside] = hi
+    return at
 
-    F_g is the subsequence of F_gamma with q <= g, so each order drops one
-    denominator from the order above; each F_g is certified again.
+
+def _mark(marks, start, stop) -> None:
+    """Count the orders start..stop-1 of each pair as failing."""
+    run = start < stop
+    np.add.at(marks, start[run], 1)
+    np.add.at(marks, stop[run], -1)
+
+
+def failing_orders(gamma: int) -> list[int]:
+    """The orders g in 2..gamma at which a check of verify_containment(g)
+    fails, from one pass over F_gamma.
+
+    a/q < b/r are neighbours in F_g exactly when bq - ar = 1 and
+    max(q, r) <= g < q + r.  So the neighbour pairs of every order are the
+    fractions b/r of F_gamma with r >= 2, each with its two Farey parents
+    c/s < b/r < d/t, s + t = r: its F_gamma neighbours taken down mod r
+    (the left one's denominator is b^-1 mod r).  The pair of b/r and c/s
+    is adjacent at the orders r..min(gamma, r + s - 1), and d/t likewise.
+    The two arcs that meet at its mediant check it at the same gap, and
+    both checks change at most once over those orders (_clears and
+    _overshoots), so the failing orders of each pair follow from its two
+    end orders.  A zero or negative arc length already fails _clears.  The
+    wrap arc's left end -1/(g+1) and the period identity are checked per
+    order.
     """
     _check_order(gamma, 2, MAX_VERIFY_ORDER)
-    a, q = (np.concatenate(parts) for parts in zip(*_slices(gamma)))
-    reports = []
-    for g in range(gamma, 1, -1):
-        keep = q <= g
-        a, q = a[keep], q[keep]
-        _certify(a, q, g)
-        reports.append(_verify(g, _windows(g, [(a, q)])))
-    return reports[::-1]
+    marks = np.zeros(gamma + 2, dtype=np.int64)  # +1 / -1 where failing runs start / stop
+    last = np.zeros((2, gamma + 1), dtype=np.int64)  # right end of F_g's last arc
+    last[1] = 1  # 0/1 where none is found, which fails the period identity
+    for a, q in _windows(gamma, _slices(gamma)):
+        keep = q[1:-1] > 1
+        b, r, c, s, d, t = (x[keep] for x in (a[1:-1], q[1:-1], a[:-2], q[:-2], a[2:], q[2:]))
+        c, s = c - s // r * b, s % r
+        d, t = d - t // r * b, t % r
+        left, right = b * s - c * r, d * r - b * t
+        wrong = (left != 1) | (right != 1) | (s + t != r)
+        if wrong.any():
+            i = int(np.argmax(wrong))
+            raise CertificateError(f"F_{gamma}: no Farey parents for {b[i]}/{r[i]}")
+        for gap, p in ((left, s), (right, t)):
+            den, hi = r + p, np.minimum(gamma, r + p - 1)
+            _mark(marks, r, _first(_clears, gap, den, r, hi))
+            _mark(marks, _first(_overshoots, gap, den, r, hi), hi + 1)
+        top = t == 1  # (r-1)/r, the last fraction before 1/1 in F_r
+        last[:, r[top]] = b[top] + d[top], r[top] + t[top]
+    g = np.arange(2, gamma + 1)
+    ln, ld = -1, g + 1  # mediant of -1/g and 0/1
+    rn, rd = last[:, 2:]
+    bad = np.cumsum(marks)[2:-1] > 0
+    bad |= ~_clears(-ln, ld, g) | _overshoots(-ln, ld, g)
+    bad |= rn * ld - ln * rd != rd * ld  # the arc lengths telescope to 1
+    return g[bad].tolist()
 
 
 def denominator_counts(gamma: int) -> list[int]:

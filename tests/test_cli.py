@@ -28,6 +28,14 @@ FAREY_CSV = {
     1000: ("c807438c6a39a09133c6f3b0d81f5ef604c8b3a1bd60dcaf731aa138ad2159e6", 304193, 7930461),
 }
 
+# `verify --suite farey --gamma 2000` stdout, as the per-order sweep printed it
+FAREY_SUITE_2000 = (
+    '{"check": "farey containment+tiling gamma<=2000 (811784892 arcs)", "lhs": 0.0, '
+    '"rhs": 0.0, "rel_diff": 0.0, "pass": true, "gamma": null}\n'
+    '{"check": "farey length histogram gamma<=1000", "lhs": 1.0, "rhs": 1.0, '
+    '"rel_diff": 0.0, "pass": true, "q": null}\n'
+)
+
 # Pinned `apvar main-term --k K --q Q --a A --x 1e6` stdout: sha256 by "K,Q,A"
 # for K = 1..8, Q in (1, 2, 12, 30, 97, 360, 1024) and A in (1, 5, Q), A <= Q
 MAIN_TERM_SHA256 = json.loads((Path(__file__).parent / "main_term_sha256.json").read_text())
@@ -570,8 +578,8 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("suite", ("farey", "all"))
     def test_farey_sweep_beyond_budget_is_resource_error(self, capsys, monkeypatch, suite):
-        # orders 2..10^4 touch 101,351,590,326 arcs (over an hour of work),
-        # past the default budget of 4e9: refused before any suite runs
+        # orders 2..10^4 walk the 30,397,487 fractions of F_10000: one
+        # fraction past the budget is refused before any suite runs
         from apvar import checks
 
         def must_not_run(*args, **kwargs):
@@ -580,10 +588,33 @@ class TestVerifyCommand:
         for name in ("parseval", "dirichlet", "farey_containment", "growth"):
             monkeypatch.setattr(checks, name, must_not_run)
         start = time.perf_counter()
-        code, out, err = run(capsys, "verify", "--suite", suite, "--gamma", "10000")
+        code, out, err = run(
+            capsys, "verify", "--suite", suite, "--gamma", "10000", "--budget", "30397486"
+        )
         assert code == EXIT_RESOURCE
-        assert out == "" and "101351590326 arcs" in err
+        assert out == "" and "30397487 fractions" in err
         assert time.perf_counter() - start < 5.0
+
+    def test_farey_order_ten_thousand_fits_the_default_budget(self, monkeypatch):
+        # budgeted by its 3.04e7 fractions, not the 1.01e11 arcs of every
+        # order, and without running any Farey work
+        from apvar import checks, farey, stats
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("budgeting the Farey sweep ran it")
+
+        for name in ("_sorted_slices", "failing_orders"):
+            monkeypatch.setattr(farey, name, must_not_run)
+        assert checks.farey_order(10**4, budget=stats.DEFAULT_WORK_BUDGET) == 10**4
+
+    def test_farey_suite_at_order_two_thousand(self, capsys):
+        # one pass over F_2000 (1.2e6 fractions); the per-order sweep it
+        # replaced walked 8.1e8 arcs in about 46 s
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "verify", "--suite", "farey", "--gamma", "2000")
+        assert code == EXIT_OK
+        assert out == FAREY_SUITE_2000
+        assert time.perf_counter() - start < 15.0
 
     @pytest.mark.parametrize("suite", ("identities", "all"))
     @pytest.mark.parametrize("Q", ("0", "200000"))
@@ -708,9 +739,9 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--suite", "farey")
         assert code == EXIT_OK
         assert "(2763278 arcs)" in json.loads(out.splitlines()[0])["check"]
-        code, out, err = run(capsys, "verify", "--suite", "farey", "--budget", "2763277")
+        code, out, err = run(capsys, "verify", "--suite", "farey", "--budget", "27398")
         assert code == EXIT_RESOURCE
-        assert out == "" and "2763278 arcs" in err
+        assert out == "" and "27399 fractions" in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -44,6 +44,61 @@ def brute_force_containment_ok(gamma):
     return True
 
 
+def verify_orders(gamma):
+    """Oracle: verify_containment(g) for every g in 2..gamma, each F_g
+    filtered from one F_gamma and certified again, O(gamma^3) work."""
+    farey._check_order(gamma, 2, farey.MAX_VERIFY_ORDER)
+    a, q = (np.concatenate(parts) for parts in zip(*farey._slices(gamma)))
+    reports = []
+    for g in range(gamma, 1, -1):
+        keep = q <= g
+        a, q = a[keep], q[keep]
+        farey._certify(a, q, g)
+        reports.append(farey._verify(g, farey._windows(g, [(a, q)])))
+    return reports[::-1]
+
+
+def oracle_row(gamma):
+    """Oracle: the `verify --suite farey` containment row from verify_orders."""
+    reports = verify_orders(gamma)
+    arcs = sum(rep.arcs_checked for rep in reports)
+    bad = [rep.gamma for rep in reports if not rep.ok]
+    return {
+        "check": f"farey containment+tiling gamma<={gamma} ({arcs} arcs)",
+        "lhs": float(len(bad)),
+        "rhs": 0.0,
+        "rel_diff": float(len(bad)),
+        "pass": not bad,
+        "gamma": bad[0] if bad else None,
+    }
+
+
+def swap_pair(a, q):
+    i = np.arange(a.size)
+    i[[100, 101]] = 101, 100
+    return a[i], q[i]
+
+
+def bump_numerator(a, q):
+    return a + (np.arange(a.size) == 100), q
+
+
+def drop_fraction(a, q):
+    return np.delete(a, 100), np.delete(q, 100)
+
+
+def mutate_slices(monkeypatch, mutate):
+    """Hand out F_gamma (one slice at the orders used) as mutate leaves it,
+    before it is certified."""
+    generate = farey._sorted_slices
+
+    def mutated(gamma):
+        for a, q, last in generate(gamma):
+            yield (*mutate(a, q), last)
+
+    monkeypatch.setattr(farey, "_sorted_slices", mutated)
+
+
 class TestFareySequence:
     def test_order_one(self):
         assert farey_sequence(1) == [Fraction(0), Fraction(1)]
@@ -264,16 +319,37 @@ class TestContainment:
         with pytest.raises(DomainError):
             verify_containment(10**4 + 1)
         with pytest.raises(DomainError):
-            farey.verify_orders(10**4 + 1)
+            farey.failing_orders(10**4 + 1)
 
     @pytest.mark.parametrize("gamma", (2, 3, 17, 60))
     def test_one_sequence_serves_every_order(self, gamma):
         each = [verify_containment(g) for g in range(2, gamma + 1)]
-        assert farey.verify_orders(gamma) == each
+        assert verify_orders(gamma) == each
         row = checks.farey_containment(gamma)
         arcs = sum(rep.arcs_checked for rep in each)
         assert row["check"] == f"farey containment+tiling gamma<={gamma} ({arcs} arcs)"
         assert row["pass"] == all(rep.ok for rep in each)
+
+    @pytest.mark.parametrize("gamma", (2, 3, 17, 60, 300))
+    def test_row_matches_the_per_order_oracle(self, gamma):
+        assert checks.farey_containment(gamma) == oracle_row(gamma)
+
+    @pytest.mark.parametrize(
+        "mutate", (swap_pair, bump_numerator, drop_fraction), ids=lambda f: f.__name__
+    )
+    def test_mutated_sequences_fail_both(self, monkeypatch, mutate):
+        mutate_slices(monkeypatch, mutate)
+        for check in (verify_orders, checks.farey_containment):
+            with pytest.raises(CertificateError):
+                check(40)
+
+    def test_parents_are_checked_without_the_certificate(self, monkeypatch):
+        # a wrong numerator that the certificate is not there to catch still
+        # breaks the parent identities of its neighbours
+        monkeypatch.setattr(farey, "_certify", lambda *args, **kwargs: None)
+        mutate_slices(monkeypatch, bump_numerator)
+        with pytest.raises(CertificateError, match="parents"):
+            farey.failing_orders(20)
 
     def test_suite_row_at_three_hundred(self):
         row = checks.farey_containment(300)
@@ -281,17 +357,33 @@ class TestContainment:
         assert row["pass"] and row["gamma"] is None
 
     def test_suite_names_the_first_failing_order(self, monkeypatch):
-        verify = farey._verify
-
-        def fail_at_seven(gamma, windows):
-            report = verify(gamma, windows)
-            if gamma != 7:
-                return report
-            return farey.ContainmentReport(gamma, report.arcs_checked, ((1, 7),))
-
-        monkeypatch.setattr(farey, "_verify", fail_at_seven)
+        # an outer radius of 15/(16 q g) first fails at order 16, where the
+        # arc of 0/1 ends at 1/17, its mediant with 1/16; both the pass and
+        # the per-order oracle name it, and every order after it
+        monkeypatch.setattr(farey, "_overshoots", lambda gap, den, g: 16 * gap * g > 15 * den)
         row = checks.farey_containment(20)
-        assert not row["pass"] and row["lhs"] == 1.0 and row["gamma"] == 7
+        assert not row["pass"] and row["lhs"] == 5.0 and row["gamma"] == 16
+        assert row == oracle_row(20)
+
+    @pytest.mark.parametrize(
+        "name, fault",
+        (
+            # at mediant denominator 30 the outer radius shrinks to 2/(3 q g):
+            # it first fails at order 21, inside the orders 17..29 and 19..29
+            # of the pairs with denominators 13, 17 and 11, 19
+            ("_overshoots", lambda gap, den, g: (gap * g > den) | ((den == 30) & (3 * gap * g > 2 * den))),
+            # at 29 the inner radius grows to 2/(3 q g), failing up to order 19
+            ("_clears", lambda gap, den, g: (2 * gap * g >= den) & ((den != 29) | (3 * gap * g >= 2 * den))),
+            ("_clears", lambda gap, den, g: 3 * gap * g >= 2 * den),
+        ),
+        ids=("outer at 30", "inner at 29", "inner everywhere"),
+    )
+    @pytest.mark.parametrize("gamma", (25, 40))
+    def test_injected_faults_fail_the_oracles_orders(self, monkeypatch, name, fault, gamma):
+        monkeypatch.setattr(farey, name, fault)
+        row = checks.farey_containment(gamma)
+        assert not row["pass"]
+        assert row == oracle_row(gamma)
 
     @given(st.integers(min_value=2, max_value=400))
     @settings(max_examples=30, deadline=None)
