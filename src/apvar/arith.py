@@ -137,13 +137,13 @@ def divisors(q: int) -> list[int]:
 
 def gcd_index(divisors) -> np.ndarray:
     """idx with divisors[idx[a - 1]] = gcd(a, q) for a = 1..q, where
-    `divisors` lists the divisors of q ascending, so q is the last.
+    `divisors` lists the divisors of q in any order, so q is the largest.
 
-    The index is filled by divisor slices, ascending, so the last divisor
-    to reach a is the largest one dividing it.
+    The index is filled by divisor slices in ascending order of divisor, so
+    the last divisor to reach a is the largest one dividing it.
     """
-    idx = np.empty(int(divisors[-1]), dtype=np.intp)
-    for i, d in enumerate(divisors):
+    idx = np.empty(int(max(divisors)), dtype=np.intp)
+    for d, i in sorted(zip(divisors, range(len(divisors)))):
         idx[d - 1 :: d] = i
     return idx
 
@@ -164,15 +164,17 @@ def ramanujan_sum(q: int, n: int) -> int:
 class DivisorLattice:
     """The pairs (q, delta | q) over a list of moduli, one row each.
 
-    Rows run by modulus, then delta ascending: the rows of the i-th modulus
-    are start[i]:start[i+1], and phi[r] = phi(q/delta) counts the residues
-    a mod q with gcd(a, q) = delta.  Each prime power p^alpha || q of the
-    i-th modulus is one factor (owner = i, p, alpha), by modulus and then p.
+    The rows of the i-th modulus q are start[i]:start[i+1], in mixed-radix
+    order and not sorted: with stride the product of alpha + 1 over the
+    smaller primes of q, row start[i] + t has v_p(delta) = (t // stride) %
+    (alpha + 1).  phi[r] = phi(q/delta) counts the residues a mod q with
+    gcd(a, q) = delta.  Each prime power p^alpha || q of the i-th modulus is
+    one factor (owner = i, p, alpha), by modulus and then p.
 
     links[r] = (row, factor, beta, up) holds every row of a modulus with
     more than r primes, at its prime of rank r (the (r+1)-th smallest):
-    factor indexes p and alpha, beta = v_p(delta), and up is the row of
-    delta * p, or -1 where beta = alpha.  Each level runs by modulus.
+    factor indexes p and alpha, beta = v_p(delta), and up = row + stride is
+    the row of delta * p, or -1 where beta = alpha.  Each level runs by modulus.
     """
 
     start: np.ndarray
@@ -250,8 +252,8 @@ def divisor_lattice(moduli) -> DivisorLattice:
     One pass per prime rank fills delta, phi and that rank's links with the
     divisors of each modulus in mixed-radix order: with stride the product
     of alpha + 1 over the smaller primes of q, the divisor at position t has
-    v_p(delta) = (t // stride) % (alpha + 1), so delta * p sits stride
-    positions further on.  One sort by delta then maps positions to rows.
+    v_p(delta) = (t // stride) % (alpha + 1), so delta * p sits stride rows
+    further on.  The rows stay in that order, with no sort.
     """
     moduli = [int(q) for q in moduli]
     if moduli and (min(moduli) < 1 or max(moduli) >= 2**63):
@@ -281,10 +283,4 @@ def divisor_lattice(moduli) -> DivisorLattice:
         low = beta < alpha_r
         phi[at[low]] *= p_r[low] ** (alpha_r[low] - beta[low] - 1) * (p_r[low] - 1)
         links.append((at, factor, beta, np.where(low, at + step, -1)))
-    order = np.lexsort((delta, np.repeat(np.arange(len(moduli)), sizes)))
-    row = np.empty_like(order)
-    row[order] = np.arange(order.size)
-    for at, _, _, up in links:  # from positions to rows, in place
-        at[:] = row[at]
-        up[:] = np.where(up >= 0, row[up], -1)
-    return DivisorLattice(start, delta[order], phi[order], owner, p, alpha, tuple(links))
+    return DivisorLattice(start, delta, phi, owner, p, alpha, tuple(links))

@@ -267,9 +267,11 @@ def density_polys(lattice: DivisorLattice, k: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _residue_polys(q: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The density table of q, read-only: (delta, phi, polys) with delta the
-    divisors of q ascending, phi = phi(q/delta) and P(q, delta) their rows."""
+    divisors of q ascending, phi = phi(q/delta) and P(q, delta) their rows:
+    the lattice of q sorted, for the callers that search or walk delta."""
     lattice = divisor_lattice([q])
-    return _frozen(lattice.delta), _frozen(lattice.phi), _frozen(density_polys(lattice, k))
+    polys, order = density_polys(lattice, k), np.argsort(lattice.delta)
+    return tuple(_frozen(a[order]) for a in (lattice.delta, lattice.phi, polys))
 
 
 def ap_main_term(q: int, a: int, k: int) -> np.ndarray:

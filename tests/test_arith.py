@@ -39,26 +39,26 @@ def trial_division(n):
 
 
 def lattice_oracle(moduli):
-    """Every DivisorLattice array, built one modulus at a time from factorize
-    and divisors: factors by modulus then prime, rows by modulus then delta,
-    and at each rank r the links (row, factor, beta, up) of every row of a
-    modulus with more than r primes, in mixed-radix order of the divisors."""
+    """Every DivisorLattice array, built one modulus at a time from factorize:
+    factors by modulus then prime, rows by modulus then in mixed-radix order
+    of the divisors, and at each rank r the links (row, factor, beta, up) of
+    every row of a modulus with more than r primes, in that order."""
     start, delta, phi, factors, links = [0], [], [], [], []
     for i, q in enumerate(moduli):
-        fac, divs = factorize(q), divisors(q)
+        fac = factorize(q)
         radix = [pp.a + 1 for pp in fac]
         # the exponents of the divisor at each mixed-radix position t
         digits = [
             [t // math.prod(radix[:j]) % n for j, n in enumerate(radix)]
             for t in range(math.prod(radix))
         ]
+        divs = [math.prod(f.p**b for f, b in zip(fac, v)) for v in digits]
         for r, pp in enumerate(fac):
             if r == len(links):
                 links.append([])
-            for v in digits:
-                d = math.prod(f.p**b for f, b in zip(fac, v))
+            for t, (d, v) in enumerate(zip(divs, digits)):
                 up = start[-1] + divs.index(d * pp.p) if v[r] < pp.a else -1
-                links[r].append((start[-1] + divs.index(d), len(factors), v[r], up))
+                links[r].append((start[-1] + t, len(factors), v[r], up))
             factors.append((i, pp.p, pp.a))
         delta += divs
         phi += [euler_phi(q // d) for d in divs]
@@ -234,10 +234,16 @@ class TestTotients:
 
 class TestGcdIndex:
     def test_matches_gcd_classes(self):
+        rng = np.random.default_rng(0)
         for q in range(1, 501):
             ds = divisors(q)
             want = np.gcd(np.arange(1, q + 1), q)
             assert np.array_equal(np.array(ds)[gcd_index(ds)], want), q
+            # divisors in any order: shuffled, and as the lattice lists them
+            shuffled = rng.permutation(ds)
+            assert np.array_equal(shuffled[gcd_index(shuffled)], want), q
+            lattice = divisor_lattice([q]).delta
+            assert np.array_equal(lattice[gcd_index(lattice)], want), q
 
 
 class TestDivisorLattice:
@@ -245,7 +251,9 @@ class TestDivisorLattice:
         moduli = [1, 2, 12, 97, 360, 1024, 30030, *range(400, 460)]
         lat = divisor_lattice(moduli)
         for i, q in enumerate(moduli):
-            rows = range(lat.start[i], lat.start[i + 1])
+            # the rows of q, in mixed-radix order, sorted by delta
+            rows = np.arange(lat.start[i], lat.start[i + 1])
+            rows = rows[np.argsort(lat.delta[rows])]
             assert lat.delta[rows].tolist() == divisors(q)
             assert lat.phi[rows].tolist() == [euler_phi(q // d) for d in divisors(q)]
         seen = 0

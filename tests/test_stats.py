@@ -175,8 +175,11 @@ class TestVarianceOracle:
                 ((_, lattice, polys),) = _moduli_blocks(300, k)
                 start, delta, cw = lattice.start, lattice.delta, eval_logpoly(polys, x)
                 for i, q in enumerate(range(1, 301)):
-                    assert delta[start[i] : start[i + 1]].tolist() == divisors(q)
-                    for r in range(start[i], start[i + 1]):
+                    # the rows of q, in mixed-radix order, sorted by delta
+                    rows = np.arange(start[i], start[i + 1])
+                    rows = rows[np.argsort(delta[rows])]
+                    assert delta[rows].tolist() == divisors(q)
+                    for r in rows.tolist():
                         d = int(delta[r])
                         got = q / euler_phi(q // d) * cw[r]
                         err = rel_diff(got, eval_logpoly(ap_main_term(q, d, k), x))
