@@ -168,8 +168,8 @@ class DivisorLattice:
     order and not sorted: with stride the product of alpha + 1 over the
     smaller primes of q, row start[i] + t has v_p(delta) = (t // stride) %
     (alpha + 1).  phi[r] = phi(q/delta) counts the residues a mod q with
-    gcd(a, q) = delta.  Each prime power p^alpha || q of the i-th modulus is
-    one factor (owner = i, p, alpha), by modulus and then p.
+    gcd(a, q) = delta.  Each prime power p^alpha || q is one factor
+    (p, alpha), by modulus and then p.
 
     links[r] = (row, factor, beta, up) holds every row of a modulus with
     more than r primes, at its prime of rank r (the (r+1)-th smallest):
@@ -180,23 +180,9 @@ class DivisorLattice:
     start: np.ndarray
     delta: np.ndarray
     phi: np.ndarray
-    owner: np.ndarray
     p: np.ndarray
     alpha: np.ndarray
     links: tuple[tuple[np.ndarray, ...], ...]
-
-    def prefix(self, m: int) -> DivisorLattice:
-        """The lattice of the first m moduli, as views of this one."""
-        end = self.start[m]
-        cut = int(np.searchsorted(self.owner, m))
-        cuts = [np.count_nonzero(level[0] < end) for level in self.links]
-        return DivisorLattice(
-            self.start[: m + 1],
-            self.delta[:end],
-            self.phi[:end],
-            *(col[:cut] for col in (self.owner, self.p, self.alpha)),
-            tuple(tuple(col[:n] for col in level) for level, n in zip(self.links, cuts) if n),
-        )
 
 
 def _prime_powers(moduli: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -283,4 +269,4 @@ def divisor_lattice(moduli) -> DivisorLattice:
         low = beta < alpha_r
         phi[at[low]] *= p_r[low] ** (alpha_r[low] - beta[low] - 1) * (p_r[low] - 1)
         links.append((at, factor, beta, np.where(low, at + step, -1)))
-    return DivisorLattice(start, delta, phi, owner, p, alpha, tuple(links))
+    return DivisorLattice(start, delta, phi, p, alpha, tuple(links))

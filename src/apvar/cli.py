@@ -115,8 +115,6 @@ def cmd_sieve(args) -> int:
 
 
 def cmd_main_term(args) -> int:
-    if args.a > args.q:
-        raise DomainError(f"residue a={args.a} exceeds modulus q={args.q}")
     f = ap_main_term(args.q, args.a, args.k)
     m = m_poly(args.q, args.k)
     payload = {

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import DivisorLattice, divisor_lattice, divisors, gcd_index
+from .arith import DivisorLattice, divisor_lattice, gcd_index
 from .errors import CertificateError, DomainError, ResourceError
 from .residues import (
     _residue_polys,
@@ -112,19 +112,26 @@ def delta_value(cls: ResidueClassSums, a: int) -> DeltaValue:
     return DeltaValue(value=s.value - main, a=r, q=q, X=cls.X)
 
 
-def _moduli_blocks(Q: int, k: int) -> Iterator[tuple[int, DivisorLattice, np.ndarray]]:
-    """The divisor lattices of the moduli 1..Q, in blocks of _TABLE_BLOCK
-    starting at lo, with the class-mass polynomials of their rows, built one
-    block at a time as the caller asks for it.  None of it depends on x."""
-    for lo in range(1, Q + 1, _TABLE_BLOCK):
-        lattice = divisor_lattice(range(lo, min(lo + _TABLE_BLOCK, Q + 1)))
-        yield lo, lattice, density_polys(lattice, k)
+def _moduli_blocks(tops, k: int) -> Iterator[tuple[int, DivisorLattice, np.ndarray]]:
+    """The divisor lattices of the moduli 1..max(tops), in blocks of at most
+    _TABLE_BLOCK starting at lo and cut after each top, with the class-mass
+    polynomials of their rows, built one block at a time as the caller asks
+    for it.  None of it depends on x."""
+    lo = 1
+    for top in sorted(set(tops)):
+        while lo <= top:
+            hi = min(lo + _TABLE_BLOCK, top + 1)
+            lattice = divisor_lattice(range(lo, hi))
+            yield lo, lattice, density_polys(lattice, k)
+            lo = hi
 
 
 def _variances(table: DkTable, points) -> list[VarianceReport]:
-    """The VarianceReport of every point (x, Q, congruence_sums(table, x, Q)),
-    from one walk over the lattice blocks of 1..max Q: every point takes its
-    terms from a block before the next block is built.
+    """The VarianceReport of every point (x, Q), from one walk over the
+    lattice blocks of 1..max Q, cut after each Q: every point takes the
+    whole blocks up to its Q, each before the next block is built.  Every
+    point is checked before any FFT runs, and every FFT runs before the
+    first block is built, so the blocks reuse their memory.
 
     With G(q, delta) the mass of the n <= x with gcd(n, q) = delta, and
     F = x f(q, delta)/q the main term of each of its phi(q/delta) classes,
@@ -139,6 +146,10 @@ def _variances(table: DkTable, points) -> list[VarianceReport]:
     sum_delta (G^2 mod phi)/phi is a float.  `cross` and `main` are the -2x
     and x^2 pieces of the expanded square.
     """
+    for x, Q in points:
+        if not 1 <= Q <= x <= table.x:
+            raise DomainError(f"need 1 <= Q <= x <= {table.x}, got Q={Q}, x={x}")
+    points = [(x, Q, congruence_sums(table, x, Q)) for x, Q in points]
     strided = []
     for x, Q, congruence in points:
         values = table.values[: x + 1]
@@ -146,13 +157,12 @@ def _variances(table: DkTable, points) -> list[VarianceReport]:
             values = values.astype(object)
         strided.append(multiple_sums(values, Q))
     parts = [[] for _ in points]
-    for lo, lattice, polys in _moduli_blocks(max(Q for _, Q, _ in points), table.k):
+    for lo, lattice, polys in _moduli_blocks([Q for _, Q, _ in points], table.k):
+        q = np.arange(lo, lo + len(lattice.start) - 1)
         for (x, Q, congruence), sums, part in zip(points, strided, parts):
             if lo <= Q:
-                block = lattice.prefix(min(len(lattice.start) - 1, Q + 1 - lo))
-                q = np.arange(lo, lo + len(block.start) - 1)
-                cw = eval_logpoly(polys[: block.start[-1]], x)
-                part.append(_block_terms(congruence[q], sums, x, q, block, cw))
+                cw = eval_logpoly(polys, x)
+                part.append(_block_terms(congruence[q], sums, x, q, lattice, cw))
     reports = []
     for (x, Q, congruence), part in zip(points, parts):
         terms = {name: np.concatenate([block[name] for block in part]) for name in part[0]}
@@ -205,14 +215,6 @@ def _block_terms(congruence, strided, x: int, q, lattice: DivisorLattice, cw) ->
     }
 
 
-def _check_range(table: DkTable, x: int, Q: int) -> None:
-    """DomainError unless 1 <= Q <= x <= table.x."""
-    if not 1 <= Q <= x:
-        raise DomainError(f"need 1 <= Q <= x, got Q={Q}, x={x}")
-    if x > table.x:
-        raise DomainError(f"cutoff {x} beyond table limit {table.x}")
-
-
 def variance_total(
     table: DkTable,
     x: int,
@@ -227,9 +229,7 @@ def variance_total(
     main term; see _variances.  `threads` is accepted for existing
     callers and has no effect.
     """
-    # congruence_sums checks 1 <= Q <= x <= table.x; the blocks, built after
-    # its FFT, reuse its memory.
-    (report,) = _variances(table, [(x, Q, congruence_sums(table, x, Q))])
+    (report,) = _variances(table, [(x, Q)])
     return report
 
 
@@ -254,7 +254,7 @@ def parseval_check(table: DkTable, q: int, x: int) -> tuple[float, float]:
     delta, phi, polys = _residue_polys(q, table.k)
     e = _class_errors(cls, delta, phi, eval_logpoly(polys, float(x)))
     lhs = math.fsum(float(t) for t in e * e)
-    divs = divisors(q)
+    divs = delta.tolist()  # ascending, as Python ints for the m_poly cache
     main = np.array(
         [x * eval_logpoly(m_poly(q // g, table.k), float(x)) / (q // g) for g in divs]
     )
@@ -288,17 +288,17 @@ def variance_expansion_check(
     The expansion cancels: CertificateError when its `cancellation` could
     reach IDENTITY_TOL, the gate the two sides are compared at.
     """
-    _check_range(table, x, Q)
+    if not 1 <= Q <= x <= table.x:
+        raise DomainError(f"need 1 <= Q <= x <= {table.x}, got Q={Q}, x={x}")
     expansion_budget(x, Q, budget)
-    # The FFT runs before the blocks are built, so they reuse its memory.
-    (report,) = _variances(table, [(x, Q, congruence_sums(table, x, Q))])
+    (report,) = _variances(table, [(x, Q)])
     if report.cancellation >= IDENTITY_TOL:
         raise CertificateError(
             f"expansion terms cancel: rounding may reach {report.cancellation:.2e} "
             f"of V(x, Q), gate {IDENTITY_TOL:g}"
         )
     direct = []
-    for lo, lattice, polys in _moduli_blocks(Q, table.k):
+    for lo, lattice, polys in _moduli_blocks([Q], table.k):
         cw = eval_logpoly(polys, float(x))
         for i, (a, b) in enumerate(zip(lattice.start[:-1], lattice.start[1:])):
             cls = ap_sums(table, lo + i, x)
@@ -389,32 +389,11 @@ class GrowthStudy:
     slope: float
 
 
-def growth_study(table: DkTable, x_grid, q_rule) -> GrowthStudy:
-    """Compute V(x, Q) along x_grid with Q = q_rule(x), every x a cutoff of
-    the caller's table, which must reach max(x_grid).
-
-    q_rule is either a callable x -> Q, a ("power", c) pair for Q = x^c, or
-    a ("ratio", r) pair for Q = x/r.  The lattice blocks of 1..max Q are
-    built once, each shared across the grid while it is held.
+def growth_study(table: DkTable, points) -> GrowthStudy:
+    """Compute V(x, Q) at every point (x, Q), in the given order, with
+    1 <= Q <= x <= table.x.  The lattice blocks of 1..max Q, cut after each
+    Q, are built once, each shared across the points while it is held.
     """
-    xs = sorted(set(int(t) for t in x_grid))
-    if not xs:
-        raise DomainError("x grid is empty")
-    if callable(q_rule):
-        rule = q_rule
-    else:
-        kind, value = q_rule
-        if kind == "power":
-            rule = lambda t: int(round(t**value))
-        elif kind == "ratio":
-            rule = lambda t: int(round(t / value))
-        else:
-            raise DomainError(f"unknown Q rule {kind!r}")
-    qs = [max(1, min(rule(x), x)) for x in xs]
-    for x, Q in zip(xs, qs):
-        _check_range(table, x, Q)
-    # Every FFT runs before the first block is built, so the blocks reuse their memory.
-    points = [(x, Q, congruence_sums(table, x, Q)) for x, Q in zip(xs, qs)]
     rows = [(r.x, r.Q, r.total, r.total / (r.x * r.Q)) for r in _variances(table, points)]
     if len(rows) < 2:
         slope = math.nan  # a slope needs at least two grid points

@@ -299,9 +299,9 @@ def test_criterion_12_determinism(capsys):
     sieve_n = sieve_dk(40000, 3, segment_size=4096, threads=MAX_THREADS)
     tables_equal = np.array_equal(sieve_1.values, sieve_n.values)
 
-    grid = [2**14, 2**15]
-    g_1 = growth_study(sieve_dk(2**15, 2, threads=1), grid, ("power", 0.75))
-    g_n = growth_study(sieve_dk(2**15, 2, threads=MAX_THREADS), grid, ("power", 0.75))
+    grid = [(x, round(x**0.75)) for x in (2**14, 2**15)]
+    g_1 = growth_study(sieve_dk(2**15, 2, threads=1), grid)
+    g_n = growth_study(sieve_dk(2**15, 2, threads=MAX_THREADS), grid)
     growth_equal = g_1.rows == g_n.rows and g_1.slope == g_n.slope
 
     outputs = []

@@ -44,7 +44,7 @@ def lattice_oracle(moduli):
     of the divisors, and at each rank r the links (row, factor, beta, up) of
     every row of a modulus with more than r primes, in that order."""
     start, delta, phi, factors, links = [0], [], [], [], []
-    for i, q in enumerate(moduli):
+    for q in moduli:
         fac = factorize(q)
         radix = [pp.a + 1 for pp in fac]
         # the exponents of the divisor at each mixed-radix position t
@@ -59,14 +59,14 @@ def lattice_oracle(moduli):
             for t, (d, v) in enumerate(zip(divs, digits)):
                 up = start[-1] + divs.index(d * pp.p) if v[r] < pp.a else -1
                 links[r].append((start[-1] + t, len(factors), v[r], up))
-            factors.append((i, pp.p, pp.a))
+            factors.append((pp.p, pp.a))
         delta += divs
         phi += [euler_phi(q // d) for d in divs]
         start.append(start[-1] + len(divs))
-    columns = (start, delta, phi, *np.array(factors, dtype=np.int64).reshape(-1, 3).T)
+    columns = (start, delta, phi, *np.array(factors, dtype=np.int64).reshape(-1, 2).T)
     out = {
         name: np.array(col, dtype=np.int64)
-        for name, col in zip(("start", "delta", "phi", "owner", "p", "alpha"), columns)
+        for name, col in zip(("start", "delta", "phi", "p", "alpha"), columns)
     }
     out["links"] = [tuple(np.array(col, dtype=np.int64) for col in zip(*level)) for level in links]
     return out
@@ -271,13 +271,6 @@ class TestDivisorLattice:
                 seen += 1
         assert seen == sum(len(factorize(q)) * len(divisors(q)) for q in moduli)
 
-    def test_prefix_is_the_lattice_of_the_first_moduli(self):
-        whole, head = divisor_lattice(range(1, 301)), divisor_lattice(range(1, 101))
-        part = whole.prefix(100)
-        for name in ("start", "delta", "phi", "owner", "p", "alpha"):
-            assert np.array_equal(getattr(part, name), getattr(head, name)), name
-        assert_links_equal(part.links, head.links)
-
     def test_out_of_range_rejected(self):
         with pytest.raises(DomainError):
             divisor_lattice([0, 5])
@@ -304,7 +297,7 @@ class TestDivisorLattice:
     )
     def test_cofactors_below_two_to_the_forty_factor(self, q):
         lat = divisor_lattice([q])
-        assert lat.delta.tolist() == divisors(q)
+        assert sorted(lat.delta.tolist()) == divisors(q)
         assert lat.p.tolist() == [pp.p for pp in factorize(q)]
 
     @pytest.mark.parametrize("q", (2**61 - 1, 1048583 * 1048589, 3 * (2**61 - 1)))

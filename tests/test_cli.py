@@ -172,9 +172,10 @@ class TestMainTermCommand:
             assert poly["value_at_x"] == poly["coeffs"][0]
 
     def test_class_beyond_modulus_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "main-term", "--k", "2", "--q", "3", "--a", "4")
-        assert code == EXIT_USAGE
-        assert "error" in err
+        for q, a in (("3", "4"), ("0", "1")):
+            code, _, err = run(capsys, "main-term", "--k", "2", "--q", q, "--a", a)
+            assert code == EXIT_USAGE
+            assert "need 1 <= a <= q" in err
 
     def test_prime_modulus_past_the_trial_division_bound_is_resource_error(self, capsys):
         # 2^61 - 1 is prime: trial division up to its square root ran for minutes

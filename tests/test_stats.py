@@ -172,7 +172,7 @@ class TestVarianceOracle:
         worst, where, cases = 0.0, None, 0
         for x in (5000.0, 1e12):
             for k in range(1, 9):
-                ((_, lattice, polys),) = _moduli_blocks(300, k)
+                ((_, lattice, polys),) = _moduli_blocks([300], k)
                 start, delta, cw = lattice.start, lattice.delta, eval_logpoly(polys, x)
                 for i, q in enumerate(range(1, 301)):
                     # the rows of q, in mixed-radix order, sorted by delta
@@ -248,7 +248,7 @@ class TestAllModuliEngine:
         # within = sum_a (A - G/phi)^2 over each gcd class, against class sums
         table = table_k3_1e4 if k == 3 else sieve_dk(10**4, 1)
         x, Q = 7919, 120
-        ((_, lattice, polys),) = _moduli_blocks(Q, k)
+        ((_, lattice, polys),) = _moduli_blocks([Q], k)
         q = np.arange(1, Q + 1)
         strided = sieve.multiple_sums(table.values[: x + 1], Q)
         cw = eval_logpoly(polys, x)
@@ -503,49 +503,79 @@ class TestRegressionSlope:
 
 class TestGrowthStudy:
     def test_single_modulus_rule_reduces_to_trivial_variance(self, table_k2_1e4):
-        study = growth_study(table_k2_1e4, [10**3, 10**4], lambda x: 1)
+        study = growth_study(table_k2_1e4, [(10**3, 1), (10**4, 1)])
         for x, Q, v, ratio in study.rows:
             assert Q == 1
             ev = error_vector(table_k2_1e4, 1, x)
             assert v == pytest.approx(float(ev.e[1]) ** 2, rel=1e-12)
 
     def test_power_rule_rows_and_ratio(self, table_k2_1e4):
-        study = growth_study(table_k2_1e4, [512, 2048, 8192], ("power", 0.5))
-        assert [r[0] for r in study.rows] == [512, 2048, 8192]
+        points = [(x, round(x**0.5)) for x in (512, 2048, 8192)]
+        study = growth_study(table_k2_1e4, points)
+        assert [r[:2] for r in study.rows] == points == [(512, 23), (2048, 45), (8192, 91)]
         for x, Q, v, ratio in study.rows:
-            assert Q == int(round(x**0.5))
             assert ratio == pytest.approx(v / (x * Q), rel=1e-15)
-            # the shared table for the largest Q serves each smaller Q exactly
+            # the shared blocks for the largest Q serve each smaller Q exactly
             assert v == variance_total(table_k2_1e4, x, Q).total
 
     def test_ratio_rule(self, table_k2_1e4):
-        study = growth_study(table_k2_1e4, [1000], ("ratio", 10))
-        assert study.rows[0][1] == 100
+        study = growth_study(table_k2_1e4, [(1000, 100)])
+        assert study.rows[0][:2] == (1000, 100)
+        assert study.rows[0][2] == variance_total(table_k2_1e4, 1000, 100).total
+        assert math.isnan(study.slope)  # a slope needs two points
 
-    def test_lattice_blocks_stream(self, table_k2_1e4, monkeypatch):
-        # each block of 1024 moduli is built once, and every x takes its
-        # terms from it before the next block is built
+    def test_point_beyond_the_table_fails_before_any_fft(self, table_k2_1e4, monkeypatch):
+        monkeypatch.setattr(stats, "congruence_sums", None)
+        for points in ([(1000, 100), (20000, 100)], [(1000, 1001)], [(1000, 0)]):
+            with pytest.raises(DomainError):
+                growth_study(table_k2_1e4, points)
+
+    @staticmethod
+    def record_blocks(monkeypatch):
+        """Record ("build", first, last) for every lattice block and
+        ("use", first, last, x) for every point that takes its terms."""
         events = []
         build, use = stats.divisor_lattice, stats._block_terms
 
         def recording_build(moduli):
-            events.append(("build", moduli[0]))
+            events.append(("build", moduli[0], moduli[-1]))
             return build(moduli)
 
         def recording_use(congruence, strided, x, q, lattice, cw):
-            events.append(("use", int(q[0]), x))
+            events.append(("use", int(q[0]), int(q[-1]), x))
             return use(congruence, strided, x, q, lattice, cw)
 
         monkeypatch.setattr(stats, "divisor_lattice", recording_build)
         monkeypatch.setattr(stats, "_block_terms", recording_use)
-        study = growth_study(table_k2_1e4, [3000, 10000], ("ratio", 2))
-        grid = [(x, Q) for x, Q, _, _ in study.rows]
-        assert grid == [(3000, 1500), (10000, 5000)] and 5000 > 2 * 1024
+        return events
+
+    def test_lattice_blocks_stream(self, table_k2_1e4, monkeypatch):
+        # blocks of at most 1024 moduli, cut after each Q: each is built once,
+        # and every point with Q past it takes the whole block from it before
+        # the next block is built
+        events = self.record_blocks(monkeypatch)
+        grid = [(3000, 1500), (10000, 5000)]
+        study = growth_study(table_k2_1e4, grid)
+        assert [r[:2] for r in study.rows] == grid
+        blocks = [(1, 1024), (1025, 1500), (1501, 2524), (2525, 3548), (3549, 4572), (4573, 5000)]
         want = []
-        for lo in range(1, 5001, 1024):
-            want.append(("build", lo))
-            want += [("use", lo, x) for x, Q in grid if lo <= Q]
+        for lo, hi in blocks:
+            want.append(("build", lo, hi))
+            want += [("use", lo, hi, x) for x, Q in grid if hi <= Q]
         assert events == want
+
+    def test_two_Q_values_inside_one_block(self, table_k2_1e4, monkeypatch):
+        # 1100 and 1900 both fall in the second block of 1024 moduli, which
+        # the cuts split in two
+        events = self.record_blocks(monkeypatch)
+        grid = [(2000, 1100), (4000, 1900), (10000, 5000)]
+        study = growth_study(table_k2_1e4, grid)
+        builds = [e[1:] for e in events if e[0] == "build"]
+        assert builds[:4] == [(1, 1024), (1025, 1100), (1101, 1900), (1901, 2924)]
+        monkeypatch.undo()
+        for (x, Q), row in zip(grid, study.rows):
+            assert row[:2] == (x, Q)
+            assert row[2] == variance_total(table_k2_1e4, x, Q).total
 
     def test_doubling_Q_roughly_doubles_variance(self, table_k2_1e4):
         x = 10**4
