@@ -5,8 +5,8 @@ whole block of moduli at once in `divisor_lattice`), the classical
 multiplicative functions (Mobius, Euler phi and its sieve, the k-fold
 divisor function), the primes up to n, Ramanujan sums, divisor
 enumeration, the gcd classes of a modulus, and the divisor lattice of a
-set of moduli: its rows (q, delta | q) and, one prime rank at a time, the
-link of each row to the row of delta times that prime.
+set of moduli: its rows (q, delta | q), its columns (p, alpha, beta) and,
+one prime rank at a time, each row's column and link to the row of delta p.
 Everything here is exact integer arithmetic.
 """
 
@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, ResourceError
 
 # divisor_lattice divides out the primes up to FACTOR_BOUND; a cofactor that
-# is still FACTOR_BOUND^2 = 2^40 or more would need larger primes.
+# is still (FACTOR_BOUND + 1)^2 or more would need larger primes.
 FACTOR_BOUND = 1 << 20
 # Cofactors times primes in one trial-division pass: 512 KB of int64.
 _TRIAL_CELLS = 1 << 16
@@ -168,13 +168,13 @@ class DivisorLattice:
     order and not sorted: with stride the product of alpha + 1 over the
     smaller primes of q, row start[i] + t has v_p(delta) = (t // stride) %
     (alpha + 1).  phi[r] = phi(q/delta) counts the residues a mod q with
-    gcd(a, q) = delta.  Each prime power p^alpha || q is one factor
-    (p, alpha), by modulus and then p.
+    gcd(a, q) = delta.  p, alpha are the distinct p^alpha || q, ascending;
+    each has alpha + 1 columns in turn, one per beta = 0..alpha.
 
-    links[r] = (row, factor, beta, up) holds every row of a modulus with
-    more than r primes, at its prime of rank r (the (r+1)-th smallest):
-    factor indexes p and alpha, beta = v_p(delta), and up = row + stride is
-    the row of delta * p, or -1 where beta = alpha.  Each level runs by modulus.
+    links[r] = (row, column, up) holds every row of a modulus with more
+    than r primes, at its prime of rank r (the (r+1)-th smallest): column
+    is (p, alpha, v_p(delta)) there, and up = row + stride is the row of
+    delta * p, or -1 where v_p(delta) = alpha.  Each level runs by modulus.
     """
 
     start: np.ndarray
@@ -193,8 +193,8 @@ def _prime_powers(moduli: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     (cofactors x primes) remainder table.  A cofactor leaves once it is
     below (t + 1)^2, with every prime up to t divided out of it, so it is
     1 or the largest prime of its modulus.
-    Primes are sieved in stages, only as far as the live cofactors need:
-    ResourceError when one would need primes past FACTOR_BOUND.
+    Primes are sieved in stages, only as far as the live cofactors need, up
+    to FACTOR_BOUND: a cofactor of (2^20 + 1)^2 or more is a ResourceError.
     """
     cofactor = moduli.copy()
     live = np.flatnonzero(cofactor >= 4)
@@ -233,11 +233,12 @@ def _prime_powers(moduli: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def divisor_lattice(moduli) -> DivisorLattice:
     """The divisor lattice of the given moduli, factored all at once by
     _prime_powers: ResourceError for a modulus that leaves a cofactor of
-    2^40 or more once the primes up to FACTOR_BOUND = 2^20 are divided out.
+    (2^20 + 1)^2 or more once the primes up to FACTOR_BOUND are divided out.
 
     One pass per prime rank fills delta, phi and that rank's links with the
-    divisors of each modulus in mixed-radix order: with stride the product
-    of alpha + 1 over the smaller primes of q, the divisor at position t has
+    divisors of each modulus in mixed-radix order, by one gather of p^beta
+    and phi(p^(alpha - beta)) from the columns: with stride the product of
+    alpha + 1 over the smaller primes of q, the divisor at position t has
     v_p(delta) = (t // stride) % (alpha + 1), so delta * p sits stride rows
     further on.  The rows stay in that order, with no sort.
     """
@@ -250,6 +251,15 @@ def divisor_lattice(moduli) -> DivisorLattice:
     np.multiply.at(sizes, owner, alpha + 1)
     start = np.zeros(len(moduli) + 1, dtype=np.int64)
     start[1:] = np.cumsum(sizes)
+    # p < (FACTOR_BOUND + 1)^2 < 2^41 and alpha < 63, so the key is exact
+    pairs, pair = np.unique(p * 64 + alpha, return_inverse=True)
+    width = pairs % 64 + 1
+    first = width.cumsum() - width
+    exponent = np.arange(width.sum()) - first.repeat(width)
+    base = (pairs // 64).repeat(width)
+    power = base**exponent  # p^beta, exact since p^alpha divides a modulus
+    rest = power[(first + width - 1).repeat(width) - exponent]  # p^(alpha - beta)
+    totient = rest - rest // base  # phi(p^m) = p^m - p^(m - 1), and 1 at m = 0
     delta = np.ones(start[-1], dtype=np.int64)
     phi = np.ones_like(delta)
     stride = np.ones_like(alpha)
@@ -263,10 +273,10 @@ def divisor_lattice(moduli) -> DivisorLattice:
         at = position + start[owner[sel]].repeat(size)
         step = stride[sel].repeat(size)
         factor = sel.repeat(size)
-        p_r, alpha_r = p[factor], alpha[factor]
+        alpha_r = alpha[factor]
         beta = position // step % (alpha_r + 1)
-        delta[at] *= p_r**beta
-        low = beta < alpha_r
-        phi[at[low]] *= p_r[low] ** (alpha_r[low] - beta[low] - 1) * (p_r[low] - 1)
-        links.append((at, factor, beta, np.where(low, at + step, -1)))
-    return DivisorLattice(start, delta, phi, p, alpha, tuple(links))
+        column = first[pair[factor]] + beta
+        delta[at] *= power[column]
+        phi[at] *= totient[column]
+        links.append((at, column, np.where(beta < alpha_r, at + step, -1)))
+    return DivisorLattice(start, delta, phi, pairs // 64, pairs % 64, tuple(links))

@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import FACTOR_BOUND, DivisorLattice, divisor_lattice, divisors, factorize
+from .arith import DivisorLattice, divisor_lattice, divisors, factorize
 from .errors import DomainError
 
 # Laurent coefficients of zeta about s=1:  zeta(s) = 1/u + sum_n c_n u^n
@@ -99,13 +99,10 @@ def zeta_power_series(k: int, n: int) -> np.ndarray:
     return out
 
 
-def _local_series(
-    p: np.ndarray, log_p: np.ndarray, alpha: np.ndarray, k: int, n: int
-) -> np.ndarray:
-    """The local factors of distinct pairs (p, alpha), given log p, as an
-    (n, rows) array: columns offset..offset + alpha, with offset the running
-    sum of alpha + 1 over the pairs before, hold beta = 0..alpha as
-    local_correction_series defines them.
+def _local_series(p: np.ndarray, alpha: np.ndarray, k: int, n: int) -> np.ndarray:
+    """The local factors of distinct pairs (p, alpha) as an (n, columns)
+    array in the column layout of DivisorLattice (beta = 0..alpha for each
+    pair in turn), as local_correction_series defines them.
 
     With x = p^-s = p^-1 exp(-u log p), the factor at beta < alpha is
     d_k(p^beta) (1 - x)^k x^beta, and at beta = alpha the negative-binomial
@@ -124,7 +121,7 @@ def _local_series(
     x[0, 0] = 1.0
     x[0, 1:] = 1.0 / p
     x[0] = np.multiply.accumulate(x[0])
-    t = -np.arange(top + 1)[:, None] * log_p
+    t = -np.arange(top + 1)[:, None] * np.array([math.log(v) for v in p.tolist()])
     for i in range(1, n):
         x[i] = x[i - 1] * t / i
     # y[:, m] = (1 - x)^m for m = 0..k, and comb[a, r] = C(a + k - 1, r)
@@ -161,7 +158,7 @@ def local_correction_series(
     """
     if alpha < 1 or beta < 0 or beta > alpha:
         raise DomainError(f"need 0 <= beta <= alpha with alpha >= 1, got ({alpha}, {beta})")
-    series = _local_series(np.array([p]), np.array([math.log(p)]), np.array([alpha]), k, n)
+    series = _local_series(np.array([p]), np.array([alpha]), k, n)
     return _frozen(series[:, beta])
 
 
@@ -170,24 +167,17 @@ def correction_table(lattice: DivisorLattice, k: int, n: int) -> np.ndarray:
 
     coeffs[r] holds the first n Taylor coefficients about s=1 of the product
     over p^alpha || q of local_correction_series(p, alpha, v_p(delta), k, n).
-    The local series of every distinct (p, alpha) of the lattice are built
-    at once.  One pass per prime rank of q multiplies every row by its local
-    series at that rank, or by 1 where q has fewer primes.  The table is
-    built as an (n, rows) array and returned transposed.
+    The local series of the lattice's columns are built at once; one pass per
+    prime rank of q multiplies each row by the series of its column there, or
+    by 1 where q has fewer primes.  Built (n, rows), returned transposed.
     """
-    # p < FACTOR_BOUND^2 = 2^40 and alpha < 64, so the key is exact in int64
-    if lattice.p.max(initial=0) >= FACTOR_BOUND**2:
-        raise DomainError(f"lattice prime {lattice.p.max()} is not below {FACTOR_BOUND**2}")
-    pairs, pair = np.unique(lattice.p * 64 + lattice.alpha, return_inverse=True)
-    p, alpha = pairs // 64, pairs % 64
-    local = _local_series(p, np.array([math.log(v) for v in p.tolist()]), alpha, k, n)
+    local = _local_series(lattice.p, lattice.alpha, k, n)
     one = local.shape[1]  # the column of the series 1, appended
     local = np.concatenate((local, np.eye(n, 1)), axis=1)
-    first = ((alpha + 1).cumsum() - (alpha + 1))[pair]  # the beta = 0 column of each factor
     coeffs = local.take(np.full(len(lattice.delta), one), axis=1)
-    for r, (row, factor, beta, _) in enumerate(lattice.links):
+    for r, (row, column, _) in enumerate(lattice.links):
         at = np.full(len(lattice.delta), one)
-        at[row] = first[factor] + beta
+        at[row] = column
         series = local.take(at, axis=1)
         coeffs = series if r == 0 else _mul(coeffs, series)
     return coeffs.T

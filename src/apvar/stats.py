@@ -193,7 +193,7 @@ def _block_terms(congruence, strided, x: int, q, lattice: DivisorLattice, cw) ->
     with cw the class-mass polynomials of its rows at x, each over
     lattice.phi classes."""
     mass = strided[lattice.delta]
-    for row, _, _, up in lattice.links:
+    for row, _, up in lattice.links:
         mass[row[up >= 0]] -= mass[up[up >= 0]]
     square = mass * mass
     phi = lattice.phi.astype(mass.dtype)

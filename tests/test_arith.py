@@ -40,10 +40,14 @@ def trial_division(n):
 
 def lattice_oracle(moduli):
     """Every DivisorLattice array, built one modulus at a time from factorize:
-    factors by modulus then prime, rows by modulus then in mixed-radix order
-    of the divisors, and at each rank r the links (row, factor, beta, up) of
-    every row of a modulus with more than r primes, in that order."""
-    start, delta, phi, factors, links = [0], [], [], [], []
+    rows by modulus then in mixed-radix order of the divisors, the distinct
+    (p, alpha) ascending, and at each rank r the links (row, column, up) of
+    every row of a modulus with more than r primes, in that order, where
+    column counts alpha + 1 columns for each pair before (p, alpha) plus
+    beta = v_p(delta)."""
+    pairs = sorted({(pp.p, pp.a) for q in moduli for pp in factorize(q)})
+    first = dict(zip(pairs, np.cumsum([0] + [a + 1 for _, a in pairs]).tolist()))
+    start, delta, phi, links = [0], [], [], []
     for q in moduli:
         fac = factorize(q)
         radix = [pp.a + 1 for pp in fac]
@@ -58,12 +62,11 @@ def lattice_oracle(moduli):
                 links.append([])
             for t, (d, v) in enumerate(zip(divs, digits)):
                 up = start[-1] + divs.index(d * pp.p) if v[r] < pp.a else -1
-                links[r].append((start[-1] + t, len(factors), v[r], up))
-            factors.append((pp.p, pp.a))
+                links[r].append((start[-1] + t, first[pp.p, pp.a] + v[r], up))
         delta += divs
         phi += [euler_phi(q // d) for d in divs]
         start.append(start[-1] + len(divs))
-    columns = (start, delta, phi, *np.array(factors, dtype=np.int64).reshape(-1, 2).T)
+    columns = (start, delta, phi, *np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
     out = {
         name: np.array(col, dtype=np.int64)
         for name, col in zip(("start", "delta", "phi", "p", "alpha"), columns)
@@ -72,11 +75,18 @@ def lattice_oracle(moduli):
     return out
 
 
+def lattice_columns(lat):
+    """(p, alpha, beta) of every column of a DivisorLattice."""
+    width = lat.alpha + 1
+    beta = np.arange(width.sum()) - (width.cumsum() - width).repeat(width)
+    return lat.p.repeat(width), lat.alpha.repeat(width), beta
+
+
 def assert_links_equal(got, want):
     assert len(got) == len(want)
     for r, (level, wanted) in enumerate(zip(got, want)):
-        assert len(level) == len(wanted) == 4
-        for name, col, w in zip(("row", "factor", "beta", "up"), level, wanted):
+        assert len(level) == len(wanted) == 3
+        for name, col, w in zip(("row", "column", "up"), level, wanted):
             assert np.array_equal(col, w), (r, name)
 
 
@@ -256,10 +266,14 @@ class TestDivisorLattice:
             rows = rows[np.argsort(lat.delta[rows])]
             assert lat.delta[rows].tolist() == divisors(q)
             assert lat.phi[rows].tolist() == [euler_phi(q // d) for d in divisors(q)]
+        # every distinct prime power of the moduli once, ascending
+        pairs = sorted({(pp.p, pp.a) for q in moduli for pp in factorize(q)})
+        assert list(zip(lat.p.tolist(), lat.alpha.tolist())) == pairs
+        col_p, col_alpha, col_beta = lattice_columns(lat)
         seen = 0
         for r, level in enumerate(lat.links):
-            for row, factor, beta, up in zip(*level):
-                p, alpha = lat.p[factor], lat.alpha[factor]
+            for row, column, up in zip(*level):
+                p, alpha, beta = col_p[column], col_alpha[column], col_beta[column]
                 i = int(np.searchsorted(lat.start, row, side="right")) - 1
                 q, d = moduli[i], int(lat.delta[row])
                 assert [pp.p for pp in factorize(q)][r] == p and q % p**alpha == 0
@@ -300,9 +314,12 @@ class TestDivisorLattice:
         assert sorted(lat.delta.tolist()) == divisors(q)
         assert lat.p.tolist() == [pp.p for pp in factorize(q)]
 
-    @pytest.mark.parametrize("q", (2**61 - 1, 1048583 * 1048589, 3 * (2**61 - 1)))
+    @pytest.mark.parametrize(
+        "q", (2**61 - 1, 1048583 * 1048589, 3 * (2**61 - 1), 1099513724941)
+    )
     def test_cofactor_past_the_trial_division_bound_is_resource_error(self, q):
-        # no prime up to 2^20 divides what is left, and it is 2^40 or more
+        # no prime up to 2^20 divides what is left, and it is (2^20 + 1)^2 or
+        # more: 1099513724941 is the least prime past that bound
         with pytest.raises(ResourceError):
             divisor_lattice([6, q])
 

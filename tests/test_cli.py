@@ -185,7 +185,14 @@ class TestMainTermCommand:
         assert out == "" and err.startswith("resource limit: ")
         assert time.perf_counter() - start < 5.0
 
-    @pytest.mark.parametrize("q", (2**60, 10**12 + 39))
+    def test_least_prime_past_the_factor_bound_is_resource_error(self, capsys):
+        # (2^20 + 1)^2 = 1099513724929 is the bound; 1099513724941 the next prime
+        code, out, err = run(capsys, "main-term", "--k", "2", "--q", "1099513724941", "--a", "1")
+        assert code == EXIT_RESOURCE
+        assert out == "" and err.startswith("resource limit: ")
+
+    # 2^40 + 15 is a prime below (2^20 + 1)^2, which trial division certifies
+    @pytest.mark.parametrize("q", (2**60, 10**12 + 39, 2**40 + 15))
     def test_large_moduli_within_the_bound_succeed(self, capsys, q):
         code, out, _ = run(capsys, "main-term", "--k", "2", "--q", str(q), "--a", "1")
         assert code == EXIT_OK

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -153,11 +152,23 @@ class TestConstrainedCorrection:
         s = correction_table(divisor_lattice([2]), 2, 4)[0]  # delta = 1
         assert s[0] == pytest.approx(0.25, abs=1e-15)
 
-    def test_prime_past_the_factor_bound_rejected(self):
-        # the (p, alpha) key p * 64 + alpha is exact only for p < 2^40
-        lattice = dataclasses.replace(divisor_lattice([97]), p=np.array([2**40 + 15]))
-        with pytest.raises(DomainError):
-            correction_table(lattice, 2, 2)
+    @pytest.mark.parametrize(("k", "n"), ((3, 3), (8, 8), (2, 5)))
+    def test_rows_are_products_of_their_local_series(self, k, n):
+        # one table over many moduli, each row against its own local factors
+        moduli = [*range(1, 2049), 2**60, 720720, 10**12 + 39, 2**40 + 15]
+        lattice = divisor_lattice(moduli)
+        table = correction_table(lattice, k, n)
+        assert table.shape == (16242, n)
+        for i, q in enumerate(moduli):
+            fac = factorize(q)
+            for row in range(lattice.start[i], lattice.start[i + 1]):
+                d, want = int(lattice.delta[row]), np.eye(1, n)[0]
+                for pp in fac:
+                    beta = 0
+                    while d % pp.p ** (beta + 1) == 0:
+                        beta += 1
+                    want = _mul(want, local_correction_series(pp.p, pp.a, beta, k, n))
+                assert np.array_equal(table[row], want), (q, d)
 
     def test_product_over_primes_matches_direct_value(self):
         assert correction_value_at(30, 6, 3, 2.0) == pytest.approx(
@@ -233,6 +244,20 @@ def test_main_terms_match_the_oracle_up_to_two_to_the_eighteen():
                     worst, where = err, (k, q, delta)
     assert cases == 8 * (8 + 12 + 2 + 19)
     assert worst <= 1e-11, f"worst relative error {worst:.2e} at (k, q, delta) = {where}"
+
+
+def test_prime_past_two_to_the_forty_matches_the_oracle():
+    # 2^40 + 15 is prime and below (2^20 + 1)^2, so trial division certifies it
+    q = 2**40 + 15
+    worst, where = 0.0, None
+    for k in range(1, 9):
+        for delta in (1, q):
+            want = residue_oracle(q, delta, k)
+            got = ap_main_term(q, delta, k)
+            err = max(abs(a - b) for a, b in zip(got, want)) / max(map(abs, want))
+            if err > worst:
+                worst, where = err, (k, delta)
+    assert worst <= 1e-11, f"worst relative error {worst:.2e} at (k, delta) = {where}"
 
 
 class TestApMainTerm:

@@ -502,14 +502,14 @@ class TestRegressionSlope:
 
 
 class TestGrowthStudy:
-    def test_single_modulus_rule_reduces_to_trivial_variance(self, table_k2_1e4):
+    def test_points_at_one_modulus_reduce_to_trivial_variance(self, table_k2_1e4):
         study = growth_study(table_k2_1e4, [(10**3, 1), (10**4, 1)])
         for x, Q, v, ratio in study.rows:
             assert Q == 1
             ev = error_vector(table_k2_1e4, 1, x)
             assert v == pytest.approx(float(ev.e[1]) ** 2, rel=1e-12)
 
-    def test_power_rule_rows_and_ratio(self, table_k2_1e4):
+    def test_square_root_points_rows_and_ratio(self, table_k2_1e4):
         points = [(x, round(x**0.5)) for x in (512, 2048, 8192)]
         study = growth_study(table_k2_1e4, points)
         assert [r[:2] for r in study.rows] == points == [(512, 23), (2048, 45), (8192, 91)]
@@ -518,7 +518,7 @@ class TestGrowthStudy:
             # the shared blocks for the largest Q serve each smaller Q exactly
             assert v == variance_total(table_k2_1e4, x, Q).total
 
-    def test_ratio_rule(self, table_k2_1e4):
+    def test_one_point_row_and_no_slope(self, table_k2_1e4):
         study = growth_study(table_k2_1e4, [(1000, 100)])
         assert study.rows[0][:2] == (1000, 100)
         assert study.rows[0][2] == variance_total(table_k2_1e4, 1000, 100).total
