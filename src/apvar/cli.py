@@ -68,12 +68,14 @@ def _csv_lines(columns) -> bytes:
     ASCII, formatted in numpy.
 
     Each value gets a cell of width + 1 bytes: a sign slot, its digits right
-    aligned, and a ',' (a '\n' after the last column).  One boolean mask
-    keeps the significant digits, the '-' just before them and the
-    separator, and gathers the kept bytes in row order.
+    aligned (last first, each v - (v // 10) * 10: numpy's % by a scalar is
+    slow), and a ',' (a '\n' after the last column).  One boolean mask
+    keeps the significant digits, the '-' just before them (if any value is
+    negative) and the separator, and gathers the kept bytes in row order.
     """
     m = np.stack(columns, axis=1)
-    top = max(int(m.max(initial=0)), -int(m.min(initial=0)))
+    low = int(m.min(initial=0))
+    top = max(int(m.max(initial=0)), -low)
     if top >= _CSV_TOP:
         raise DomainError(f"CSV value of magnitude {top} reaches the 2^32 bound")
     v = np.abs(m).astype(np.uint32)
@@ -81,15 +83,18 @@ def _csv_lines(columns) -> bytes:
     cells = np.empty(m.shape + (width + 1,), dtype=np.uint8)
     keep = np.ones(cells.shape, dtype=bool)
     for j in range(width - 1, 0, -1):
-        cells[..., j] = v % 10 + ord("0")
-        v //= 10
+        rest = v // 10
+        v -= rest * 10
+        cells[..., j] = v + ord("0")
+        v = rest
         keep[..., j - 1] = v > 0  # a digit left for slot j - 1
     cells[:, :-1, width] = ord(",")
     cells[:, -1, width] = ord("\n")
-    rows, cols = np.nonzero(m < 0)
-    sign = width - 1 - keep[rows, cols, :width].sum(axis=1)
-    cells[rows, cols, sign] = ord("-")
-    keep[rows, cols, sign] = True
+    if low < 0:
+        rows, cols = np.nonzero(m < 0)
+        sign = width - 1 - keep[rows, cols, :width].sum(axis=1)
+        cells[rows, cols, sign] = ord("-")
+        keep[rows, cols, sign] = True
     return cells.ravel()[keep.ravel()].tobytes()
 
 

@@ -2,15 +2,17 @@
 
 F_gamma is built on int64 arrays (a, q): the numerators coprime to each
 denominator q <= gamma, put in order by one argsort on the float64 values
-a/q.  Neighbours a/q < b/r differ by 1/(q*r) >= 1/gamma^2, which MAX_ORDER
-keeps far above one ulp.  Every generated run is then certified exactly: it
-starts at 0/1 and ends at 1/1, all q lie in 1..gamma, and each neighbour
-pair has b*q - a*r == 1 and q + r > gamma, which characterises F_gamma
-(Hardy-Wright, An Introduction to the Theory of Numbers, ch. III).  The
-unit interval is generated in slices of about SLICE fractions, carrying the
-last fractions of one slice into the next; every check looks only at
-neighbours, so peak memory is one slice's plus O(gamma): about 3 MiB of
-traced arrays for verify_containment(3000), over 2.7 million fractions.
+a/q.  A numerator is coprime to q when no prime of q (arith._prime_powers)
+divides it: about 2.2 remainders a candidate at order 1000.  Neighbours
+a/q < b/r differ by 1/(q*r) >= 1/gamma^2, which MAX_ORDER keeps far above
+one ulp.  Every generated run is then certified exactly: it starts at 0/1
+and ends at 1/1, all q lie in 1..gamma, and each neighbour pair has
+b*q - a*r == 1 and q + r > gamma, which characterises F_gamma (Hardy-Wright,
+An Introduction to the Theory of Numbers, ch. III).  The unit interval is
+generated in slices of about SLICE fractions, carrying the last fractions
+of one slice into the next; every check looks only at neighbours, so peak
+memory is one slice's plus O(gamma): about 3 MiB of traced arrays for
+verify_containment(3000), over 2.7 million fractions.
 
 failing_orders checks every order g <= gamma in one pass over the slices
 of F_gamma: O(gamma^2) fractions, not the ~0.1 gamma^3 arcs of all the F_g.
@@ -34,6 +36,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .arith import _prime_powers
 from .errors import CertificateError, DomainError
 
 # Cross-multiplied containment products are bounded by ~4*gamma^3, far
@@ -106,18 +109,30 @@ def _certify(a, q, gamma: int, *, opens: bool = True, closes: bool = True) -> No
 def _sorted_slices(gamma: int) -> Iterator[tuple[np.ndarray, np.ndarray, bool]]:
     """F_gamma as uncertified (a, q) int64 slices in increasing order, each
     with whether it is the last: the j-th of n slices holds the a/q in
-    [(j-1)/n, j/n), the last one 1/1 as well; empty slices are skipped."""
+    [(j-1)/n, j/n), the last one 1/1 as well; empty slices are skipped.
+    With q in order of omega(q), its number of distinct primes, the q with an
+    i-th prime own one suffix of each slice, tested by a % p_i(q) != 0."""
     n = 1 + gamma * gamma // (3 * SLICE)  # F_gamma has ~0.3 gamma^2 fractions
-    qs = np.arange(1, gamma + 1, dtype=np.int64)
+    owner, p, _ = _prime_powers(np.arange(1, gamma + 1, dtype=np.int64))
+    first = np.searchsorted(owner, np.arange(gamma + 1))  # row of q's least prime, at q - 1
+    omega = np.diff(first)  # omega(q), at q - 1
+    by_omega = np.argsort(omega, kind="stable")
+    qs = by_omega + 1
+    ranks = np.searchsorted(omega[by_omega], np.arange(1, omega.max() + 1))
+    # per rank i: where the q with an i-th prime start in qs, and those p_i(q)
+    tests = [(s, p[first[by_omega[s:]] + i].astype(np.int32)) for i, s in enumerate(ranks)]
     start = np.zeros_like(qs)  # least numerator of the slice, per q
     for j in range(1, n + 1):
         stop = -(-j * qs // n) if j < n else qs + 1
         counts = stop - start
+        edge = np.cumsum(counts) - counts  # where each q's candidates begin
         q = np.repeat(qs, counts)
-        a = np.arange(q.size, dtype=np.int64)
-        a += np.repeat(start - (np.cumsum(counts) - counts), counts)
-        keep = np.gcd(a, q) == 1
-        a, q = a[keep], q[keep]
+        a = np.arange(q.size, dtype=np.int32)  # a <= gamma: int32 takes remainders faster
+        a += np.repeat(start - edge, counts)
+        keep = np.ones(q.size, dtype=bool)
+        for s, primes in tests:
+            keep[edge[s] :] &= a[edge[s] :] % np.repeat(primes, counts[s:]) != 0
+        a, q = a[keep].astype(np.int64), q[keep]
         start = stop
         if a.size:
             order = np.argsort(a / q)  # distinct keys: any sort gives one order

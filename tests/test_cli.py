@@ -368,6 +368,8 @@ class TestCsvLines:
     @example([[0, 0, 0, 0, 0, 0]])
     @example([[-1, 3, 1, 3, 0, 1]])
     @example([[2**32 - 1, -(2**32) + 1, 7, -7, 10, -10]])
+    @example([[0, 5, 12], [0, 70, 300], [0, 1, 4]])  # nothing negative: no sign pass
+    @example([[1, 2, 3], [40, 50, 60], [7, 8, -9]])  # one '-', in the last cell
     def test_matches_percent_formatting(self, rows):
         from apvar import cli
 

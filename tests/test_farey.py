@@ -187,8 +187,45 @@ class TestCertificate:
             farey._certify(a[:-3], q[:-3], 7)
 
 
+def gcd_oracle_slices(gamma, n):
+    """(a, q, last) of the nonempty ones of the n slices of F_gamma that
+    _sorted_slices yields, from np.gcd over every candidate 0 <= a <= q:
+    a/q lies in slice floor(a n / q), 1/1 in the last."""
+    q, a = np.nonzero(np.arange(gamma + 1) <= np.arange(1, gamma + 1)[:, None])
+    q += 1
+    keep = np.gcd(a, q) == 1
+    a, q = a[keep], q[keep]
+    j = np.minimum(a * n // q, n - 1)
+    order = np.lexsort((a / q, j))
+    a, q, j = a[order], q[order], j[order]
+    cuts = np.flatnonzero(np.diff(j)) + 1
+    return [
+        (sa, sq, sj[0] == n - 1)
+        for sa, sq, sj in zip(np.split(a, cuts), np.split(q, cuts), np.split(j, cuts))
+    ]
+
+
 class TestSlices:
     """Small slices force the carried-neighbour path at small orders."""
+
+    @pytest.mark.parametrize(
+        "gamma, slice_size",
+        [(g, s) for g in (1, 2, 6, 30, 210) for s in (None, 7)] + [(2310, None), (2310, 1000)],
+    )
+    def test_slices_keep_exactly_the_gcd_coprime_pairs(self, monkeypatch, gamma, slice_size):
+        # the largest omega(q) steps up at each gamma here; at slice size 7
+        # (1000 at 2310, where 7 would make 254,101 slices) most q have zero
+        # or one candidate per slice, so omega suffixes start at slice edges
+        if slice_size:
+            monkeypatch.setattr(farey, "SLICE", slice_size)
+        n = 1 + gamma * gamma // (3 * farey.SLICE)
+        got = list(farey._sorted_slices(gamma))
+        want = gcd_oracle_slices(gamma, n)
+        assert len(got) == len(want)
+        for (a, q, last), (wa, wq, wlast) in zip(got, want):
+            assert a.dtype == q.dtype == np.int64
+            assert a.tolist() == wa.tolist() and q.tolist() == wq.tolist()
+            assert last == wlast
 
     @pytest.mark.parametrize("slice_size", (1, 7, 100))
     def test_sliced_results_match_one_slice(self, monkeypatch, slice_size):

@@ -185,18 +185,23 @@ def residue_oracle(q, delta, k):
     expands the Euler-product correction evaluated directly."""
     import mpmath as mp
 
+    local = []  # (p, alpha, v_p(delta)) for each p^alpha || q, from one factorisation
+    for pp in factorize(q):
+        beta = 0
+        while delta % pp.p ** (beta + 1) == 0:
+            beta += 1
+        local.append((pp.p, pp.a, beta))
+    phi = math.prod(p ** (alpha - beta - 1) * (p - 1) for p, alpha, beta in local if beta < alpha)
+
     def correction(u):
         out = mp.mpf(1)
-        for pp in factorize(q):
-            beta = 0
-            while delta % pp.p ** (beta + 1) == 0:
-                beta += 1
-            euler = (1 - mp.power(pp.p, -1 - u)) ** k
-            if beta < pp.a:
-                out *= euler * d_k_of(pp.p**beta, k) * mp.power(pp.p, -beta * (1 + u))
+        for p, alpha, beta in local:
+            euler = (1 - mp.power(p, -1 - u)) ** k
+            if beta < alpha:
+                out *= euler * d_k_of(p**beta, k) * mp.power(p, -beta * (1 + u))
             else:
                 out *= 1 - euler * mp.fsum(
-                    d_k_of(pp.p**j, k) * mp.power(pp.p, -j * (1 + u)) for j in range(pp.a)
+                    d_k_of(p**j, k) * mp.power(p, -j * (1 + u)) for j in range(alpha)
                 )
         return out
 
@@ -209,7 +214,7 @@ def residue_oracle(q, delta, k):
         h = times(mp.taylor(correction, 0, k - 1), [(-1) ** j for j in range(k)])
         for _ in range(k):
             h = times(h, z)
-        scale = mp.mpf(q) / euler_phi(q // delta)
+        scale = mp.mpf(q) / phi
         return [float(scale * h[k - 1 - j] / mp.factorial(j)) for j in range(k)]
 
 
