@@ -242,14 +242,17 @@ def divisor_lattice(moduli) -> DivisorLattice:
     v_p(delta) = (t // stride) % (alpha + 1), so delta * p sits stride rows
     further on.  The rows stay in that order, with no sort.
     """
-    moduli = [int(q) for q in moduli]
-    if moduli and (min(moduli) < 1 or max(moduli) >= 2**63):
+    try:
+        moduli = np.asarray(moduli, dtype=np.int64)
+    except OverflowError as exc:  # a Python int past int64
+        raise DomainError("moduli must lie in 1..2^63-1") from exc
+    if moduli.size and moduli.min() < 1:
         raise DomainError("moduli must lie in 1..2^63-1")
-    owner, p, alpha = _prime_powers(np.array(moduli, dtype=np.int64))
+    owner, p, alpha = _prime_powers(moduli)
     rank = np.arange(owner.size) - np.searchsorted(owner, owner)
-    sizes = np.ones(len(moduli), dtype=np.int64)
+    sizes = np.ones(moduli.size, dtype=np.int64)
     np.multiply.at(sizes, owner, alpha + 1)
-    start = np.zeros(len(moduli) + 1, dtype=np.int64)
+    start = np.zeros(moduli.size + 1, dtype=np.int64)
     start[1:] = np.cumsum(sizes)
     # p < (FACTOR_BOUND + 1)^2 < 2^41 and alpha < 63, so the key is exact
     pairs, pair = np.unique(p * 64 + alpha, return_inverse=True)

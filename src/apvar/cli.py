@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -34,6 +35,7 @@ EXIT_RESOURCE = 3
 SUITES = ("identities", "dirichlet", "farey", "growth", "all")
 
 _CSV_TOP = 2**32  # |value| bound of _csv_lines, whose digit pass runs in uint32
+_WRITE_BLOCK = 2**16  # strings joined per write by _emit, about 1-2 MB of output
 
 
 def _fmt(v: float) -> str:
@@ -58,9 +60,13 @@ def _output(out_path):
     return open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout)
 
 
-def _emit(text: str, out_path) -> None:
+def _emit(pieces, out_path) -> None:
+    """Write the strings of `pieces` to out_path (stdout without one), joined
+    _WRITE_BLOCK at a time: one write per block, even to an unbuffered stdout."""
+    pieces = iter(pieces)
     with _output(out_path) as fh:
-        fh.write(text)
+        while block := "".join(itertools.islice(pieces, _WRITE_BLOCK)):
+            fh.write(block)
 
 
 def _csv_lines(columns) -> bytes:
@@ -130,7 +136,7 @@ def cmd_main_term(args) -> int:
         payload["f"]["value_at_x"] = eval_logpoly(f, args.x)
         payload["M"]["value_at_x"] = eval_logpoly(m, args.x)
         payload["x"] = args.x
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit([json.dumps(payload, indent=2) + "\n"], args.out)
     return EXIT_OK
 
 
@@ -139,21 +145,13 @@ def cmd_variance(args) -> int:
         raise DomainError(f"need 1 <= Q <= x, got Q={args.Q}, x={args.x}")
     threads = _resolve_threads(args.threads)
     table = _load_or_sieve(args, args.x, args.k, threads)
-    report = stats.variance_total(table, args.x, args.Q)
+    rep = stats.variance_total(table, args.x, args.Q)
     if args.format == "json":
-        payload = {
-            "x": report.x,
-            "Q": report.Q,
-            "k": report.k,
-            "per_q": list(report.per_q),
-            "total": report.total,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        payload = dict(x=rep.x, Q=rep.Q, k=rep.k, per_q=rep.per_q.tolist(), total=rep.total)
+        _emit(itertools.chain(json.JSONEncoder(indent=2).iterencode(payload), ["\n"]), args.out)
     else:
-        lines = ["q,V_q"]
-        lines += [f"{q},{_fmt(v)}" for q, v in enumerate(report.per_q, start=1)]
-        lines.append(f"total,{_fmt(report.total)}")
-        _emit("\n".join(lines) + "\n", args.out)
+        rows = (f"{q},{_fmt(v)}\n" for q, v in enumerate(rep.per_q, start=1))
+        _emit(itertools.chain(["q,V_q\n"], rows, [f"total,{_fmt(rep.total)}\n"]), args.out)
     return EXIT_OK
 
 
@@ -166,9 +164,9 @@ def cmd_expsum(args) -> int:
     s = exp_sum(cls, args.a)
     if args.format == "json":
         payload = {"a": s.a, "q": s.q, "x": s.X, "re": s.re, "im": s.im}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit([json.dumps(payload, indent=2) + "\n"], args.out)
     else:
-        _emit(f"a,q,x,re,im\n{s.a},{s.q},{s.X},{_fmt(s.re)},{_fmt(s.im)}\n", args.out)
+        _emit([f"a,q,x,re,im\n{s.a},{s.q},{s.X},{_fmt(s.re)},{_fmt(s.im)}\n"], args.out)
     return EXIT_OK
 
 
@@ -220,8 +218,7 @@ def cmd_verify(args) -> int:
         rows += [checks.farey_containment(gamma), checks.farey_histogram()]
     if "growth" in suites:
         rows.append(checks.growth(table, grid))
-    text = "\n".join(json.dumps(r) for r in rows) + "\n"
-    _emit(text, args.out)
+    _emit((json.dumps(r) + "\n" for r in rows), args.out)
     return EXIT_OK if all(r["pass"] for r in rows) else EXIT_CHECK_FAILED
 
 

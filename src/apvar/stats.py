@@ -67,17 +67,18 @@ class DeltaValue:
 class VarianceReport:
     """Per-modulus variances, their total, and the three expansion terms.
 
-    congruence_term is the exact integer sum over q of sum_a A(x;q,a)^2;
-    cross_term and main_term carry the -2x and x^2 pieces of the expanded
-    square.  Their sum cancels down to the total, so a float error of eps
-    in each term can move it by `cancellation` = eps (sum_q |congruence| +
-    |cross| + |main|) / V(x, Q) of itself.
+    per_q is V_x(q), q = 1..Q, as a read-only float64 array (compare it by
+    np.array_equal).  congruence_term is the exact integer sum over q of
+    sum_a A(x;q,a)^2; cross_term and main_term carry the -2x and x^2 pieces
+    of the expanded square.  Their sum cancels down to the total, so a float
+    error of eps in each term can move it by `cancellation` =
+    eps (sum_q |congruence| + |cross| + |main|) / V(x, Q) of itself.
     """
 
     x: int
     Q: int
     k: int
-    per_q: tuple[float, ...]
+    per_q: np.ndarray
     total: float
     congruence_term: int
     cross_term: float
@@ -112,18 +113,18 @@ def delta_value(cls: ResidueClassSums, a: int) -> DeltaValue:
     return DeltaValue(value=s.value - main, a=r, q=q, X=cls.X)
 
 
-def _moduli_blocks(tops, k: int) -> Iterator[tuple[int, DivisorLattice, np.ndarray]]:
-    """The divisor lattices of the moduli 1..max(tops), in blocks of at most
-    _TABLE_BLOCK starting at lo and cut after each top, with the class-mass
-    polynomials of their rows, built one block at a time as the caller asks
-    for it.  None of it depends on x."""
+def _moduli_blocks(tops, k: int) -> Iterator[tuple[np.ndarray, DivisorLattice, np.ndarray]]:
+    """The moduli 1..max(tops) as int64 arrays q of at most _TABLE_BLOCK
+    consecutive moduli, cut after each top, with their divisor lattices and
+    the class-mass polynomials of their rows, built one block at a time as
+    the caller asks for it.  None of it depends on x."""
     lo = 1
     for top in sorted(set(tops)):
         while lo <= top:
-            hi = min(lo + _TABLE_BLOCK, top + 1)
-            lattice = divisor_lattice(range(lo, hi))
-            yield lo, lattice, density_polys(lattice, k)
-            lo = hi
+            q = np.arange(lo, min(lo + _TABLE_BLOCK, top + 1))
+            lattice = divisor_lattice(q)
+            yield q, lattice, density_polys(lattice, k)
+            lo += q.size
 
 
 def _variances(table: DkTable, points) -> list[VarianceReport]:
@@ -141,37 +142,35 @@ def _variances(table: DkTable, points) -> list[VarianceReport]:
     two sums of squares, so nothing cancels.  sum_a A^2 is the congruence
     sum; G is the Mobius transform over the divisors of q/delta of the
     strided sums S(e) = sum_{e | n <= x} d_k(n), taken one prime of q at a
-    time.  The integer part of `within` is exact (int64 while
-    (sum d_k)^2 < 2^63 bounds every term, Python ints past it); only
-    sum_delta (G^2 mod phi)/phi is a float.  `cross` and `main` are the -2x
-    and x^2 pieces of the expanded square.
+    time.  The integer part of `within` is exact, in the dtype congruence_sums
+    chose; only sum_delta (G^2 mod phi)/phi is a float.  `cross` and `main`
+    are the -2x and x^2 pieces of the expanded square.
     """
     for x, Q in points:
         if not 1 <= Q <= x <= table.x:
             raise DomainError(f"need 1 <= Q <= x <= {table.x}, got Q={Q}, x={x}")
     points = [(x, Q, congruence_sums(table, x, Q)) for x, Q in points]
-    strided = []
-    for x, Q, congruence in points:
-        values = table.values[: x + 1]
-        if congruence.dtype == object:
-            values = values.astype(object)
-        strided.append(multiple_sums(values, Q))
-    parts = [[] for _ in points]
-    for lo, lattice, polys in _moduli_blocks([Q for _, Q, _ in points], table.k):
-        q = np.arange(lo, lo + len(lattice.start) - 1)
-        for (x, Q, congruence), sums, part in zip(points, strided, parts):
-            if lo <= Q:
-                cw = eval_logpoly(polys, x)
-                part.append(_block_terms(congruence[q], sums, x, q, lattice, cw))
+    strided = [
+        multiple_sums(table.values[: x + 1].astype(congruence.dtype, copy=False), Q)
+        for x, Q, congruence in points
+    ]
+    # per point, V_q and the cross and main terms at q - 1, filled by blocks
+    terms = [(np.empty(Q), np.empty(Q), np.empty(Q)) for _, Q, _ in points]
+    for q, lattice, polys in _moduli_blocks([Q for _, Q, _ in points], table.k):
+        for (x, Q, congruence), sums, (per_q, cross, main) in zip(points, strided, terms):
+            if q[0] <= Q:
+                within, between, cross[q - 1], main[q - 1] = _block_terms(
+                    congruence[q], sums, x, q, lattice, eval_logpoly(polys, x)
+                )
+                per_q[q - 1] = within + between
     reports = []
-    for (x, Q, congruence), part in zip(points, parts):
-        terms = {name: np.concatenate([block[name] for block in part]) for name in part[0]}
-        per_q = tuple((terms["within"] + terms["between"]).tolist())
+    for (x, Q, congruence), (per_q, cross, main) in zip(points, terms):
+        per_q.flags.writeable = False
         total = math.fsum(per_q)
-        congruence_term = sum(congruence[1 : Q + 1].tolist())
-        main_term = math.fsum(terms["main"].tolist())
+        congruence_term = congruence[1 : Q + 1].sum(dtype=object)
+        main_term = math.fsum(main)
         # every congruence and main term is >= 0, so these are the sums of |.|
-        spread = float(congruence_term) + math.fsum(np.abs(terms["cross"]).tolist()) + main_term
+        spread = float(congruence_term) + math.fsum(np.abs(cross)) + main_term
         reports.append(
             VarianceReport(
                 x=x,
@@ -180,7 +179,7 @@ def _variances(table: DkTable, points) -> list[VarianceReport]:
                 per_q=per_q,
                 total=total,
                 congruence_term=congruence_term,
-                cross_term=math.fsum(terms["cross"].tolist()),
+                cross_term=math.fsum(cross),
                 main_term=main_term,
                 cancellation=_EPS * spread / total if total else math.inf,
             )
@@ -188,10 +187,10 @@ def _variances(table: DkTable, points) -> list[VarianceReport]:
     return reports
 
 
-def _block_terms(congruence, strided, x: int, q, lattice: DivisorLattice, cw) -> dict:
-    """The per-q terms of _variances for one block of consecutive moduli q,
-    with cw the class-mass polynomials of its rows at x, each over
-    lattice.phi classes."""
+def _block_terms(congruence, strided, x: int, q, lattice: DivisorLattice, cw) -> tuple:
+    """(within, between, cross, main), the per-q terms of _variances for one
+    block of consecutive moduli q, with cw the class-mass polynomials of its
+    rows at x, each over lattice.phi classes."""
     mass = strided[lattice.delta]
     for row, _, up in lattice.links:
         mass[row[up >= 0]] -= mass[up[up >= 0]]
@@ -206,13 +205,13 @@ def _block_terms(congruence, strided, x: int, q, lattice: DivisorLattice, cw) ->
     # the tests rounds it: where V_q is 0 (k = 1, q | x) both are rounding noise
     main = (x / q_row) * (q_row / phi * cw)
     g = mass.astype(np.float64)
-    return {
+    return (
         # within >= 0 exactly; the float remainder sum can pass it by rounding
-        "within": np.maximum(within, 0.0),
-        "between": np.add.reduceat(phi * (g / phi - main) ** 2, seg),
-        "cross": np.add.reduceat(-2.0 * main * g, seg),
-        "main": np.add.reduceat(phi * main * main, seg),
-    }
+        np.maximum(within, 0.0),
+        np.add.reduceat(phi * (g / phi - main) ** 2, seg),
+        np.add.reduceat(-2.0 * main * g, seg),
+        np.add.reduceat(phi * main * main, seg),
+    )
 
 
 def variance_total(
@@ -298,10 +297,10 @@ def variance_expansion_check(
             f"of V(x, Q), gate {IDENTITY_TOL:g}"
         )
     direct = []
-    for lo, lattice, polys in _moduli_blocks([Q], table.k):
+    for q, lattice, polys in _moduli_blocks([Q], table.k):
         cw = eval_logpoly(polys, float(x))
-        for i, (a, b) in enumerate(zip(lattice.start[:-1], lattice.start[1:])):
-            cls = ap_sums(table, lo + i, x)
+        for m, a, b in zip(q.tolist(), lattice.start[:-1], lattice.start[1:]):
+            cls = ap_sums(table, m, x)
             e = _class_errors(cls, lattice.delta[a:b], lattice.phi[a:b], cw[a:b])
             direct.append(float(np.sum(e * e)))
     expanded = float(report.congruence_term) + report.cross_term + report.main_term

@@ -286,8 +286,9 @@ class TestDivisorLattice:
         assert seen == sum(len(factorize(q)) * len(divisors(q)) for q in moduli)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(DomainError):
-            divisor_lattice([0, 5])
+        for moduli in ([0, 5], [2**63], [-1], [2**64 + 5]):
+            with pytest.raises(DomainError):
+                divisor_lattice(moduli)
 
     @pytest.mark.parametrize(
         "moduli",

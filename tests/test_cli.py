@@ -177,6 +177,11 @@ class TestMainTermCommand:
             assert code == EXIT_USAGE
             assert "need 1 <= a <= q" in err
 
+    def test_modulus_past_int64_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "main-term", "--k", "2", "--q", str(2**63), "--a", "1")
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error: ")
+
     def test_prime_modulus_past_the_trial_division_bound_is_resource_error(self, capsys):
         # 2^61 - 1 is prime: trial division up to its square root ran for minutes
         start = time.perf_counter()
@@ -224,6 +229,33 @@ class TestVarianceCommand:
     def test_Q_beyond_x_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "variance", "--k", "2", "--x", "10", "--Q", "11")
         assert code == EXIT_USAGE
+
+    def test_usage_error_creates_no_out_file(self, tmp_path, capsys):
+        out = tmp_path / "v.csv"
+        argv = ("variance", "--k", "2", "--x", "10", "--Q", "11", "--out", str(out))
+        code, _, _ = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ("csv", "json"))
+    def test_out_file_holds_the_stdout_bytes(self, tmp_path, capsys, fmt):
+        argv = ("variance", "--k", "3", "--x", "5000", "--Q", "700", "--format", fmt)
+        code, stdout, _ = run(capsys, *argv)
+        assert code == EXIT_OK and stdout.count("\n") >= 702
+        out = tmp_path / f"v.{fmt}"
+        code, printed, _ = run(capsys, *argv, "--out", str(out))
+        assert code == EXIT_OK and printed == ""
+        assert out.read_bytes() == stdout.encode()
+
+    def test_rows_are_written_one_block_per_call(self, monkeypatch):
+        writes = []
+        sink = type("Sink", (), {"write": staticmethod(writes.append)})()
+        monkeypatch.setattr(cli_mod, "_output", lambda path: contextlib.nullcontext(sink))
+        pieces = [f"{i}\n" for i in range(2 * cli_mod._WRITE_BLOCK + 3)]
+        cli_mod._emit(iter(pieces), None)
+        assert len(writes) == 3 and "".join(writes) == "".join(pieces)
+        cli_mod._emit([], None)
+        assert len(writes) == 3
 
     def test_cached_table_matches_fresh_sieve(self, tmp_path, capsys):
         out = tmp_path / "t.dktb"

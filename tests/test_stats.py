@@ -106,10 +106,26 @@ class TestVariance:
     def test_threaded_reduction_is_identical(self, table_k3_1e4):
         a = variance_total(table_k3_1e4, 10**4, 40, threads=1)
         b = variance_total(table_k3_1e4, 10**4, 40, threads=8)
-        assert a.per_q == b.per_q
+        assert np.array_equal(a.per_q, b.per_q)
         assert a.total == b.total
         assert a.congruence_term == b.congruence_term
         assert a.cross_term == b.cross_term and a.main_term == b.main_term
+
+    def test_per_q_is_a_read_only_float64_array(self, table_k2_1e4):
+        rep = variance_total(table_k2_1e4, 5000, 30)
+        assert type(rep.per_q) is np.ndarray and rep.per_q.dtype == np.float64
+        assert rep.per_q.shape == (30,)
+        with pytest.raises(ValueError, match="read-only"):
+            rep.per_q[0] = 0.0
+
+    def test_congruence_term_in_int64_is_an_exact_int(self, table_k2_1e4):
+        # the int64 path: (sum d_2)^2 < 2^63, and the term is a Python int
+        x, Q = 5000, 40
+        congruence = congruence_sums(table_k2_1e4, x, Q)
+        assert congruence.dtype == np.int64
+        term = variance_total(table_k2_1e4, x, Q).congruence_term
+        assert type(term) is int
+        assert term == sum(int(c) for c in congruence[1:])
 
     def test_Q_beyond_x_rejected(self, table_k2_1e4):
         with pytest.raises(DomainError):
@@ -122,7 +138,8 @@ class TestVariance:
         exact = sum(
             int(a) ** 2 for q in range(1, 5) for a in ap_sums(table, q, 4).sums[1:]
         )
-        assert variance_total(table, 4, 4).congruence_term == exact == 34 * 2**62
+        term = variance_total(table, 4, 4).congruence_term
+        assert type(term) is int and term == exact == 34 * 2**62
 
 
 def reference_variance(table, x, Q, k):
@@ -252,8 +269,10 @@ class TestAllModuliEngine:
         q = np.arange(1, Q + 1)
         strided = sieve.multiple_sums(table.values[: x + 1], Q)
         cw = eval_logpoly(polys, x)
-        terms = _block_terms(congruence_sums(table, x, Q)[q], strided, x, q, lattice, cw)
-        assert (terms["within"] >= 0.0).all()
+        within, between, _, _ = _block_terms(
+            congruence_sums(table, x, Q)[q], strided, x, q, lattice, cw
+        )
+        assert (within >= 0.0).all()
         for q in range(1, Q + 1):
             counts = ap_sums(table, q, x).sums[1:].astype(np.float64)
             gcds = np.gcd(np.arange(1, q + 1), q)
@@ -261,9 +280,9 @@ class TestAllModuliEngine:
             size = np.bincount(gcds)
             spread = counts - mass[gcds] / size[gcds]
             want = math.fsum((spread * spread).tolist())
-            assert terms["within"][q - 1] == pytest.approx(want, rel=1e-9, abs=1e-9)
+            assert within[q - 1] == pytest.approx(want, rel=1e-9, abs=1e-9)
         rep = variance_total(table, x, Q)
-        assert rep.per_q == tuple((terms["within"] + terms["between"]).tolist())
+        assert np.array_equal(rep.per_q, within + between)
 
 
 @pytest.fixture(scope="module", params=(2, 3))
@@ -284,8 +303,14 @@ class TestLoadedTables:
     @pytest.mark.parametrize("x, Q", ((65536, 4096), (65536, 1), (50000, 300)))
     def test_variance_report(self, sieved_and_loaded, x, Q):
         table, loaded = sieved_and_loaded
-        want = dataclasses.asdict(variance_total(table, x, Q))
-        assert dataclasses.asdict(variance_total(loaded, x, Q)) == want
+        want = variance_total(table, x, Q)
+        got = variance_total(loaded, x, Q)
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if field.name == "per_q":
+                assert np.array_equal(a, b)
+            else:
+                assert a == b and type(a) is type(b), field.name
 
     def test_congruence_sums(self, sieved_and_loaded):
         table, loaded = sieved_and_loaded
