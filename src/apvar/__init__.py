@@ -48,14 +48,12 @@ from .sieve import (
 )
 from .stats import (
     DeltaValue,
-    ErrorVector,
     GrowthStudy,
     VarianceReport,
     delta_value,
     density_square_sum_check,
     deviation_decay_slope,
     dirichlet_sums,
-    error_vector,
     growth_study,
     parseval_check,
     variance_expansion_check,

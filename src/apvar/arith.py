@@ -5,9 +5,10 @@ whole block of moduli at once in `divisor_lattice`), the classical
 multiplicative functions (Mobius, Euler phi and its sieve, the k-fold
 divisor function), the primes up to n, Ramanujan sums, divisor
 enumeration, the gcd classes of a modulus, and the divisor lattice of a
-set of moduli: its rows (q, delta | q), its columns (p, alpha, beta) and,
-one prime rank at a time, each row's column and link to the row of delta p.
-Everything here is exact integer arithmetic.
+set of moduli: its rows (q, delta | q) and, one prime rank at a time, each
+row's column and link to the row of delta p.  One function lays out the
+columns (p, alpha, beta) of prime powers, for a lattice's own or for every
+one up to n.  Everything here is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -161,6 +162,46 @@ def ramanujan_sum(q: int, n: int) -> int:
 
 
 @dataclass(frozen=True)
+class Columns:
+    """Columns of distinct prime powers p^alpha, alpha + 1 for each in turn,
+    one per beta = 0..alpha.  Per pair: p, alpha and its first column; per
+    column: its pair, beta, power = p^beta and totient = phi(p^(alpha - beta))."""
+
+    p: np.ndarray
+    alpha: np.ndarray
+    first: np.ndarray
+    pair: np.ndarray
+    beta: np.ndarray
+    power: np.ndarray
+    totient: np.ndarray
+
+
+def prime_power_columns(p: np.ndarray, alpha: np.ndarray) -> Columns:
+    """The Columns of distinct pairs (p, alpha), in the given order."""
+    width = alpha + 1
+    first = width.cumsum() - width
+    pair = np.arange(p.size).repeat(width)
+    beta = np.arange(pair.size) - first[pair]
+    power = p[pair] ** beta  # p^beta, exact while p^alpha fits int64
+    rest = power[(first + alpha)[pair] - beta]  # p^(alpha - beta)
+    totient = rest - rest // p[pair]  # phi(p^m) = p^m - p^(m - 1), and 1 at m = 0
+    return Columns(p, alpha, first, pair, beta, power, totient)
+
+
+def columns_up_to(n: int) -> Columns:
+    """The columns of every prime power p^alpha <= n: for each prime p <= n
+    in turn, alpha = 1, 2, ... while p^alpha <= n."""
+    p = primes_up_to(n)
+    most, power, live = np.zeros_like(p), p.copy(), p.size
+    while live:
+        most[:live] += 1
+        live = int(np.count_nonzero(power[:live] <= n // p[:live]))  # a prefix
+        power[:live] *= p[:live]
+    alpha = np.arange(most.sum()) - (most.cumsum() - most).repeat(most) + 1
+    return prime_power_columns(p.repeat(most), alpha)
+
+
+@dataclass(frozen=True)
 class DivisorLattice:
     """The pairs (q, delta | q) over a list of moduli, one row each.
 
@@ -168,8 +209,8 @@ class DivisorLattice:
     order and not sorted: with stride the product of alpha + 1 over the
     smaller primes of q, row start[i] + t has v_p(delta) = (t // stride) %
     (alpha + 1).  phi[r] = phi(q/delta) counts the residues a mod q with
-    gcd(a, q) = delta.  p, alpha are the distinct p^alpha || q, ascending;
-    each has alpha + 1 columns in turn, one per beta = 0..alpha.
+    gcd(a, q) = delta.  columns holds every p^alpha || q: the lattice's own,
+    or an engine run's columns_up_to its largest modulus.
 
     links[r] = (row, column, up) holds every row of a modulus with more
     than r primes, at its prime of rank r (the (r+1)-th smallest): column
@@ -180,8 +221,7 @@ class DivisorLattice:
     start: np.ndarray
     delta: np.ndarray
     phi: np.ndarray
-    p: np.ndarray
-    alpha: np.ndarray
+    columns: Columns
     links: tuple[tuple[np.ndarray, ...], ...]
 
 
@@ -230,10 +270,12 @@ def _prime_powers(moduli: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return owner[order], p[order], alpha[order]
 
 
-def divisor_lattice(moduli) -> DivisorLattice:
+def divisor_lattice(moduli, columns: Columns | None = None) -> DivisorLattice:
     """The divisor lattice of the given moduli, factored all at once by
     _prime_powers: ResourceError for a modulus that leaves a cofactor of
     (2^20 + 1)^2 or more once the primes up to FACTOR_BOUND are divided out.
+    Its columns are those given, columns_up_to(n) with n >= every p^alpha
+    that divides a modulus, or else its own distinct pairs.
 
     One pass per prime rank fills delta, phi and that rank's links with the
     divisors of each modulus in mixed-radix order, by one gather of p^beta
@@ -254,15 +296,12 @@ def divisor_lattice(moduli) -> DivisorLattice:
     np.multiply.at(sizes, owner, alpha + 1)
     start = np.zeros(moduli.size + 1, dtype=np.int64)
     start[1:] = np.cumsum(sizes)
-    # p < (FACTOR_BOUND + 1)^2 < 2^41 and alpha < 63, so the key is exact
-    pairs, pair = np.unique(p * 64 + alpha, return_inverse=True)
-    width = pairs % 64 + 1
-    first = width.cumsum() - width
-    exponent = np.arange(width.sum()) - first.repeat(width)
-    base = (pairs // 64).repeat(width)
-    power = base**exponent  # p^beta, exact since p^alpha divides a modulus
-    rest = power[(first + width - 1).repeat(width) - exponent]  # p^(alpha - beta)
-    totient = rest - rest // base  # phi(p^m) = p^m - p^(m - 1), and 1 at m = 0
+    if columns is None:
+        # p < (FACTOR_BOUND + 1)^2 < 2^41 and alpha < 63, so the key is exact
+        pairs, pair = np.unique(p * 64 + alpha, return_inverse=True)
+        columns = prime_power_columns(pairs // 64, pairs % 64)
+    else:  # columns_up_to lists alpha = 1, 2, ... in turn for each p
+        pair = np.searchsorted(columns.p, p) + alpha - 1
     delta = np.ones(start[-1], dtype=np.int64)
     phi = np.ones_like(delta)
     stride = np.ones_like(alpha)
@@ -278,8 +317,8 @@ def divisor_lattice(moduli) -> DivisorLattice:
         factor = sel.repeat(size)
         alpha_r = alpha[factor]
         beta = position // step % (alpha_r + 1)
-        column = first[pair[factor]] + beta
-        delta[at] *= power[column]
-        phi[at] *= totient[column]
+        column = columns.first[pair[factor]] + beta
+        delta[at] *= columns.power[column]
+        phi[at] *= columns.totient[column]
         links.append((at, column, np.where(beta < alpha_r, at + step, -1)))
-    return DivisorLattice(start, delta, phi, pairs // 64, pairs % 64, tuple(links))
+    return DivisorLattice(start, delta, phi, columns, tuple(links))

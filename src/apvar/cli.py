@@ -147,8 +147,13 @@ def cmd_variance(args) -> int:
     table = _load_or_sieve(args, args.x, args.k, threads)
     rep = stats.variance_total(table, args.x, args.Q)
     if args.format == "json":
-        payload = dict(x=rep.x, Q=rep.Q, k=rep.k, per_q=rep.per_q.tolist(), total=rep.total)
-        _emit(itertools.chain(json.JSONEncoder(indent=2).iterencode(payload), ["\n"]), args.out)
+        # json.dumps(payload, indent=2), per_q encoded _WRITE_BLOCK values at a time
+        payload = dict(x=rep.x, Q=rep.Q, k=rep.k, per_q=[None], total=rep.total)
+        head, tail = json.dumps(payload, indent=2).split("null")
+        blocks = (rep.per_q[i : i + _WRITE_BLOCK].tolist() for i in range(0, rep.Q, _WRITE_BLOCK))
+        values = itertools.chain.from_iterable(json.dumps(b)[1:-1].split(", ") for b in blocks)
+        rows = itertools.chain([next(values)], (",\n    " + v for v in values))
+        _emit(itertools.chain([head], rows, [tail + "\n"]), args.out)
     else:
         rows = (f"{q},{_fmt(v)}\n" for q, v in enumerate(rep.per_q, start=1))
         _emit(itertools.chain(["q,V_q\n"], rows, [f"total,{_fmt(rep.total)}\n"]), args.out)

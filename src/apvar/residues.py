@@ -11,8 +11,10 @@ u = s-1.  Polynomials in log X are float64 coefficient arrays, increasing
 degree; eval_logpoly evaluates one, or a whole table row by row.
 density_polys builds the class-mass polynomial P(q, delta) of every row
 (q, delta | q) of a divisor lattice at once, the mass X*P of the n <= X with
-gcd(n, q) = delta.  Three closely related polynomial families come out of
-the same residue (read-only arrays, since caches hand them to every caller):
+gcd(n, q) = delta, from the local Euler series of the lattice's columns
+(built for it, or once for a whole engine run and passed in).  Three
+closely related polynomial families come out of the same residue
+(read-only arrays, since caches hand them to every caller):
 
   ap_main_term(q, a, k)   density polynomial for the class a mod q;
   m_poly(q, k)            its transform over the divisor lattice of q,
@@ -34,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import DivisorLattice, divisor_lattice, divisors, factorize
+from .arith import DivisorLattice, divisor_lattice, divisors, factorize, prime_power_columns
 from .errors import DomainError
 
 # Laurent coefficients of zeta about s=1:  zeta(s) = 1/u + sum_n c_n u^n
@@ -58,6 +60,7 @@ _STIELTJES = (
     -0.0002092092620592999458371,
     -0.0002834686553202414466429,
 )
+_SERIES_PAIRS = 1 << 12  # pairs per pass of _local_series: a few MB of temporaries at k = 8
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -99,10 +102,12 @@ def zeta_power_series(k: int, n: int) -> np.ndarray:
     return out
 
 
-def _local_series(p: np.ndarray, alpha: np.ndarray, k: int, n: int) -> np.ndarray:
-    """The local factors of distinct pairs (p, alpha) as an (n, columns)
-    array in the column layout of DivisorLattice (beta = 0..alpha for each
-    pair in turn), as local_correction_series defines them.
+def _local_series(columns, k: int, n: int) -> np.ndarray:
+    """The local factors of the arith.Columns `columns`, as
+    local_correction_series defines them: an (n, C + 1) array for C columns,
+    whose last column is the series 1.  Built _SERIES_PAIRS pairs at a time
+    and elementwise per column, so a column's bytes do not depend on which
+    other pairs are built with it.
 
     With x = p^-s = p^-1 exp(-u log p), the factor at beta < alpha is
     d_k(p^beta) (1 - x)^k x^beta, and at beta = alpha the negative-binomial
@@ -111,35 +116,39 @@ def _local_series(p: np.ndarray, alpha: np.ndarray, k: int, n: int) -> np.ndarra
             = x^alpha sum_{i<k} C(alpha+k-1, alpha+i) x^i (1 - x)^(k-1-i),
     a sum of positive terms at s = 1, however small x^alpha is.
     """
-    size = alpha + 1
-    pair = np.arange(alpha.size).repeat(size)
-    beta = np.arange(pair.size) - (size.cumsum() - size).repeat(size)
-    top = max(int(alpha.max(initial=0)), k)
-    # x^j = p^-j exp(-j u log p) for j = 0..top: its u^i coefficient is
-    # p^-j (-j log p)^i / i!, each power formed by products
-    x = np.empty((n, top + 1, alpha.size))
-    x[0, 0] = 1.0
-    x[0, 1:] = 1.0 / p
-    x[0] = np.multiply.accumulate(x[0])
-    t = -np.arange(top + 1)[:, None] * np.array([math.log(v) for v in p.tolist()])
-    for i in range(1, n):
-        x[i] = x[i - 1] * t / i
-    # y[:, m] = (1 - x)^m for m = 0..k, and comb[a, r] = C(a + k - 1, r)
-    y = np.zeros((n, k + 1, alpha.size))
-    y[0] = 1.0
-    y[:, 1] -= x[:, 1]
-    for m in range(2, k + 1):
-        y[:, m] = _mul(y[:, m - 1], y[:, 1])
-    comb = np.array([[math.comb(a + k - 1, r) for r in range(k)] for a in range(top + 1)])
-    # the tail's sum over i < k, then every factor as a series times x^beta
-    terms = _mul(x[:, :k], y[:, k - 1 :: -1]) * comb[alpha].T[::-1]
-    tail = terms[:, 0]
-    for i in range(1, k):
-        tail = tail + terms[:, i]
-    left = y[:, k, pair] * comb[beta, k - 1]
-    pinned = beta == alpha[pair]
-    left[:, pinned] = tail[:, pair[pinned]]
-    return _mul(left, x[:, beta, pair])
+    out = np.eye(n, columns.beta.size + 1, columns.beta.size)
+    ends = np.append(columns.first, columns.beta.size)
+    for lo in range(0, columns.p.size, _SERIES_PAIRS):
+        p, alpha = columns.p[lo : lo + _SERIES_PAIRS], columns.alpha[lo : lo + _SERIES_PAIRS]
+        at = slice(ends[lo], ends[lo + p.size])
+        pair, beta = columns.pair[at] - lo, columns.beta[at]
+        top = max(int(alpha.max()), k)
+        # x^j = p^-j exp(-j u log p) for j = 0..top: its u^i coefficient is
+        # p^-j (-j log p)^i / i!, each power formed by products
+        x = np.empty((n, top + 1, p.size))
+        x[0, 0] = 1.0
+        x[0, 1:] = 1.0 / p
+        x[0] = np.multiply.accumulate(x[0])
+        t = -np.arange(top + 1)[:, None] * np.array([math.log(v) for v in p.tolist()])
+        for i in range(1, n):
+            x[i] = x[i - 1] * t / i
+        # y[:, m] = (1 - x)^m for m = 0..k, and comb[a, r] = C(a + k - 1, r)
+        y = np.zeros((n, k + 1, p.size))
+        y[0] = 1.0
+        y[:, 1] -= x[:, 1]
+        for m in range(2, k + 1):
+            y[:, m] = _mul(y[:, m - 1], y[:, 1])
+        comb = np.array([[math.comb(a + k - 1, r) for r in range(k)] for a in range(top + 1)])
+        # the tail's sum over i < k, then every factor as a series times x^beta
+        terms = _mul(x[:, :k], y[:, k - 1 :: -1]) * comb[alpha].T[::-1]
+        tail = terms[:, 0]
+        for i in range(1, k):
+            tail = tail + terms[:, i]
+        left = y[:, k, pair] * comb[beta, k - 1]
+        pinned = beta == alpha[pair]
+        left[:, pinned] = tail[:, pair[pinned]]
+        out[:, at] = _mul(left, x[:, beta, pair])
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -158,22 +167,24 @@ def local_correction_series(
     """
     if alpha < 1 or beta < 0 or beta > alpha:
         raise DomainError(f"need 0 <= beta <= alpha with alpha >= 1, got ({alpha}, {beta})")
-    series = _local_series(np.array([p]), np.array([alpha]), k, n)
+    series = _local_series(prime_power_columns(np.array([p]), np.array([alpha])), k, n)
     return _frozen(series[:, beta])
 
 
-def correction_table(lattice: DivisorLattice, k: int, n: int) -> np.ndarray:
+def correction_table(lattice: DivisorLattice, k: int, n: int, local=None) -> np.ndarray:
     """The correction series of every row (q, delta) of a divisor lattice.
 
     coeffs[r] holds the first n Taylor coefficients about s=1 of the product
     over p^alpha || q of local_correction_series(p, alpha, v_p(delta), k, n).
-    The local series of the lattice's columns are built at once; one pass per
-    prime rank of q multiplies each row by the series of its column there, or
-    by 1 where q has fewer primes.  Built (n, rows), returned transposed.
+    local is _local_series of the lattice's columns, built here unless the
+    caller holds it (an engine run builds it once for all its blocks).  One
+    pass per prime rank of q multiplies each row by the series of its column
+    there, or by 1 where q has fewer primes.  Built (n, rows), returned
+    transposed.
     """
-    local = _local_series(lattice.p, lattice.alpha, k, n)
-    one = local.shape[1]  # the column of the series 1, appended
-    local = np.concatenate((local, np.eye(n, 1)), axis=1)
+    if local is None:
+        local = _local_series(lattice.columns, k, n)
+    one = local.shape[1] - 1  # the column of the series 1
     coeffs = local.take(np.full(len(lattice.delta), one), axis=1)
     for r, (row, column, _) in enumerate(lattice.links):
         at = np.full(len(lattice.delta), one)
@@ -240,7 +251,7 @@ def _pole_series(k: int) -> np.ndarray:
     return _frozen(_mul(zeta_power_series(k, k), np.resize([1.0, -1.0], k)))
 
 
-def density_polys(lattice: DivisorLattice, k: int) -> np.ndarray:
+def density_polys(lattice: DivisorLattice, k: int, local=None) -> np.ndarray:
     """Residue at s=1 of X^(s-1)/s * zeta(s)^k * C(s), C = correction(q, delta),
     for every row (q, delta) of a divisor lattice: a (rows, k) array of log X
     coefficients, increasing degree.  Row r is the class-mass polynomial
@@ -249,8 +260,9 @@ def density_polys(lattice: DivisorLattice, k: int) -> np.ndarray:
 
     With g = (u zeta(1+u))^k / (1+u), the residue is the u^(k-1) coefficient
     of X^u C g; so with h = C g, the (log X)^j coefficient is h[k-1-j] / j!.
+    local, k terms, passes to correction_table.
     """
-    h = _mul(correction_table(lattice, k, k).T, _pole_series(k)[:, None])
+    h = _mul(correction_table(lattice, k, k, local).T, _pole_series(k)[:, None])
     return (h[::-1] / np.array([math.factorial(j) for j in range(k)])[:, None]).T
 
 

@@ -6,8 +6,10 @@ average V(x, Q) = sum_{q<=Q} V_x(q), and the deviation of the exponential
 sum from its predicted main term.  Two families of cross-checks are wired
 in: a Plancherel identity relating the class errors to the exponential-sum
 deviations, and the expansion of the variance into congruence, cross and
-main-term pieces.  Exact integer aggregates are converted to floats at the
-last step; long float reductions go through math.fsum.
+main-term pieces.  The engine walks the moduli in lattice blocks, all read
+against one run table: the columns of every prime power up to Q and their
+local series, built once per run.  Exact integer aggregates are converted
+to floats at the last step; long float reductions go through math.fsum.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import DivisorLattice, divisor_lattice, gcd_index
+from .arith import Columns, DivisorLattice, columns_up_to, divisor_lattice, gcd_index
 from .errors import CertificateError, DomainError, ResourceError
 from .residues import (
+    _local_series,
     _residue_polys,
     correction_value_at,
     density_polys,
@@ -41,16 +44,6 @@ DEFAULT_WORK_BUDGET = 4 * 10**9
 IDENTITY_TOL = 1e-9  # the relative gate of the identity checks
 _EPS = float(np.finfo(np.float64).eps)
 _TABLE_BLOCK = 1024  # moduli per lattice block: the held block and its temporaries stay a few MB
-
-
-@dataclass(frozen=True)
-class ErrorVector:
-    """e[a] = A(x; q, a) - x f(q, a)/q for a in 1..q (index 0 unused)."""
-
-    q: int
-    x: int
-    k: int
-    e: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -93,15 +86,6 @@ def _class_errors(cls: ResidueClassSums, delta, phi, cw) -> np.ndarray:
     return cls.sums[1:].astype(np.float64) - (cls.X * cw / phi)[gcd_index(delta)]
 
 
-def error_vector(table: DkTable, q: int, x: int) -> ErrorVector:
-    """Exact class sums minus evaluated main terms."""
-    cls = ap_sums(table, q, x)
-    delta, phi, polys = _residue_polys(q, table.k)
-    e = np.zeros(q + 1, dtype=np.float64)
-    e[1:] = _class_errors(cls, delta, phi, eval_logpoly(polys, float(x)))
-    return ErrorVector(q=q, x=x, k=table.k, e=e)
-
-
 def delta_value(cls: ResidueClassSums, a: int) -> DeltaValue:
     """S_X(a/q) minus X M(q/(q,a)) / (q/(q,a)) at X = cls.X."""
     q = cls.q
@@ -113,21 +97,32 @@ def delta_value(cls: ResidueClassSums, a: int) -> DeltaValue:
     return DeltaValue(value=s.value - main, a=r, q=q, X=cls.X)
 
 
-def _moduli_blocks(tops, k: int) -> Iterator[tuple[np.ndarray, DivisorLattice, np.ndarray]]:
+def _run_table(top: int, k: int) -> tuple[Columns, np.ndarray]:
+    """The columns of every prime power p^alpha <= top and their local series
+    (k terms, then the series 1): built once per engine run, read by every block."""
+    columns = columns_up_to(top)
+    return columns, _local_series(columns, k, k)
+
+
+def _moduli_blocks(
+    tops, k: int, run=None
+) -> Iterator[tuple[np.ndarray, DivisorLattice, np.ndarray]]:
     """The moduli 1..max(tops) as int64 arrays q of at most _TABLE_BLOCK
     consecutive moduli, cut after each top, with their divisor lattices and
     the class-mass polynomials of their rows, built one block at a time as
-    the caller asks for it.  None of it depends on x."""
+    the caller asks for it, all against one _run_table of max(tops) (built
+    at the first block unless given).  None of it depends on x."""
+    columns, local = run or _run_table(max(tops), k)
     lo = 1
     for top in sorted(set(tops)):
         while lo <= top:
             q = np.arange(lo, min(lo + _TABLE_BLOCK, top + 1))
-            lattice = divisor_lattice(q)
-            yield q, lattice, density_polys(lattice, k)
+            lattice = divisor_lattice(q, columns)
+            yield q, lattice, density_polys(lattice, k, local)
             lo += q.size
 
 
-def _variances(table: DkTable, points) -> list[VarianceReport]:
+def _variances(table: DkTable, points, run=None) -> list[VarianceReport]:
     """The VarianceReport of every point (x, Q), from one walk over the
     lattice blocks of 1..max Q, cut after each Q: every point takes the
     whole blocks up to its Q, each before the next block is built.  Every
@@ -156,7 +151,7 @@ def _variances(table: DkTable, points) -> list[VarianceReport]:
     ]
     # per point, V_q and the cross and main terms at q - 1, filled by blocks
     terms = [(np.empty(Q), np.empty(Q), np.empty(Q)) for _, Q, _ in points]
-    for q, lattice, polys in _moduli_blocks([Q for _, Q, _ in points], table.k):
+    for q, lattice, polys in _moduli_blocks([Q for _, Q, _ in points], table.k, run):
         for (x, Q, congruence), sums, (per_q, cross, main) in zip(points, strided, terms):
             if q[0] <= Q:
                 within, between, cross[q - 1], main[q - 1] = _block_terms(
@@ -281,8 +276,8 @@ def variance_expansion_check(
     """V(x, Q) computed directly, as sum_q sum_a E(q, a)^2 over the class sums
     of each modulus (O(xQ) work), against its three-term expansion from the
     all-moduli engine, which shares neither the class sums nor the squares.
-    Both sides read their densities from the same lattice blocks, which the
-    direct side builds again.
+    Both sides read their densities from lattice blocks against one run
+    table; the direct side builds the blocks again.
 
     The expansion cancels: CertificateError when its `cancellation` could
     reach IDENTITY_TOL, the gate the two sides are compared at.
@@ -290,14 +285,15 @@ def variance_expansion_check(
     if not 1 <= Q <= x <= table.x:
         raise DomainError(f"need 1 <= Q <= x <= {table.x}, got Q={Q}, x={x}")
     expansion_budget(x, Q, budget)
-    (report,) = _variances(table, [(x, Q)])
+    run = _run_table(Q, table.k)
+    (report,) = _variances(table, [(x, Q)], run)
     if report.cancellation >= IDENTITY_TOL:
         raise CertificateError(
             f"expansion terms cancel: rounding may reach {report.cancellation:.2e} "
             f"of V(x, Q), gate {IDENTITY_TOL:g}"
         )
     direct = []
-    for q, lattice, polys in _moduli_blocks([Q], table.k):
+    for q, lattice, polys in _moduli_blocks([Q], table.k, run):
         cw = eval_logpoly(polys, float(x))
         for m, a, b in zip(q.tolist(), lattice.start[:-1], lattice.start[1:]):
             cls = ap_sums(table, m, x)

@@ -18,7 +18,7 @@ from apvar import (
     ramanujan_sum,
 )
 from apvar import arith, checks
-from apvar.arith import divisor_lattice, gcd_index, primes_up_to, totients
+from apvar.arith import columns_up_to, divisor_lattice, gcd_index, primes_up_to, totients
 
 
 def trial_division(n):
@@ -77,9 +77,10 @@ def lattice_oracle(moduli):
 
 def lattice_columns(lat):
     """(p, alpha, beta) of every column of a DivisorLattice."""
-    width = lat.alpha + 1
+    p, alpha = lat.columns.p, lat.columns.alpha
+    width = alpha + 1
     beta = np.arange(width.sum()) - (width.cumsum() - width).repeat(width)
-    return lat.p.repeat(width), lat.alpha.repeat(width), beta
+    return p.repeat(width), alpha.repeat(width), beta
 
 
 def assert_links_equal(got, want):
@@ -268,7 +269,7 @@ class TestDivisorLattice:
             assert lat.phi[rows].tolist() == [euler_phi(q // d) for d in divisors(q)]
         # every distinct prime power of the moduli once, ascending
         pairs = sorted({(pp.p, pp.a) for q in moduli for pp in factorize(q)})
-        assert list(zip(lat.p.tolist(), lat.alpha.tolist())) == pairs
+        assert list(zip(lat.columns.p.tolist(), lat.columns.alpha.tolist())) == pairs
         col_p, col_alpha, col_beta = lattice_columns(lat)
         seen = 0
         for r, level in enumerate(lat.links):
@@ -300,7 +301,8 @@ class TestDivisorLattice:
         want = lattice_oracle(list(moduli))
         assert_links_equal(lat.links, want.pop("links"))
         for name, col in want.items():
-            assert np.array_equal(getattr(lat, name), col), name
+            got = getattr(lat.columns if name in ("p", "alpha") else lat, name)
+            assert np.array_equal(got, col), name
 
     @pytest.mark.parametrize(
         "q",
@@ -313,7 +315,7 @@ class TestDivisorLattice:
     def test_cofactors_below_two_to_the_forty_factor(self, q):
         lat = divisor_lattice([q])
         assert sorted(lat.delta.tolist()) == divisors(q)
-        assert lat.p.tolist() == [pp.p for pp in factorize(q)]
+        assert lat.columns.p.tolist() == [pp.p for pp in factorize(q)]
 
     @pytest.mark.parametrize(
         "q", (2**61 - 1, 1048583 * 1048589, 3 * (2**61 - 1), 1099513724941)
@@ -333,6 +335,21 @@ class TestPrimesUpTo:
 
     def test_prime_counts(self):
         assert [primes_up_to(10**e).size for e in range(1, 7)] == [4, 25, 168, 1229, 9592, 78498]
+
+
+class TestColumnsUpTo:
+    @pytest.mark.parametrize("n", (1, 2, 3, 4, 8, 9, 100, 1024, 1025, 2**12))
+    def test_every_prime_power_once_in_order(self, n):
+        want = sorted(
+            (p, a) for p in range(2, n + 1) if trial_division(p) == [(p, 1)]
+            for a in range(1, n.bit_length()) if p**a <= n
+        )
+        columns = columns_up_to(n)
+        assert list(zip(columns.p.tolist(), columns.alpha.tolist())) == want
+        # a lattice's own columns are the same layout, pair by pair
+        lat = divisor_lattice([p**a for p, a in want])
+        for name in ("p", "alpha", "first", "pair", "beta", "power", "totient"):
+            assert np.array_equal(getattr(lat.columns, name), getattr(columns, name)), name
 
 
 class TestRamanujanSum:

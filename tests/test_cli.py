@@ -16,6 +16,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from apvar import cli as cli_mod
+from apvar import stats
 from apvar import read_table, sieve_dk, total_sum, write_table
 from apvar.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, SUITES, main
 from apvar.errors import DomainError
@@ -256,6 +257,26 @@ class TestVarianceCommand:
         assert len(writes) == 3 and "".join(writes) == "".join(pieces)
         cli_mod._emit([], None)
         assert len(writes) == 3
+
+    def test_json_longer_than_one_block_is_json_dumps(self, capsys, monkeypatch):
+        # per_q is encoded a block at a time; the bytes are those of json.dumps
+        x, Q = 3000, 23
+        rep = stats.variance_total(sieve_dk(x, 3), x, Q)
+        want = dict(x=x, Q=Q, k=3, per_q=rep.per_q.tolist(), total=rep.total)
+        for block in (1, 5, 23, 2**16):
+            monkeypatch.setattr(cli_mod, "_WRITE_BLOCK", block)
+            argv = ("variance", "--k", "3", "--x", str(x), "--Q", str(Q), "--format", "json")
+            code, out, _ = run(capsys, *argv)
+            assert code == EXIT_OK and out == json.dumps(want, indent=2) + "\n", block
+
+    def test_json_keeps_the_bytes_of_non_finite_values(self, capsys, monkeypatch):
+        per_q = np.array([math.nan, math.inf, -math.inf, 0.1, -0.0, 1e300, 5e-324])
+        rep = stats.VarianceReport(7, 7, 2, per_q, math.inf, 0, 0.0, 0.0, math.nan)
+        monkeypatch.setattr(stats, "variance_total", lambda table, x, Q: rep)
+        monkeypatch.setattr(cli_mod, "_WRITE_BLOCK", 3)
+        code, out, _ = run(capsys, "variance", "--k", "2", "--x", "7", "--Q", "7", "--format", "json")
+        want = dict(x=7, Q=7, k=2, per_q=per_q.tolist(), total=math.inf)
+        assert code == EXIT_OK and out == json.dumps(want, indent=2) + "\n"
 
     def test_cached_table_matches_fresh_sieve(self, tmp_path, capsys):
         out = tmp_path / "t.dktb"

@@ -18,8 +18,8 @@ from apvar import (
     ramanujan_sum,
     zeta_power_series,
 )
-from apvar.arith import divisor_lattice, gcd_index
-from apvar.residues import _STIELTJES, _mul, _residue_polys, correction_table
+from apvar.arith import columns_up_to, divisor_lattice, gcd_index
+from apvar.residues import _STIELTJES, _local_series, _mul, _residue_polys, correction_table
 
 GAMMA0 = 0.5772156649015328606065121
 GAMMA1 = -0.0728158454836767248605864
@@ -169,6 +169,19 @@ class TestConstrainedCorrection:
                         beta += 1
                     want = _mul(want, local_correction_series(pp.p, pp.a, beta, k, n))
                 assert np.array_equal(table[row], want), (q, d)
+
+    @pytest.mark.parametrize("k", (2, 3, 8))
+    def test_rows_read_the_same_bytes_from_a_run_table(self, k):
+        # an engine run builds the local series of every p^alpha <= 2^12 once;
+        # a lattice read against them gives each row the bytes of its own lattice
+        columns = columns_up_to(2**12)
+        local = _local_series(columns, k, k)
+        blocks = [range(lo, lo + 1024) for lo in range(1, 2**12, 1024)]
+        for moduli in (*blocks, [720720], [2**11], [30030 * 1024]):
+            run, lone = divisor_lattice(moduli, columns), divisor_lattice(moduli)
+            assert np.array_equal(run.delta, lone.delta) and np.array_equal(run.phi, lone.phi)
+            got = correction_table(run, k, k, local)
+            assert np.array_equal(got, correction_table(lone, k, k)), moduli[0]
 
     def test_product_over_primes_matches_direct_value(self):
         assert correction_value_at(30, 6, 3, 2.0) == pytest.approx(

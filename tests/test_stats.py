@@ -15,7 +15,6 @@ from apvar import (
     deviation_decay_slope,
     dirichlet_sums,
     divisors,
-    error_vector,
     euler_phi,
     eval_logpoly,
     growth_study,
@@ -25,7 +24,7 @@ from apvar import (
     variance_expansion_check,
     variance_total,
 )
-from apvar import checks, sieve, stats
+from apvar import checks, residues, sieve, stats
 from apvar.errors import CertificateError
 from apvar.sieve import autocorrelation, congruence_sums, exact_square_sum, fft_error_bound
 from apvar.stats import _block_terms, _exp_sums, _moduli_blocks, regression_slope
@@ -33,35 +32,44 @@ from apvar.stats import _block_terms, _exp_sums, _moduli_blocks, regression_slop
 GAMMA0 = 0.5772156649015328606065121
 
 
+def class_errors(table, q, x):
+    """E(q, a) = A(x; q, a) - x f(q, a)/q for a = 1..q, from the class sums
+    and one ap_main_term per class: the oracle of the engine's errors."""
+    sums = ap_sums(table, q, x).sums[1:].astype(np.float64)
+    f = [eval_logpoly(ap_main_term(q, a, table.k), float(x)) for a in range(1, q + 1)]
+    return sums - x * np.array(f) / q
+
+
 class TestErrorVector:
     def test_trivial_modulus_at_hundred(self):
         t = sieve_dk(100, 2)
-        ev = error_vector(t, 1, 100)
+        assert ap_sums(t, 1, 100).sums[1] == 482
+        (e,) = class_errors(t, 1, 100)
         f = ap_main_term(1, 1, 2)
         expected = 482 - 100 * eval_logpoly(f, 100.0)
-        assert ev.e[1] == pytest.approx(expected, abs=1e-9)
-        assert ev.e[1] == pytest.approx(6.04, abs=0.01)
+        assert e == pytest.approx(expected, abs=1e-9)
+        assert e == pytest.approx(6.04, abs=0.01)
 
     def test_exact_count_at_one(self):
         t = sieve_dk(1, 1)
-        ev = error_vector(t, 1, 1)
-        assert ev.e[1] == 0.0
+        (e,) = class_errors(t, 1, 1)
+        assert e == 0.0
 
     def test_classes_sum_to_trivial_class(self, table_k2_1e4):
         x = 10**4
-        ev1 = error_vector(table_k2_1e4, 1, x)
+        (e1,) = class_errors(table_k2_1e4, 1, x)
         for q in (3, 7, 12):
-            ev = error_vector(table_k2_1e4, q, x)
-            assert math.fsum(ev.e[1:]) == pytest.approx(float(ev1.e[1]), rel=1e-6)
+            e = class_errors(table_k2_1e4, q, x)
+            assert math.fsum(e) == pytest.approx(float(e1), rel=1e-6)
 
 class TestDeltaValue:
     def test_zero_fraction_matches_trivial_error(self, table_k2_1e4):
         x = 10**4
         cls = ap_sums(table_k2_1e4, 1, x)
         d = delta_value(cls, 0)
-        ev = error_vector(table_k2_1e4, 1, x)
+        (e,) = class_errors(table_k2_1e4, 1, x)
         assert d.value.imag == 0.0
-        assert d.value.real == pytest.approx(float(ev.e[1]), abs=1e-9)
+        assert d.value.real == pytest.approx(float(e), abs=1e-9)
 
     def test_half_fraction_at_ten(self):
         t = sieve_dk(10, 2)
@@ -83,9 +91,9 @@ class TestDeltaValue:
 
 class TestVariance:
     def test_single_modulus_is_squared_error(self, table_k2_1e4):
-        ev = error_vector(table_k2_1e4, 1, 10**3)
+        (e,) = class_errors(table_k2_1e4, 1, 10**3)
         assert variance_total(table_k2_1e4, 10**3, 1).per_q[0] == pytest.approx(
-            float(ev.e[1]) ** 2, rel=1e-12
+            float(e) ** 2, rel=1e-12
         )
 
     def test_total_is_monotone_in_Q(self, table_k2_1e4):
@@ -392,13 +400,25 @@ class TestParseval:
 class TestVarianceExpansion:
     def test_single_modulus_reduces_to_squared_error(self, table_k2_1e4):
         direct, expanded = variance_expansion_check(table_k2_1e4, 10**3, 1)
-        ev = error_vector(table_k2_1e4, 1, 10**3)
-        assert direct == pytest.approx(float(ev.e[1]) ** 2, rel=1e-12)
+        (e,) = class_errors(table_k2_1e4, 1, 10**3)
+        assert direct == pytest.approx(float(e) ** 2, rel=1e-12)
         assert expanded == pytest.approx(direct, rel=1e-9)
 
     def test_desk_scale_k2(self, table_k2_1e4):
         direct, expanded = variance_expansion_check(table_k2_1e4, 10**3, 50)
         assert direct == pytest.approx(expanded, rel=1e-9)
+
+    def test_both_sides_read_one_run_table(self, table_k2_1e4, monkeypatch):
+        calls, series = [], residues._local_series
+
+        def counting(columns, k, n):
+            calls.append((k, n))
+            return series(columns, k, n)
+
+        for module in (residues, stats):
+            monkeypatch.setattr(module, "_local_series", counting)
+        variance_expansion_check(table_k2_1e4, 10**3, 50)
+        assert calls == [(2, 2)]
 
     def test_desk_scale_k3(self, table_k3_1e4):
         direct, expanded = variance_expansion_check(table_k3_1e4, 10**4, 100)
@@ -531,8 +551,8 @@ class TestGrowthStudy:
         study = growth_study(table_k2_1e4, [(10**3, 1), (10**4, 1)])
         for x, Q, v, ratio in study.rows:
             assert Q == 1
-            ev = error_vector(table_k2_1e4, 1, x)
-            assert v == pytest.approx(float(ev.e[1]) ** 2, rel=1e-12)
+            (e,) = class_errors(table_k2_1e4, 1, x)
+            assert v == pytest.approx(float(e) ** 2, rel=1e-12)
 
     def test_square_root_points_rows_and_ratio(self, table_k2_1e4):
         points = [(x, round(x**0.5)) for x in (512, 2048, 8192)]
@@ -557,33 +577,41 @@ class TestGrowthStudy:
 
     @staticmethod
     def record_blocks(monkeypatch):
-        """Record ("build", first, last) for every lattice block and
+        """Record ("series",) for every build of local Euler series,
+        ("build", first, last) for every lattice block and
         ("use", first, last, x) for every point that takes its terms."""
         events = []
-        build, use = stats.divisor_lattice, stats._block_terms
+        series, build, use = residues._local_series, stats.divisor_lattice, stats._block_terms
 
-        def recording_build(moduli):
+        def recording_series(columns, k, n):
+            events.append(("series",))
+            return series(columns, k, n)
+
+        def recording_build(moduli, columns=None):
             events.append(("build", moduli[0], moduli[-1]))
-            return build(moduli)
+            return build(moduli, columns)
 
         def recording_use(congruence, strided, x, q, lattice, cw):
             events.append(("use", int(q[0]), int(q[-1]), x))
             return use(congruence, strided, x, q, lattice, cw)
 
+        for module in (residues, stats):
+            monkeypatch.setattr(module, "_local_series", recording_series)
         monkeypatch.setattr(stats, "divisor_lattice", recording_build)
         monkeypatch.setattr(stats, "_block_terms", recording_use)
         return events
 
     def test_lattice_blocks_stream(self, table_k2_1e4, monkeypatch):
-        # blocks of at most 1024 moduli, cut after each Q: each is built once,
-        # and every point with Q past it takes the whole block from it before
-        # the next block is built
+        # one build of the local series for the whole run, then blocks of at
+        # most 1024 moduli, cut after each Q: each is built once, and every
+        # point with Q past it takes the whole block from it before the next
+        # block is built
         events = self.record_blocks(monkeypatch)
         grid = [(3000, 1500), (10000, 5000)]
         study = growth_study(table_k2_1e4, grid)
         assert [r[:2] for r in study.rows] == grid
         blocks = [(1, 1024), (1025, 1500), (1501, 2524), (2525, 3548), (3549, 4572), (4573, 5000)]
-        want = []
+        want = [("series",)]
         for lo, hi in blocks:
             want.append(("build", lo, hi))
             want += [("use", lo, hi, x) for x, Q in grid if hi <= Q]
