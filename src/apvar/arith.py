@@ -275,7 +275,7 @@ def divisor_lattice(moduli, columns: Columns | None = None) -> DivisorLattice:
     _prime_powers: ResourceError for a modulus that leaves a cofactor of
     (2^20 + 1)^2 or more once the primes up to FACTOR_BOUND are divided out.
     Its columns are those given, columns_up_to(n) with n >= every p^alpha
-    that divides a modulus, or else its own distinct pairs.
+    that divides a modulus (else DomainError), or its own distinct pairs.
 
     One pass per prime rank fills delta, phi and that rank's links with the
     divisors of each modulus in mixed-radix order, by one gather of p^beta
@@ -302,6 +302,9 @@ def divisor_lattice(moduli, columns: Columns | None = None) -> DivisorLattice:
         columns = prime_power_columns(pairs // 64, pairs % 64)
     else:  # columns_up_to lists alpha = 1, 2, ... in turn for each p
         pair = np.searchsorted(columns.p, p) + alpha - 1
+        listed = (pair < len(columns.p)).all()
+        if not listed or (columns.p[pair] != p).any() or (columns.alpha[pair] != alpha).any():
+            raise DomainError("the columns lack a prime power that divides a modulus")
     delta = np.ones(start[-1], dtype=np.int64)
     phi = np.ones_like(delta)
     stride = np.ones_like(alpha)

@@ -1,13 +1,13 @@
 """Command-line front end.
 
-Subcommands: sieve, main-term, variance, expsum, farey, verify.  Exit
-codes: 0 success (all checks pass), 1 check failure, 2 usage error,
-3 resource limit.  Output is CSV or JSON with floats printed to 17
-significant digits (round-trip safe).  --threads sets the sieve's
-concurrency; without it the APVAR_THREADS environment variable, then the
-host CPU count.  A thread count below 1 is a usage error.  verify checks
-its arguments, then reads or sieves one d_k table at the largest cutoff of
-its selected suites; each suite reads its own cutoff of that table.
+Subcommands: sieve, main-term, variance, expsum, farey, verify.  Exit codes: 0
+success (all checks pass), 1 check failure, 2 usage error, 3 resource limit.
+Output is CSV or JSON with floats printed to 17 significant digits (round-trip
+safe).  --threads (else APVAR_THREADS, else the host CPU count) sets the
+sieve's concurrency, and below 1 is a usage error; class sums of a large table
+use every core whatever it is, with identical output.  verify checks its
+arguments, then reads or sieves one d_k table at the largest cutoff of its
+selected suites; each suite reads its own cutoff of that table.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ EXIT_RESOURCE = 3
 SUITES = ("identities", "dirichlet", "farey", "growth", "all")
 
 _CSV_TOP = 2**32  # |value| bound of _csv_lines, whose digit pass runs in uint32
-_WRITE_BLOCK = 2**16  # strings joined per write by _emit, about 1-2 MB of output
+_WRITE_BLOCK = 2**16  # strings per _emit write, or variance JSON values: 1-2 MB of output
 
 
 def _fmt(v: float) -> str:
@@ -147,13 +147,14 @@ def cmd_variance(args) -> int:
     table = _load_or_sieve(args, args.x, args.k, threads)
     rep = stats.variance_total(table, args.x, args.Q)
     if args.format == "json":
-        # json.dumps(payload, indent=2), per_q encoded _WRITE_BLOCK values at a time
+        # json.dumps(payload, indent=2), per_q written _WRITE_BLOCK values at a time
         payload = dict(x=rep.x, Q=rep.Q, k=rep.k, per_q=[None], total=rep.total)
         head, tail = json.dumps(payload, indent=2).split("null")
-        blocks = (rep.per_q[i : i + _WRITE_BLOCK].tolist() for i in range(0, rep.Q, _WRITE_BLOCK))
-        values = itertools.chain.from_iterable(json.dumps(b)[1:-1].split(", ") for b in blocks)
-        rows = itertools.chain([next(values)], (",\n    " + v for v in values))
-        _emit(itertools.chain([head], rows, [tail + "\n"]), args.out)
+        with _output(args.out) as fh:
+            for i in range(0, rep.Q, _WRITE_BLOCK):
+                block = json.dumps(rep.per_q[i : i + _WRITE_BLOCK].tolist())[1:-1]
+                fh.write((",\n    " if i else head) + block.replace(", ", ",\n    "))
+            fh.write(tail + "\n")
     else:
         rows = (f"{q},{_fmt(v)}\n" for q, v in enumerate(rep.per_q, start=1))
         _emit(itertools.chain(["q,V_q\n"], rows, [f"total,{_fmt(rep.total)}\n"]), args.out)

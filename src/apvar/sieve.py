@@ -5,7 +5,7 @@ pass over fixed-size segments, whatever k is.  Each segment is written to a
 disjoint slice of the output, so running segments on threads is bitwise
 identical to running them serially; each sieve_dk call starts its own
 threads and joins them before it returns.  On top of the table sit exact
-prefix/class aggregates (class sums are one serial pass, memory-bound),
+prefix/class aggregates (a large class-sum pass runs on every core),
 the exact autocorrelation C(h) = sum_n d_k(n) d_k(n+h) from one FFT with
 its congruence sums for every modulus at once, and the exponential sums
 S_X(a/q) assembled from the class sums in O(q).
@@ -31,6 +31,7 @@ WORKERS = os.cpu_count() or 1
 # Class sums reduce rows of at least this many values: numpy's column sum
 # over rows of a few values is up to ten times slower than over wide rows.
 FOLDED_ROW = 1024
+SPLIT = 1 << 21  # the fewest values in a class-sum block (_column_sums)
 # Moduli whose congruence sums are recomputed from their class sums: 64 passes
 # over x values, about the cost of the FFT itself at x = 2^16.
 CERTIFIED_MODULI = 64
@@ -121,10 +122,10 @@ def _sieve_segment(seg: np.ndarray, lo: int, k: int, primes: list[int], scratch)
     d_k(p^(a-1)) as a factor, and multiplies their smooth part by p.  What
     is left of n is 1 or one prime above sqrt(hi) (two would pass hi), so n
     has that prime, worth d_k(p) = k, exactly when its smooth part is not n.
-    scratch: the task's int32 smooth, int32 offsets 0, 1, ... and bool large.
+    scratch: the task's int32 smooth and int32 offsets 0, 1, ...
     """
     hi = lo + len(seg) - 1
-    smooth, offsets, large = (buf[: len(seg)] for buf in scratch)
+    smooth, offsets = (buf[: len(seg)] for buf in scratch)
     grow = [math.comb(a + k - 1, k - 1) for a in range(hi.bit_length())]
     smooth.fill(1)
     for p in primes:
@@ -141,8 +142,10 @@ def _sieve_segment(seg: np.ndarray, lo: int, k: int, primes: list[int], scratch)
             pa *= p
             a += 1
     smooth -= lo  # now equal to offsets exactly where the smooth part is n
-    np.not_equal(smooth, offsets, out=large)
-    np.multiply(seg, k, out=seg, where=large)
+    np.not_equal(smooth, offsets, out=smooth)  # 1 where the prime is left
+    smooth *= k - 1
+    smooth += 1
+    seg *= smooth
 
 
 def sieve_dk(
@@ -176,7 +179,7 @@ def sieve_dk(
         # Once per task: scratch allocated per segment in sieve threads left
         # up to 4 MB more peak RSS behind in the allocator.
         size = min(segment_size, x)
-        scratch = (np.empty(size, np.int32), np.arange(size, dtype=np.int32), np.empty(size, bool))
+        scratch = (np.empty(size, np.int32), np.arange(size, dtype=np.int32))
         for lo in task_los:
             _sieve_segment(values[lo : min(lo + segment_size, x + 1)], lo, k, primes, scratch)
 
@@ -188,7 +191,7 @@ def sieve_dk(
         elif k > 1:
             fill(los)
     except MemoryError as exc:
-        need = 8 * (x + 1) + 9 * min(segment_size, x) * tasks  # table, scratch
+        need = 8 * (x + 1) + 8 * min(segment_size, x) * tasks  # table, scratch
         raise ResourceError(f"sieve of {x} values needs ~{need} bytes") from exc
     values[0] = 0
     return DkTable(x=x, k=k, values=values)
@@ -348,13 +351,26 @@ def congruence_sums(table: DkTable, x: int, Q: int) -> np.ndarray:
     return out
 
 
-def _column_sums(rows: np.ndarray, step: int, dtype) -> np.ndarray:
+def _block_sums(rows: np.ndarray, step: int, dtype) -> np.ndarray:
     """rows.sum(axis=0) in int64, from the column sums of every `step` rows
     accumulated in dtype, which the caller's step keeps from wrapping."""
     out = rows[:step].sum(axis=0, dtype=dtype).astype(np.int64, copy=False)
     for lo in range(step, len(rows), step):
         out += rows[lo : lo + step].sum(axis=0, dtype=dtype)
     return out
+
+
+def _column_sums(rows: np.ndarray, step: int, dtype) -> np.ndarray:
+    """_block_sums over one block of whole rows per core, of SPLIT values or
+    more each, the first on the caller's thread; exact partials add in block
+    order.  On two cores two blocks lose at 2^21 values, break even near 2^22."""
+    parts = min(WORKERS, rows.size // SPLIT, len(rows))
+    if parts < 2:
+        return _block_sums(rows, step, dtype)
+    blocks = np.array_split(rows, parts)
+    with ThreadPoolExecutor(max_workers=parts - 1) as pool:
+        rest = pool.map(lambda block: _block_sums(block, step, dtype), blocks[1:])
+        return sum(rest, _block_sums(blocks[0], step, dtype))
 
 
 def ap_sums(table: DkTable, q: int, X: int) -> ResidueClassSums:

@@ -292,6 +292,13 @@ class TestDivisorLattice:
                 divisor_lattice(moduli)
 
     @pytest.mark.parametrize(
+        "modulus", (2**13, 4099 * 3), ids=("power past the table", "prime past the table")
+    )
+    def test_columns_missing_a_prime_power_rejected(self, modulus):
+        with pytest.raises(DomainError, match="columns lack"):
+            divisor_lattice([modulus], columns_up_to(2**12))
+
+    @pytest.mark.parametrize(
         "moduli",
         (range(1, 2**12 + 1), [1], [97, 64, 1], [2**60], [30030 * 1024], [10**12 + 39]),
         ids=("1..2^12", "one", "97,64,1", "2^60", "30030*2^10", "10^12+39"),

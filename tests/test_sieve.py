@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -288,8 +289,14 @@ def large_table():
 
 class TestPooledApSums:
     """Large class sums, over more than 2^21 values with ragged last rows
-    and moduli from 1 to past the cutoff, in one serial pass; the result
-    must equal the Python-int sums exactly."""
+    and moduli from 1 to past the cutoff, cut into one block of rows per
+    core; the result must equal the Python-int sums exactly."""
+
+    @pytest.fixture(autouse=True)
+    def three_blocks(self, monkeypatch):
+        """Cut the large table into three blocks, whatever the host's cores."""
+        monkeypatch.setattr(sieve_mod, "WORKERS", 3)
+        monkeypatch.setattr(sieve_mod, "SPLIT", 2**19)
 
     @pytest.mark.parametrize(
         "q", (1, 2, 3, 1000, LARGE_X // 2 + 1, LARGE_X, LARGE_X + 7)
@@ -298,9 +305,56 @@ class TestPooledApSums:
         table, values = large_table
         assert ap_sums(table, q, LARGE_X).sums.tolist() == class_sums_reference(values, q, LARGE_X)
 
-    def test_starts_no_thread(self):
-        call = "ap_sums(DkTable(x=2**21, k=2, values=np.ones(2**21 + 1, np.int64)), 1000, 2**21)"
-        assert thread_counts(call) == (0, 0)
+    @staticmethod
+    def split_call(X, q):
+        """ap_sums over X ones mod q, X an expression in the unpatched SPLIT,
+        with two cores."""
+        return (
+            f"import apvar.sieve\napvar.sieve.WORKERS = 2\nX = {X}\n"
+            f"ap_sums(DkTable(x=X, k=2, values=np.ones(X + 1, np.int32)), {q}, X)"
+        )
+
+    def test_below_the_split_starts_no_thread(self):
+        # folded rows of 1024 values, then under 1024 rows of one value:
+        # each reduction holds under 2 * SPLIT values
+        assert thread_counts(self.split_call("2 * apvar.sieve.SPLIT - 1", 1)) == (0, 0)
+
+    def test_above_the_split_threads_end_with_the_call(self):
+        started, left = thread_counts(self.split_call("4 * apvar.sieve.SPLIT", 1000))
+        assert started >= 1 and left == 0
+
+    def test_split_equals_the_serial_reduction(self, monkeypatch):
+        # 100 rows of 5000 int32 values near INT32_TOP cut into blocks of
+        # 34, 33 and 33 rows: the cuts at rows 34 and 67 fall inside int32
+        # chunks of 32 rows
+        q, X = 5000, 100 * 5000 + 123
+        values = np.random.default_rng(29).integers(*NEAR_TOP, X + 1, endpoint=True)
+        values[0] = 0
+        table = narrow_table(values)
+        assert (2**31 - 1) // table.top == 32
+        blocks, block_sums = [], sieve_mod._block_sums
+
+        def counted(rows, *args):
+            blocks.append(len(rows))
+            return block_sums(rows, *args)
+
+        monkeypatch.setattr(sieve_mod, "_block_sums", counted)
+        monkeypatch.setattr(sieve_mod, "SPLIT", 100000)
+        got = ap_sums(table, q, X).sums
+        assert sorted(blocks) == [33, 33, 34]
+        assert np.array_equal(got, int64_class_sums(values, q, X))
+
+    def test_a_worker_error_reaches_the_caller(self, large_table, monkeypatch):
+        block_sums = sieve_mod._block_sums
+
+        def fail_off_the_caller(rows, *args):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError
+            return block_sums(rows, *args)
+
+        monkeypatch.setattr(sieve_mod, "_block_sums", fail_off_the_caller)
+        with pytest.raises(MemoryError):
+            ap_sums(large_table[0], 1000, LARGE_X)
 
     def test_concurrent_callers_share_the_pool(self, large_table):
         # more callers than cores, with short switch intervals: every
