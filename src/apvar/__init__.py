@@ -7,7 +7,6 @@ for the identities tying them together.
 """
 
 from .arith import (
-    PrimePower,
     d_k_of,
     divisors,
     euler_phi,

@@ -13,6 +13,7 @@ one up to n.  Everything here is exact integer arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,56 +28,35 @@ FACTOR_BOUND = 1 << 20
 _TRIAL_CELLS = 1 << 16
 
 
-@dataclass(frozen=True)
-class PrimePower:
-    """A prime p raised to an exponent a >= 1."""
-
-    p: int
-    a: int
-
-
-def factorize(n: int) -> list[PrimePower]:
-    """Factor n into prime powers with strictly increasing primes, by trial
-    division; factorize(1) is the empty list."""
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Factor n into prime powers (p, a), a >= 1, with strictly increasing
+    primes, by trial division; factorize(1) is the empty list."""
     if n < 1:
         raise DomainError(f"cannot factorize {n}")
-    out = []
-    m = n
-    for p in (2, 3):
-        if m % p == 0:
-            a = 0
-            while m % p == 0:
-                m //= p
-                a += 1
-            out.append(PrimePower(p, a))
-    p = 5
+    out, m, p = [], n, 2
+    steps = itertools.chain((1, 2), itertools.cycle((2, 4)))  # 2, 3, then 6j +- 1
     while p * p <= m:
         if m % p == 0:
             a = 0
             while m % p == 0:
                 m //= p
                 a += 1
-            out.append(PrimePower(p, a))
-        p += 2 if p % 6 == 5 else 4
+            out.append((p, a))
+        p += next(steps)
     if m > 1:
-        out.append(PrimePower(m, 1))
+        out.append((m, 1))
     return out
 
 
 def mobius(n: int) -> int:
     """Mobius function: 0 unless n is squarefree, else (-1)^(#prime factors)."""
     fac = factorize(n)
-    if any(pp.a > 1 for pp in fac):
-        return 0
-    return -1 if len(fac) % 2 else 1
+    return 0 if any(a > 1 for _, a in fac) else (-1) ** len(fac)
 
 
 def euler_phi(n: int) -> int:
     """Euler totient, multiplicative with phi(p^a) = p^a - p^(a-1)."""
-    out = 1
-    for pp in factorize(n):
-        out *= pp.p ** (pp.a - 1) * (pp.p - 1)
-    return out
+    return math.prod(p ** (a - 1) * (p - 1) for p, a in factorize(n))
 
 
 def totients(n: int) -> np.ndarray:
@@ -119,10 +99,7 @@ def d_k_of(n: int, k: int) -> int:
     """
     if k < 1:
         raise DomainError(f"fold parameter must be >= 1, got {k}")
-    out = 1
-    for pp in factorize(n):
-        out *= math.comb(pp.a + k - 1, k - 1)
-    return out
+    return math.prod(math.comb(a + k - 1, k - 1) for _, a in factorize(n))
 
 
 def divisors(q: int) -> list[int]:
@@ -130,8 +107,8 @@ def divisors(q: int) -> list[int]:
     if q < 1:
         raise DomainError(f"divisors undefined for {q}")
     out = [1]
-    for pp in factorize(q):
-        out = [d * pp.p**e for d in out for e in range(pp.a + 1)]
+    for p, a in factorize(q):
+        out = [d * p**e for d in out for e in range(a + 1)]
     out.sort()
     return out
 
@@ -225,6 +202,28 @@ class DivisorLattice:
     links: tuple[tuple[np.ndarray, ...], ...]
 
 
+def _exponents(rest: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """alpha = v_p(rest) for each rest divisible by its p, leaving rest /
+    p^alpha, in about 2 log2 alpha passes: p^(2^i) divides out while it does,
+    squared while no larger than what is left (so nothing wraps), and then
+    each once more from the largest down, for the binary digits of the rest."""
+    alpha, levels = np.zeros_like(p), []
+    rows, power = np.arange(p.size), p
+    while rows.size:
+        rest[rows] //= power
+        alpha[rows] += 1 << len(levels)
+        levels.append((rows, power))
+        fits = power <= rest[rows] // power
+        rows, power = rows[fits], power[fits] ** 2
+        divides = rest[rows] % power == 0
+        rows, power = rows[divides], power[divides]
+    for i, (rows, power) in reversed(list(enumerate(levels))):
+        divides = rest[rows] % power == 0
+        rest[rows[divides]] //= power[divides]
+        alpha[rows[divides]] += 1 << i
+    return alpha
+
+
 def _prime_powers(moduli: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(owner, p, alpha), one row per p^alpha || moduli[owner], by owner and
     then p ascending: trial division of every modulus at once.
@@ -253,11 +252,7 @@ def _prime_powers(moduli: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
             run, primes = np.split(primes, [max(1, _TRIAL_CELLS // live.size)])
             i, j = np.nonzero(cofactor[live, None] % run == 0)
             owner, p = live[i], run[j]
-            rest = cofactor[owner] // p
-            alpha = np.ones_like(p)
-            while (more := rest % p == 0).any():
-                rest[more] //= p[more]
-                alpha += more
+            alpha = _exponents(cofactor[owner], p)
             np.floor_divide.at(cofactor, owner, p**alpha)
             found.append((owner, p, alpha))
             live = live[cofactor[live] >= (int(run[-1]) + 1) ** 2]

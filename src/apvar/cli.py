@@ -3,11 +3,12 @@
 Subcommands: sieve, main-term, variance, expsum, farey, verify.  Exit codes: 0
 success (all checks pass), 1 check failure, 2 usage error, 3 resource limit.
 Output is CSV or JSON with floats printed to 17 significant digits (round-trip
-safe).  --threads (else APVAR_THREADS, else the host CPU count) sets the
-sieve's concurrency, and below 1 is a usage error; class sums of a large table
-use every core whatever it is, with identical output.  verify checks its
-arguments, then reads or sieves one d_k table at the largest cutoff of its
-selected suites; each suite reads its own cutoff of that table.
+safe).  --threads (else APVAR_THREADS, else the host CPU count) caps the
+sieve's tasks, one per thread and at most one per core, the caller's thread
+among them; below 1 is a usage error.  Class sums of a large table use every
+core whatever it is, with identical output.  verify checks its arguments,
+then reads or sieves one d_k table at the largest cutoff of its selected
+suites; each suite reads its own cutoff of that table.
 """
 
 from __future__ import annotations

@@ -213,13 +213,13 @@ def correction_value_at(q: int, delta: int, k: int, s: float) -> float:
     if s <= 1.0:
         raise DomainError("direct evaluation needs s > 1")
     out = 1.0
-    for pp in factorize(q):
+    for p, alpha in factorize(q):
         beta = 0
         d = delta
-        while d % pp.p == 0:
-            d //= pp.p
+        while d % p == 0:
+            d //= p
             beta += 1
-        out *= _local_correction_value(pp.p, pp.a, beta, k, s)
+        out *= _local_correction_value(p, alpha, beta, k, s)
     return out
 
 

@@ -3,11 +3,12 @@
 sieve_dk fills values[n] = d_k(n) for all n <= x in one multiplicative
 pass over fixed-size segments, whatever k is.  Each segment is written to a
 disjoint slice of the output, so running segments on threads is bitwise
-identical to running them serially; each sieve_dk call starts its own
-threads and joins them before it returns.  On top of the table sit exact
-prefix/class aggregates (a large class-sum pass runs on every core),
-the exact autocorrelation C(h) = sum_n d_k(n) d_k(n+h) from one FFT with
-its congruence sums for every modulus at once, and the exponential sums
+identical to running them serially.  The sieve's segment tasks and a large
+class-sum pass's row blocks go onto the cores through _on_cores: one task
+per thread, at most one per core, the caller's thread running the first.
+On top of the table sit exact prefix/class aggregates, the exact
+autocorrelation C(h) = sum_n d_k(n) d_k(n+h) from one FFT with its
+congruence sums for every modulus at once, and the exponential sums
 S_X(a/q) assembled from the class sums in O(q).
 """
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +27,8 @@ from .errors import CertificateError, DomainError, ResourceError
 
 # At x = 10^7 on two cores 2^19 ties 2^20 and 2^18 is about 15% slower.
 DEFAULT_SEGMENT_SIZE = 1 << 19
-# The most threads a sieve starts, and the CLI's default thread count.
+# The most tasks _on_cores runs at once, the caller's thread included, and
+# the CLI's default thread count.
 WORKERS = os.cpu_count() or 1
 # Class sums reduce rows of at least this many values: numpy's column sum
 # over rows of a few values is up to ten times slower than over wide rows.
@@ -113,6 +115,29 @@ class ExpSumValue:
         return complex(self.re, self.im)
 
 
+def _on_cores(fn, parts: list) -> list:
+    """[fn(part) for part in parts]: the first part on the caller's thread,
+    each other on a thread of its own that ends before this returns (so one
+    part starts none); the first failing part's exception is raised here."""
+    out, errors = [None] * len(parts), {}
+
+    def run(i):
+        try:
+            out[i] = fn(parts[i])
+        except BaseException as exc:
+            errors[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(parts))]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return out
+
+
 def _sieve_segment(seg: np.ndarray, lo: int, k: int, primes: list[int], scratch) -> None:
     """seg[i] = d_k(lo + i) for lo+i in [lo, hi], hi = lo + len(seg) - 1;
     seg holds ones on entry.
@@ -157,11 +182,11 @@ def sieve_dk(
 ) -> DkTable:
     """Exact d_k(n) for all n <= x, in one pass whatever k is (_sieve_segment).
 
-    Segments go round-robin into `threads` tasks, each writing its own
-    slices, run on at most WORKERS threads that live for this call only, so
-    tables are bit-identical at any thread count and segment size.  The
-    table is the one large allocation; it and each task's O(segment_size)
-    scratch raise ResourceError when memory runs out.
+    Segments go round-robin into min(threads, WORKERS, segments) tasks, one
+    per thread (_on_cores), each writing its own slices, so tables are
+    bit-identical at any thread count and segment size.  The table is the
+    one large allocation; it and each task's O(segment_size) scratch raise
+    ResourceError when memory runs out.
     """
     if not 1 <= x < 2**31:  # the smooth parts are int32
         raise DomainError(f"sieve limit must lie in 1..2^31-1, got {x}")
@@ -172,7 +197,7 @@ def sieve_dk(
     if threads < 1:
         raise DomainError(f"thread count must be positive, got {threads}")
     los = range(1, x + 1, segment_size)
-    tasks = min(threads, len(los))
+    tasks = min(threads, WORKERS, len(los))
     primes = primes_up_to(math.isqrt(x)).tolist()
 
     def fill(task_los):
@@ -185,11 +210,8 @@ def sieve_dk(
 
     try:
         values = np.ones(x + 1, dtype=np.int64)
-        if k > 1 and tasks > 1:
-            with ThreadPoolExecutor(max_workers=min(tasks, WORKERS)) as pool:
-                list(pool.map(fill, [los[i::tasks] for i in range(tasks)]))
-        elif k > 1:
-            fill(los)
+        if k > 1:
+            _on_cores(fill, [los[i::tasks] for i in range(tasks)])
     except MemoryError as exc:
         need = 8 * (x + 1) + 8 * min(segment_size, x) * tasks  # table, scratch
         raise ResourceError(f"sieve of {x} values needs ~{need} bytes") from exc
@@ -361,16 +383,14 @@ def _block_sums(rows: np.ndarray, step: int, dtype) -> np.ndarray:
 
 
 def _column_sums(rows: np.ndarray, step: int, dtype) -> np.ndarray:
-    """_block_sums over one block of whole rows per core, of SPLIT values or
-    more each, the first on the caller's thread; exact partials add in block
-    order.  On two cores two blocks lose at 2^21 values, break even near 2^22."""
-    parts = min(WORKERS, rows.size // SPLIT, len(rows))
-    if parts < 2:
-        return _block_sums(rows, step, dtype)
-    blocks = np.array_split(rows, parts)
-    with ThreadPoolExecutor(max_workers=parts - 1) as pool:
-        rest = pool.map(lambda block: _block_sums(block, step, dtype), blocks[1:])
-        return sum(rest, _block_sums(blocks[0], step, dtype))
+    """_block_sums over one block of whole rows per core (_on_cores), of
+    SPLIT values or more each; exact partials add in block order.  On two
+    cores two blocks lose at 2^21 values and break even near 2^22."""
+    parts = max(1, min(WORKERS, rows.size // SPLIT, len(rows)))
+    cut = [len(rows) * i // parts for i in range(parts + 1)]  # not np.array_split: 3 us a call
+    blocks = [rows[lo:hi] for lo, hi in zip(cut, cut[1:])]
+    first, *rest = _on_cores(lambda block: _block_sums(block, step, dtype), blocks)
+    return sum(rest, first)
 
 
 def ap_sums(table: DkTable, q: int, X: int) -> ResidueClassSums:

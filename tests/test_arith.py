@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from apvar import (
     DomainError,
-    PrimePower,
     ResourceError,
     d_k_of,
     divisors,
@@ -45,24 +44,24 @@ def lattice_oracle(moduli):
     every row of a modulus with more than r primes, in that order, where
     column counts alpha + 1 columns for each pair before (p, alpha) plus
     beta = v_p(delta)."""
-    pairs = sorted({(pp.p, pp.a) for q in moduli for pp in factorize(q)})
+    pairs = sorted({pa for q in moduli for pa in factorize(q)})
     first = dict(zip(pairs, np.cumsum([0] + [a + 1 for _, a in pairs]).tolist()))
     start, delta, phi, links = [0], [], [], []
     for q in moduli:
         fac = factorize(q)
-        radix = [pp.a + 1 for pp in fac]
+        radix = [a + 1 for _, a in fac]
         # the exponents of the divisor at each mixed-radix position t
         digits = [
             [t // math.prod(radix[:j]) % n for j, n in enumerate(radix)]
             for t in range(math.prod(radix))
         ]
-        divs = [math.prod(f.p**b for f, b in zip(fac, v)) for v in digits]
-        for r, pp in enumerate(fac):
+        divs = [math.prod(p**b for (p, _), b in zip(fac, v)) for v in digits]
+        for r, (p, a) in enumerate(fac):
             if r == len(links):
                 links.append([])
             for t, (d, v) in enumerate(zip(divs, digits)):
-                up = start[-1] + divs.index(d * pp.p) if v[r] < pp.a else -1
-                links[r].append((start[-1] + t, first[pp.p, pp.a] + v[r], up))
+                up = start[-1] + divs.index(d * p) if v[r] < a else -1
+                links[r].append((start[-1] + t, first[p, a] + v[r], up))
         delta += divs
         phi += [euler_phi(q // d) for d in divs]
         start.append(start[-1] + len(divs))
@@ -134,11 +133,11 @@ class TestFactorize:
         assert factorize(1) == []
 
     def test_twelve(self):
-        assert factorize(12) == [PrimePower(2, 2), PrimePower(3, 1)]
+        assert factorize(12) == [(2, 2), (3, 1)]
 
     def test_large_prime(self, spf_table_1e7):
         assert spf_table_1e7[9999991] == 9999991
-        assert factorize(9999991) == [PrimePower(9999991, 1)]
+        assert factorize(9999991) == [(9999991, 1)]
 
     def test_out_of_range_rejected(self):
         for n in (0, -12):
@@ -149,14 +148,14 @@ class TestFactorize:
     @settings(max_examples=100, deadline=None)
     def test_product_reconstructs_and_matches_oracle(self, n):
         fac = factorize(n)
-        assert math.prod(pp.p**pp.a for pp in fac) == n
-        assert [(pp.p, pp.a) for pp in fac] == trial_division(n)
+        assert math.prod(p**a for p, a in fac) == n
+        assert fac == trial_division(n)
 
     def test_primes_strictly_increase(self, spf_table_1e7):
         for n in (2, 360, 9699690, 2**20):
             fac = factorize(n)
-            assert all(a.p < b.p for a, b in zip(fac, fac[1:]))
-            assert fac[0].p == spf_table_1e7[n]
+            assert all(p < q for (p, _), (q, _) in zip(fac, fac[1:]))
+            assert fac[0][0] == spf_table_1e7[n]
 
 
 class TestMultiplicativeFunctions:
@@ -268,7 +267,7 @@ class TestDivisorLattice:
             assert lat.delta[rows].tolist() == divisors(q)
             assert lat.phi[rows].tolist() == [euler_phi(q // d) for d in divisors(q)]
         # every distinct prime power of the moduli once, ascending
-        pairs = sorted({(pp.p, pp.a) for q in moduli for pp in factorize(q)})
+        pairs = sorted({pa for q in moduli for pa in factorize(q)})
         assert list(zip(lat.columns.p.tolist(), lat.columns.alpha.tolist())) == pairs
         col_p, col_alpha, col_beta = lattice_columns(lat)
         seen = 0
@@ -277,7 +276,7 @@ class TestDivisorLattice:
                 p, alpha, beta = col_p[column], col_alpha[column], col_beta[column]
                 i = int(np.searchsorted(lat.start, row, side="right")) - 1
                 q, d = moduli[i], int(lat.delta[row])
-                assert [pp.p for pp in factorize(q)][r] == p and q % p**alpha == 0
+                assert factorize(q)[r][0] == p and q % p**alpha == 0
                 assert (q // p**alpha) % p != 0
                 assert d % p**beta == 0 and (d // p**beta) % p != 0
                 assert (up >= 0) == (beta < alpha)
@@ -322,7 +321,7 @@ class TestDivisorLattice:
     def test_cofactors_below_two_to_the_forty_factor(self, q):
         lat = divisor_lattice([q])
         assert sorted(lat.delta.tolist()) == divisors(q)
-        assert lat.columns.p.tolist() == [pp.p for pp in factorize(q)]
+        assert lat.columns.p.tolist() == [p for p, _ in factorize(q)]
 
     @pytest.mark.parametrize(
         "q", (2**61 - 1, 1048583 * 1048589, 3 * (2**61 - 1), 1099513724941)
@@ -332,6 +331,31 @@ class TestDivisorLattice:
         # more: 1099513724941 is the least prime past that bound
         with pytest.raises(ResourceError):
             divisor_lattice([6, q])
+
+
+def prime_power_rows(moduli):
+    """The (owner, p, alpha) lists of arith._prime_powers, from factorize one
+    modulus at a time."""
+    rows = [(i, p, a) for i, q in enumerate(moduli) for p, a in factorize(int(q))]
+    return np.array(rows, dtype=np.int64).reshape(-1, 3).T.tolist()
+
+
+class TestPrimePowers:
+    @pytest.mark.parametrize(
+        "moduli",
+        (
+            *([2**a] for a in range(1, 63)),
+            *([3**a] for a in range(1, 40)),
+            [10**12 + 39],
+            [2**40 + 15],
+            [2**62, 3**39, 2**31 * 3**19, 7**22, 1, 6, 2**47 - 1, 5**27],
+            *(range(lo, lo + 1024) for lo in range(1, 2**16, 1024)),
+        ),
+    )
+    def test_rows_match_factorize(self, moduli):
+        # every exponent int64 holds, each found by dividing out p^(2^i)
+        got = arith._prime_powers(np.array(moduli, dtype=np.int64))
+        assert [col.tolist() for col in got] == prime_power_rows(moduli)
 
 
 class TestPrimesUpTo:

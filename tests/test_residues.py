@@ -163,11 +163,11 @@ class TestConstrainedCorrection:
             fac = factorize(q)
             for row in range(lattice.start[i], lattice.start[i + 1]):
                 d, want = int(lattice.delta[row]), np.eye(1, n)[0]
-                for pp in fac:
+                for p, alpha in fac:
                     beta = 0
-                    while d % pp.p ** (beta + 1) == 0:
+                    while d % p ** (beta + 1) == 0:
                         beta += 1
-                    want = _mul(want, local_correction_series(pp.p, pp.a, beta, k, n))
+                    want = _mul(want, local_correction_series(p, alpha, beta, k, n))
                 assert np.array_equal(table[row], want), (q, d)
 
     @pytest.mark.parametrize("k", (2, 3, 8))
@@ -199,11 +199,11 @@ def residue_oracle(q, delta, k):
     import mpmath as mp
 
     local = []  # (p, alpha, v_p(delta)) for each p^alpha || q, from one factorisation
-    for pp in factorize(q):
+    for p, alpha in factorize(q):
         beta = 0
-        while delta % pp.p ** (beta + 1) == 0:
+        while delta % p ** (beta + 1) == 0:
             beta += 1
-        local.append((pp.p, pp.a, beta))
+        local.append((p, alpha, beta))
     phi = math.prod(p ** (alpha - beta - 1) * (p - 1) for p, alpha, beta in local if beta < alpha)
 
     def correction(u):

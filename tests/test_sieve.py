@@ -81,17 +81,19 @@ class TestSieve:
         segmented = sieve_dk(5000, 3, segment_size=64)
         assert np.array_equal(base.values, segmented.values)
 
-    def test_threaded_run_is_bitwise_identical(self):
+    def test_threaded_run_is_bitwise_identical(self, monkeypatch):
+        monkeypatch.setattr(sieve_mod, "WORKERS", 8)  # 8 tasks whatever the host's cores
         serial = sieve_dk(30000, 3, segment_size=1024, threads=1)
         threaded = sieve_dk(30000, 3, segment_size=1024, threads=8)
         assert np.array_equal(serial.values, threaded.values)
 
     @pytest.mark.parametrize("threads", (2, 3))
-    def test_shared_pool_is_bitwise_identical(self, threads):
-        # 30 segments split round-robin into 2 or 3 tasks on the call's threads
+    def test_round_robin_tasks_are_bitwise_identical(self, threads, monkeypatch):
+        # 30 segments split round-robin into 2 or 3 tasks, one per core
+        monkeypatch.setattr(sieve_mod, "WORKERS", 3)
         serial = sieve_dk(30000, 4, segment_size=1000, threads=1)
-        pooled = sieve_dk(30000, 4, segment_size=1000, threads=threads)
-        assert np.array_equal(serial.values, pooled.values)
+        dealt = sieve_dk(30000, 4, segment_size=1000, threads=threads)
+        assert np.array_equal(serial.values, dealt.values)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -107,7 +109,10 @@ class TestSieve:
 
     def test_sieve_threads_end_with_the_call(self):
         # a fresh interpreter, so that no thread of an earlier test counts
-        started, left = thread_counts("sieve_dk(30000, 3, segment_size=1000, threads=2)")
+        started, left = thread_counts(
+            "import apvar.sieve\napvar.sieve.WORKERS = 2\n"
+            "sieve_dk(30000, 3, segment_size=1000, threads=2)"
+        )
         assert started >= 1 and left == 0
 
     def test_memory_exhaustion_reports_required_bytes(self, monkeypatch):
@@ -123,7 +128,7 @@ class TestSieve:
             raise MemoryError
 
         monkeypatch.setattr(np, "empty", explode)  # each task's scratch
-        for threads in (1, 2):  # raised in the caller, then in sieve threads
+        for threads in (1, 2):  # raised in the caller, then in a sieve thread too
             with pytest.raises(ResourceError, match=r"needs ~\d+ bytes"):
                 sieve_dk(10**6, 2, threads=threads, segment_size=1000)
         assert sieve_dk(10, 1).values[1:].tolist() == [1] * 10  # k = 1 needs no scratch
@@ -356,7 +361,7 @@ class TestPooledApSums:
         with pytest.raises(MemoryError):
             ap_sums(large_table[0], 1000, LARGE_X)
 
-    def test_concurrent_callers_share_the_pool(self, large_table):
+    def test_concurrent_callers_get_their_own_sums(self, large_table):
         # more callers than cores, with short switch intervals: every
         # caller must get its own exact sums
         table, values = large_table
@@ -372,6 +377,20 @@ class TestPooledApSums:
                     assert future.result(timeout=60).sums.tolist() == want[q]
         finally:
             sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize(
+    "call",
+    (
+        "sieve_dk(30000, 3, segment_size=1000, threads=8)",
+        "X = 2**23\nap_sums(DkTable(x=X, k=2, values=np.ones(X + 1, np.int32)), 1000, X)",
+    ),
+    ids=("sieve_dk", "ap_sums"),
+)
+def test_three_cores_run_three_tasks_on_two_threads(call):
+    # one task per core, the caller's thread running the first: however many
+    # tasks the call could make, two threads start and none outlives the call
+    assert thread_counts(f"import apvar.sieve\napvar.sieve.WORKERS = 3\n{call}") == (2, 0)
 
 
 def int64_class_sums(values, q, X):
