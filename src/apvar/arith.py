@@ -102,6 +102,25 @@ def d_k_of(n: int, k: int) -> int:
     return math.prod(math.comb(a + k - 1, k - 1) for _, a in factorize(n))
 
 
+def d_k_max(x: int, k: int) -> int:
+    """The largest d_k(n) over 1 <= n <= x (1 when x < 1).  Moving the exponents
+    of n onto the first primes in non-increasing order keeps d_k(n) without
+    raising n, so only such n are searched (Ramanujan, "Highly composite numbers", 1915)."""
+    primes = [2]  # the first primes, up to the first whose product passes x
+    while math.prod(primes) <= x:
+        primes.append(next(p for p in itertools.count(primes[-1]) if all(p % q for q in primes)))
+
+    def best(n, i, most):  # max d_k(m / n), m = n p_i^a p_(i+1)^b ... <= x, most >= a >= b ...
+        top = 1
+        for a in range(1, most + 1):
+            if (n := n * primes[i]) > x:  # always at the last prime: n holds all before it
+                break
+            top = max(top, math.comb(a + k - 1, k - 1) * best(n, i + 1, a))
+        return top
+
+    return best(1, 0, x.bit_length() - 1)
+
+
 def divisors(q: int) -> list[int]:
     """All divisors of q in increasing order."""
     if q < 1:

@@ -2,14 +2,12 @@
 
 sieve_dk fills values[n] = d_k(n) for all n <= x in one multiplicative
 pass over fixed-size segments, whatever k is.  Each segment is written to a
-disjoint slice of the output, so running segments on threads is bitwise
-identical to running them serially.  The sieve's segment tasks and a large
-class-sum pass's row blocks go onto the cores through _on_cores: one task
-per thread, at most one per core, the caller's thread running the first.
-On top of the table sit exact prefix/class aggregates, the exact
-autocorrelation C(h) = sum_n d_k(n) d_k(n+h) from one FFT with its
-congruence sums for every modulus at once, and the exponential sums
-S_X(a/q) assembled from the class sums in O(q).
+disjoint slice of the output, so running segments on threads (_on_cores,
+which also runs a large class-sum pass's row blocks) is bitwise identical
+to running them serially.  On top of the table sit exact prefix/class
+aggregates, the exact autocorrelation C(h) = sum_n d_k(n) d_k(n+h) from
+one FFT with its congruence sums for every modulus at once, and the
+exponential sums S_X(a/q) assembled from the class sums in O(q).
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import primes_up_to
+from .arith import d_k_max, primes_up_to
 from .errors import CertificateError, DomainError, ResourceError
 
 # At x = 10^7 on two cores 2^19 ties 2^20 and 2^18 is about 15% slower.
@@ -54,10 +52,10 @@ _HEADER = struct.Struct("<4sIQI")  # magic, version, x, k
 class DkTable:
     """values[n] = d_k(n) for 1 <= n <= x (index 0 unused).
 
-    values is int64, or int32 with every value in 0..INT32_TOP; for int32,
-    top is set to the largest value, which bounds the rows ap_sums adds in
-    int32 at a time.  x * max|value| must fit in int64, since it bounds
-    every sum over the table.
+    values is int64 (sieve_dk), or int32 with every value in 0..INT32_TOP
+    (read_table, when d_k_max(x, k) allows); for int32, top is set to the
+    largest value, which bounds the rows ap_sums adds in int32 at a time.
+    x * max|value| must fit in int64, since it bounds every sum over the table.
     """
 
     x: int
@@ -119,6 +117,8 @@ def _on_cores(fn, parts: list) -> list:
     """[fn(part) for part in parts]: the first part on the caller's thread,
     each other on a thread of its own that ends before this returns (so one
     part starts none); the first failing part's exception is raised here."""
+    if len(parts) == 1:
+        return [fn(parts[0])]
     out, errors = [None] * len(parts), {}
 
     def run(i):
@@ -463,42 +463,13 @@ def write_table(table: DkTable, path) -> None:
             fh.write(chunk.astype("<i8", copy=False).data)
 
 
-def _read_exact(fh, path, out: np.ndarray) -> None:
-    if fh.readinto(out) != out.nbytes:
-        raise DomainError(f"{path}: payload ends early")
-
-
-def _zeros(path, x: int, dtype) -> np.ndarray:
-    try:
-        return np.zeros(x + 1, dtype=dtype)
-    except MemoryError as exc:
-        need = np.dtype(dtype).itemsize * x
-        raise ResourceError(f"{path}: table of {x} values needs ~{need} bytes") from exc
-
-
-def _narrow_payload(fh, path, x: int) -> np.ndarray | None:
-    """The payload as int32 values, narrowed through one buffer of CHUNK
-    u64; None at the first value above INT32_TOP."""
-    values = _zeros(path, x, np.int32)
-    buffer = np.empty(min(x, CHUNK), dtype="<u8")
-    for lo in range(1, x + 1, CHUNK):
-        chunk = buffer[: min(CHUNK, x + 1 - lo)]
-        _read_exact(fh, path, chunk)
-        if chunk.max() > INT32_TOP:
-            return None
-        values[lo : lo + len(chunk)] = chunk  # exact: every value is below 2^31
-    return values
-
-
 def read_table(path) -> DkTable:
-    """Read a table written by write_table; validates the header, the file
-    size (before allocating) and that every value fits in int64 (DkTable
-    then checks x times the largest value).
-
-    The values load as int32 when the largest is at most INT32_TOP,
-    narrowed one CHUNK at a time, so the int64 payload is never held beside them.  A
-    file with a larger value is read again from the start as int64.
-    """
+    """Read a table written by write_table, checking the header and then the
+    file size before it allocates.  The header sets the width: int32 when
+    d_k_max(x, k) <= INT32_TOP, else int64.  The u64 payload is read once,
+    CHUNK values at a time; a value above d_k_max(x, k) is a DomainError.  A
+    wrong value at or below the bound passes, and so does a table relabelled
+    with a larger k (a d_2 table labelled k = 3)."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -513,11 +484,20 @@ def read_table(path) -> DkTable:
         size = os.fstat(fh.fileno()).st_size - _HEADER.size
         if size != 8 * x:
             raise DomainError(f"{path}: expected {8 * x} payload bytes, got {size}")
-        values = _narrow_payload(fh, path, x)
-        if values is None:
-            fh.seek(_HEADER.size)
-            values = _zeros(path, x, "<i8")
-            _read_exact(fh, path, values[1:])
-            if values.min() < 0:  # a stored value of 2^63 or more
-                raise DomainError(f"{path}: a value beyond 2^63 - 1 does not fit in int64")
+        bound = d_k_max(x, k)
+        dtype = np.dtype(np.int32 if bound <= INT32_TOP else np.int64)
+        try:
+            values = np.zeros(x + 1, dtype=dtype)
+        except MemoryError as exc:
+            raise ResourceError(f"{path}: {x} values need ~{dtype.itemsize * x} bytes") from exc
+        buffer = np.empty(min(x, CHUNK), dtype="<u8")
+        for lo in range(1, x + 1, CHUNK):
+            chunk = buffer[: min(CHUNK, x + 1 - lo)]
+            if fh.readinto(chunk) != chunk.nbytes:
+                raise DomainError(f"{path}: payload ends early")
+            if chunk.max() > bound:
+                n = lo + int(np.argmax(chunk > bound))
+                why = f"value {chunk[n - lo]} at n={n} exceeds {bound} = max d_{k}(n), n <= {x}"
+                raise DomainError(f"{path}: {why}")
+            values[lo : lo + len(chunk)] = chunk  # exact: every value fits dtype
     return DkTable(x=int(x), k=int(k), values=values)

@@ -15,6 +15,7 @@ from apvar import (
     factorize,
     mobius,
     ramanujan_sum,
+    sieve_dk,
 )
 from apvar import arith, checks
 from apvar.arith import columns_up_to, divisor_lattice, gcd_index, primes_up_to, totients
@@ -213,6 +214,19 @@ class TestDk:
         for n in (1024, 2310, 9973, 9999, 10000):
             for k in range(2, 7):
                 assert d_k_of(n, k) == sum(d_k_of(d, k - 1) for d in divisors(n))
+
+
+class TestDkMax:
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_equals_the_sieved_maximum(self, k):
+        # every x up to 2000, then past 7! = 5040, 2^16, 10^5 and 9! = 362880
+        running = np.maximum.accumulate(sieve_dk(362880, k).values)
+        for x in (*range(1, 2001), 5040, 65535, 65536, 10**5, 362879, 362880):
+            assert arith.d_k_max(x, k) == running[x], x
+
+    def test_the_readme_figures(self):
+        assert arith.d_k_max(10**7, 3) == 22680
+        assert arith.d_k_max(10**7, 8) == 1304709120
 
 
 class TestDivisors:

@@ -864,7 +864,7 @@ class TestExitCodes:
             "--table", str(path),
         )
         assert code == EXIT_USAGE
-        assert "int64" in err
+        assert err.startswith(f"error: {path}: value {2**63} at n=2 exceeds 2 ")
 
     def test_table_total_beyond_int64_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "sum_wraps.dktb"
@@ -876,7 +876,24 @@ class TestExitCodes:
             "--table", str(path),
         )
         assert code == EXIT_USAGE
-        assert out == "" and "int64" in err
+        assert out == "" and err.startswith(f"error: {path}: value {2**62} at n=1 exceeds 2 ")
+
+    def test_table_relabelled_with_a_smaller_k_is_usage_error(self, tmp_path, capsys):
+        # a d_3 table to 10^5 whose header says k = 2: d_3(240) = 135 is the
+        # first value above 128, the largest d_2(n) for n <= 10^5
+        path = tmp_path / "relabelled.dktb"
+        write_table(sieve_dk(10**5, 3), path)
+        blob = bytearray(path.read_bytes())
+        blob[16:20] = struct.pack("<I", 2)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DomainError, match="value 135 at n=240 exceeds 128 "):
+            read_table(path)
+        code, out, err = run(
+            capsys, "variance", "--k", "2", "--x", "100000", "--Q", "10",
+            "--table", str(path),
+        )
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith(f"error: {path}: value 135 at n=240 ")
 
     def test_header_beyond_file_size_is_usage_error(self, tmp_path, capsys):
         # the header claims 2^60 values; the size check runs before any

@@ -1,4 +1,5 @@
 import cmath
+import io
 import math
 import operator
 import os
@@ -28,6 +29,7 @@ from apvar import (
     write_table,
 )
 from apvar import sieve as sieve_mod
+from apvar.arith import d_k_max
 from apvar.cli import EXIT_USAGE, main
 from apvar.sieve import ResidueClassSums
 
@@ -617,6 +619,16 @@ def dktb(x, k, values):
     )
 
 
+def rejection(path):
+    """The reason read_table gives for rejecting the file at path: its
+    DomainError's message after the leading path."""
+    with pytest.raises(DomainError) as exc:
+        read_table(path)
+    prefix = f"{path}: "
+    assert str(exc.value).startswith(prefix)
+    return str(exc.value)[len(prefix) :]
+
+
 class TestBinaryFormat:
     def test_round_trip_is_bit_exact(self, tmp_path):
         t = sieve_dk(1000, 3)
@@ -671,54 +683,90 @@ class TestBinaryFormat:
     def test_value_beyond_int64_rejected(self, tmp_path, value):
         path = tmp_path / "wrap.dktb"
         path.write_bytes(dktb(3, 2, [1, value, 2]))
-        with pytest.raises(DomainError, match="int64"):
-            read_table(path)
+        assert rejection(path) == f"value {value} at n=2 exceeds 2 = max d_2(n), n <= 3"
 
     def test_total_that_would_wrap_int64_rejected(self, tmp_path):
         # each value fits, but their sum would wrap to -2^63
         path = tmp_path / "sum_wraps.dktb"
         path.write_bytes(dktb(2, 2, [2**62, 2**62]))
-        with pytest.raises(DomainError, match="int64"):
-            read_table(path)
+        assert rejection(path) == f"value {2**62} at n=1 exceeds 2 = max d_2(n), n <= 2"
 
 
 class TestNarrowLoading:
-    """read_table narrows to int32 exactly when the largest value is at most
-    INT32_TOP; the file bytes do not depend on the width."""
+    """read_table takes the width from the header, int32 exactly when
+    d_k_max(x, k) <= INT32_TOP, reads the payload once and rejects a value
+    above that bound; the file bytes do not depend on the width."""
 
-    @pytest.mark.parametrize(
-        "top, dtype",
-        ((sieve_mod.INT32_TOP, np.int32), (sieve_mod.INT32_TOP + 1, np.int64), (2**31, np.int64)),
-    )
-    def test_width_follows_the_largest_value(self, tmp_path, top, dtype):
+    @pytest.mark.parametrize("x, dtype", ((362879, np.int32), (362880, np.int64)))
+    def test_width_follows_the_header(self, tmp_path, x, dtype):
+        # d_8 first passes INT32_TOP at 9! = 362880, where it is 72,483,840
+        table = sieve_dk(x, 8)
+        path = tmp_path / "d8.dktb"
+        write_table(table, path)
+        loaded = read_table(path)
+        assert loaded.values.dtype == dtype
+        assert np.array_equal(loaded.values, table.values)
+        assert loaded.top == (int(table.values.max()) if dtype == np.int32 else None)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_loaded_values_equal_the_sieved(self, tmp_path, k):
+        table = sieve_dk(3 * sieve_mod.CHUNK + 5, k)
+        path = tmp_path / "dk.dktb"
+        write_table(table, path)
+        loaded = read_table(path)
+        assert loaded.values.dtype == np.int32
+        assert np.array_equal(loaded.values, table.values)
+
+    def test_wide_payload_is_read_once(self, tmp_path, monkeypatch):
+        x = 362880
+        path = tmp_path / "d8.dktb"
+        write_table(sieve_dk(x, 8), path)
+        reads = []
+
+        class Counted(io.BufferedReader):
+            def readinto(self, buffer):
+                reads.append(super().readinto(buffer))
+                return reads[-1]
+
+            def seek(self, *args):
+                raise AssertionError("read_table seeks")
+
+        monkeypatch.setattr(
+            sieve_mod, "open", lambda path, mode: Counted(io.FileIO(path, mode)), raising=False
+        )
+        loaded = read_table(path)
+        assert loaded.values.dtype == np.int64
+        assert sum(reads) == 8 * x and len(reads) == -(-x // sieve_mod.CHUNK)
+
+    @pytest.mark.parametrize("k", (2, 3))
+    def test_value_above_the_bound_past_the_first_buffer_rejected(self, tmp_path, k):
+        x, n = sieve_mod.CHUNK + 10, sieve_mod.CHUNK + 5
+        bound = d_k_max(x, k)
+        values = sieve_dk(x, k).values[1:].tolist()
+        values[n - 1] = bound + 1
+        path = tmp_path / "late.dktb"
+        path.write_bytes(dktb(x, k, values))
+        want = f"value {bound + 1} at n={n} exceeds {bound} = max d_{k}(n), n <= {x}"
+        assert rejection(path) == want
+
+    @pytest.mark.parametrize("top", (sieve_mod.INT32_TOP, sieve_mod.INT32_TOP + 1, 2**31))
+    def test_hand_made_values_above_the_bound_rejected(self, tmp_path, top):
         path = tmp_path / "edge.dktb"
         path.write_bytes(dktb(3, 2, [1, top, 2]))
-        table = read_table(path)
-        assert table.values.dtype == dtype
-        assert table.values.tolist() == [0, 1, top, 2]
-        assert table.top == (top if dtype == np.int32 else None)
+        assert rejection(path) == f"value {top} at n=2 exceeds 2 = max d_2(n), n <= 3"
 
-    @pytest.mark.parametrize(
-        "value, dtype", ((sieve_mod.INT32_TOP + 1, np.int64), (sieve_mod.INT32_TOP, np.int32))
-    )
-    def test_large_value_past_the_first_buffer(self, tmp_path, value, dtype):
-        # the reader narrows CHUNK values at a time; a wide value after the
-        # first chunk sends it back to read the whole payload as int64
+    def test_counting_numbers_rejected_past_the_bound(self, tmp_path):
         x = sieve_mod.CHUNK + 10
-        values = list(range(1, x + 1))
-        values[sieve_mod.CHUNK + 4] = value
-        path = tmp_path / "late.dktb"
-        path.write_bytes(dktb(x, 2, values))
-        table = read_table(path)
-        assert table.values.dtype == dtype
-        assert table.values[1:].tolist() == values
+        bound = d_k_max(x, 2)
+        path = tmp_path / "counting.dktb"
+        path.write_bytes(dktb(x, 2, range(1, x + 1)))
+        assert rejection(path).startswith(f"value {bound + 1} at n={bound + 1} exceeds {bound} ")
 
     def test_value_beyond_int64_past_the_first_buffer_rejected(self, tmp_path):
         x = sieve_mod.CHUNK + 3
         path = tmp_path / "late_wrap.dktb"
         path.write_bytes(dktb(x, 2, [1] * (x - 1) + [2**63]))
-        with pytest.raises(DomainError, match="int64"):
-            read_table(path)
+        assert rejection(path).startswith(f"value {2**63} at n={x} exceeds {d_k_max(x, 2)} ")
 
     def test_narrow_and_wide_tables_write_the_same_bytes(self, tmp_path):
         t = sieve_dk(3 * sieve_mod.CHUNK + 5, 3)
