@@ -53,32 +53,29 @@ class DkTable:
     """values[n] = d_k(n) for 1 <= n <= x (index 0 unused).
 
     values is int64 (sieve_dk), or int32 with every value in 0..INT32_TOP
-    (read_table, when d_k_max(x, k) allows); for int32, top is set to the
-    largest value, which bounds the rows ap_sums adds in int32 at a time.
-    x * max|value| must fit in int64, since it bounds every sum over the table.
+    (read_table, when d_k_max(x, k) allows).  Every value is >= 0, and top,
+    the largest, keeps x * top below 2^63, so no sum over the table wraps
+    int64; it also bounds the rows ap_sums adds at a time in the table's dtype.
     """
 
     x: int
     k: int
     values: np.ndarray
-    top: int | None = field(default=None, init=False, repr=False, compare=False)
+    top: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = self.values
         if self.x < 0 or len(values) != self.x + 1:
             raise DomainError(f"table to x={self.x} needs {self.x + 1} values, got {len(values)}")
-        if values.dtype == np.int32:
-            # viewed unsigned, a negative value reads 2^31 or more
-            bound = int(values.view(np.uint32).max())
-            if bound > INT32_TOP:
-                raise DomainError(f"int32 table values must lie in 0..{INT32_TOP}")
-            object.__setattr__(self, "top", bound)
-        elif values.dtype == np.int64:  # in Python ints: -np.int64(-2**63) wraps
-            bound = max(int(values.max()), -int(values.min()))
-        else:
+        if values.dtype not in (np.int32, np.int64):
             raise DomainError(f"table values must be int32 or int64, got {values.dtype}")
-        if self.x * bound >= 2**63:
-            raise DomainError(f"x * max |value| = {self.x} * {bound} does not fit in int64")
+        # viewed unsigned, a negative value reads 2^31 or more (int32), 2^63 or more (int64)
+        top = int(values.view(f"u{values.itemsize}").max())
+        if values.dtype == np.int32 and top > INT32_TOP:
+            raise DomainError(f"int32 table values must lie in 0..{INT32_TOP}")
+        if max(self.x, 1) * top >= 2**63:
+            raise DomainError(f"int64 sums need values >= 0 with x * top < 2^63, got top {top}")
+        object.__setattr__(self, "top", top)
         values.setflags(write=False)
 
 
@@ -221,7 +218,7 @@ def sieve_dk(
 
 def total_sum(table: DkTable) -> int:
     """Exact sum of d_k(n) over the table."""
-    # No wrap: every DkTable keeps x * max|value| below 2^63.
+    # No wrap: every DkTable keeps x * top below 2^63.
     return int(table.values[1:].sum(dtype=np.int64))
 
 
@@ -234,10 +231,10 @@ def _int64_chunks(values: np.ndarray):
 
 def exact_square_sum(values: np.ndarray) -> int:
     """Exact sum of squares of an int32 or int64 array: int64 dot products
-    of CHUNK values at a time (an int32 dot wraps) when len * max|v|^2 < 2^63
-    bounds every partial sum, else Python ints."""
+    of CHUNK values at a time (an int32 dot wraps), added as Python ints,
+    when CHUNK * max|v|^2 < 2^63 bounds every dot, else Python ints."""
     top = max(int(values.max()), -int(values.min())) if values.size else 0
-    if values.size * top * top < 2**63:
+    if CHUNK * top * top < 2**63:
         return sum(int(np.dot(chunk, chunk)) for chunk in _int64_chunks(values))
     return sum(v * v for v in values.tolist())
 
@@ -348,7 +345,7 @@ def congruence_sums(table: DkTable, x: int, Q: int) -> np.ndarray:
 
     Two n, m <= x share a class mod q exactly when q | n - m, so the sum is
     C(0) + 2 sum_{j>=1} C(jq) over the autocorrelation C of d_k up to x.
-    In int64 when (sum |d_k(n)|)^2 < 2^63 bounds every sum, else Python
+    In int64 when (sum d_k(n))^2 < 2^63 bounds every sum, else Python
     ints.  The moduli q <= min(Q, CERTIFIED_MODULI) certify the
     autocorrelation: each of their sums must equal the square sum of its
     class sums from ap_sums, and the trivial modulus alone already covers
@@ -359,8 +356,7 @@ def congruence_sums(table: DkTable, x: int, Q: int) -> np.ndarray:
     if not 1 <= Q <= x:
         raise DomainError(f"need 1 <= Q <= x, got Q={Q}, x={x}")
     values = table.values[1 : x + 1]
-    # exact in int64: the table keeps x * max|d_k| below 2^63
-    mass = sum(int(np.abs(chunk).sum()) for chunk in _int64_chunks(values))
+    mass = int(values.sum(dtype=np.int64))  # exact: the table keeps x * top below 2^63
     corr = autocorrelation(values)
     if mass * mass >= 2**63:
         corr = corr.astype(object)
@@ -373,23 +369,23 @@ def congruence_sums(table: DkTable, x: int, Q: int) -> np.ndarray:
     return out
 
 
-def _block_sums(rows: np.ndarray, step: int, dtype) -> np.ndarray:
+def _block_sums(rows: np.ndarray, step: int) -> np.ndarray:
     """rows.sum(axis=0) in int64, from the column sums of every `step` rows
-    accumulated in dtype, which the caller's step keeps from wrapping."""
-    out = rows[:step].sum(axis=0, dtype=dtype).astype(np.int64, copy=False)
+    accumulated in rows' dtype, which the caller's step keeps from wrapping."""
+    out = rows[:step].sum(axis=0, dtype=rows.dtype).astype(np.int64, copy=False)
     for lo in range(step, len(rows), step):
-        out += rows[lo : lo + step].sum(axis=0, dtype=dtype)
+        out += rows[lo : lo + step].sum(axis=0, dtype=rows.dtype)
     return out
 
 
-def _column_sums(rows: np.ndarray, step: int, dtype) -> np.ndarray:
+def _column_sums(rows: np.ndarray, step: int) -> np.ndarray:
     """_block_sums over one block of whole rows per core (_on_cores), of
     SPLIT values or more each; exact partials add in block order.  On two
     cores two blocks lose at 2^21 values and break even near 2^22."""
     parts = max(1, min(WORKERS, rows.size // SPLIT, len(rows)))
     cut = [len(rows) * i // parts for i in range(parts + 1)]  # not np.array_split: 3 us a call
     blocks = [rows[lo:hi] for lo, hi in zip(cut, cut[1:])]
-    first, *rest = _on_cores(lambda block: _block_sums(block, step, dtype), blocks)
+    first, *rest = _on_cores(lambda block: _block_sums(block, step), blocks)
     return sum(rest, first)
 
 
@@ -404,23 +400,21 @@ def ap_sums(table: DkTable, q: int, X: int) -> ResidueClassSums:
         out = np.zeros(q + 1, dtype=np.int64)
     except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's largest size
         raise ResourceError(f"class sums mod {q} need ~{8 * (q + 1)} bytes") from exc
-    # An int32 table's rows sum in int32, (2^31 - 1) // top >= 32 rows at a
-    # time; an int64 table's all at once.
-    if v.dtype == np.int32:
-        step, dtype = (2**31 - 1) // max(table.top, 1), np.int32
-    else:
-        step, dtype = X, np.int64
+    # Rows sum in the table's dtype, step of them at a time: its largest value
+    # over top, >= 32 for int32 (top <= INT32_TOP), all rows for int64 (x * top
+    # < 2^63).  Not np.iinfo, which costs 0.7 us a call.
+    step = (2 ** (8 * v.itemsize - 1) - 1) // max(table.top, 1)
     # m rows of q values folded into one row of m q >= FOLDED_ROW values, so
     # that a small q still reduces along wide rows; the m pieces add after.
     m = -(-FOLDED_ROW // q)
     full = X // (m * q)
     if full:
-        wide = _column_sums(v[1 : full * m * q + 1].reshape(full, m * q), step, dtype)
+        wide = _column_sums(v[1 : full * m * q + 1].reshape(full, m * q), step)
         out[1:] = wide.reshape(m, q).sum(axis=0)
     start = full * m * q + 1
     rows, rest = divmod(X - start + 1, q)
     if rows:
-        out[1:] += _column_sums(v[start : start + rows * q].reshape(rows, q), step, dtype)
+        out[1:] += _column_sums(v[start : start + rows * q].reshape(rows, q), step)
     if rest:
         out[1 : rest + 1] += v[start + rows * q : X + 1]
     return ResidueClassSums(q=q, X=X, k=table.k, sums=out)

@@ -8,7 +8,7 @@ in: a Plancherel identity relating the class errors to the exponential-sum
 deviations, and the expansion of the variance into congruence, cross and
 main-term pieces.  The engine walks the moduli in lattice blocks, all read
 against one run table: the columns of every prime power up to Q and their
-local series, built once per run.  Exact integer aggregates are converted
+local series, built once per walk.  Exact integer aggregates are converted
 to floats at the last step; long float reductions go through math.fsum.
 """
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import Columns, DivisorLattice, columns_up_to, divisor_lattice, gcd_index
+from .arith import DivisorLattice, columns_up_to, divisor_lattice, gcd_index
 from .errors import CertificateError, DomainError, ResourceError
 from .residues import (
     _local_series,
@@ -97,22 +97,16 @@ def delta_value(cls: ResidueClassSums, a: int) -> DeltaValue:
     return DeltaValue(value=s.value - main, a=r, q=q, X=cls.X)
 
 
-def _run_table(top: int, k: int) -> tuple[Columns, np.ndarray]:
-    """The columns of every prime power p^alpha <= top and their local series
-    (k terms, then the series 1): built once per engine run, read by every block."""
-    columns = columns_up_to(top)
-    return columns, _local_series(columns, k, k)
-
-
-def _moduli_blocks(
-    tops, k: int, run=None
-) -> Iterator[tuple[np.ndarray, DivisorLattice, np.ndarray]]:
+def _moduli_blocks(tops, k: int) -> Iterator[tuple[np.ndarray, DivisorLattice, np.ndarray]]:
     """The moduli 1..max(tops) as int64 arrays q of at most _TABLE_BLOCK
     consecutive moduli, cut after each top, with their divisor lattices and
     the class-mass polynomials of their rows, built one block at a time as
-    the caller asks for it, all against one _run_table of max(tops) (built
-    at the first block unless given).  None of it depends on x."""
-    columns, local = run or _run_table(max(tops), k)
+    the caller asks for it.  The run table (the columns of every prime power
+    up to max(tops) and their local series, k terms then the series 1) is
+    built at the first block and read by every block.  None of it depends
+    on x."""
+    columns = columns_up_to(max(tops))
+    local = _local_series(columns, k, k)
     lo = 1
     for top in sorted(set(tops)):
         while lo <= top:
@@ -122,7 +116,7 @@ def _moduli_blocks(
             lo += q.size
 
 
-def _variances(table: DkTable, points, run=None) -> list[VarianceReport]:
+def _variances(table: DkTable, points) -> list[VarianceReport]:
     """The VarianceReport of every point (x, Q), from one walk over the
     lattice blocks of 1..max Q, cut after each Q: every point takes the
     whole blocks up to its Q, each before the next block is built.  Every
@@ -151,7 +145,7 @@ def _variances(table: DkTable, points, run=None) -> list[VarianceReport]:
     ]
     # per point, V_q and the cross and main terms at q - 1, filled by blocks
     terms = [(np.empty(Q), np.empty(Q), np.empty(Q)) for _, Q, _ in points]
-    for q, lattice, polys in _moduli_blocks([Q for _, Q, _ in points], table.k, run):
+    for q, lattice, polys in _moduli_blocks([Q for _, Q, _ in points], table.k):
         for (x, Q, congruence), sums, (per_q, cross, main) in zip(points, strided, terms):
             if q[0] <= Q:
                 within, between, cross[q - 1], main[q - 1] = _block_terms(
@@ -275,9 +269,9 @@ def variance_expansion_check(
 ) -> tuple[float, float]:
     """V(x, Q) computed directly, as sum_q sum_a E(q, a)^2 over the class sums
     of each modulus (O(xQ) work), against its three-term expansion from the
-    all-moduli engine, which shares neither the class sums nor the squares.
-    Both sides read their densities from lattice blocks against one run
-    table; the direct side builds the blocks again.
+    all-moduli engine (variance_total), which shares neither the class sums
+    nor the squares.  The direct side reads its densities from a walk of
+    its own over the lattice blocks of 1..Q.
 
     The expansion cancels: CertificateError when its `cancellation` could
     reach IDENTITY_TOL, the gate the two sides are compared at.
@@ -285,15 +279,14 @@ def variance_expansion_check(
     if not 1 <= Q <= x <= table.x:
         raise DomainError(f"need 1 <= Q <= x <= {table.x}, got Q={Q}, x={x}")
     expansion_budget(x, Q, budget)
-    run = _run_table(Q, table.k)
-    (report,) = _variances(table, [(x, Q)], run)
+    report = variance_total(table, x, Q)
     if report.cancellation >= IDENTITY_TOL:
         raise CertificateError(
             f"expansion terms cancel: rounding may reach {report.cancellation:.2e} "
             f"of V(x, Q), gate {IDENTITY_TOL:g}"
         )
     direct = []
-    for q, lattice, polys in _moduli_blocks([Q], table.k, run):
+    for q, lattice, polys in _moduli_blocks([Q], table.k):
         cw = eval_logpoly(polys, float(x))
         for m, a, b in zip(q.tolist(), lattice.start[:-1], lattice.start[1:]):
             cls = ap_sums(table, m, x)

@@ -188,12 +188,16 @@ class TestAggregates:
         direct = sum(int(v) ** 2 for v in t.values[1:])
         assert square_sum(t) == direct
 
-    @pytest.mark.parametrize("n", (7, 8))
-    def test_square_sum_at_the_int64_bound_is_exact(self, n):
-        # n * (2^30)^2 < 2^63 for n = 7 (int64 dot); n = 8 reaches 2^63,
-        # which an int64 dot would wrap, so Python ints take over
-        t = DkTable(x=n, k=2, values=np.array([0] + [2**30] * n, dtype=np.int64))
-        assert square_sum(t) == n * 2**60
+    @pytest.mark.parametrize("past", (False, True))
+    def test_square_sum_at_the_int64_bound_is_exact(self, past):
+        # CHUNK * v^2 < 2^63 for the largest such v (int64 dot of each chunk);
+        # v + 1 reaches 2^63, which one chunk's int64 dot would wrap, so Python
+        # ints take over.  Either way the total of n > 2 CHUNK squares passes 2^63.
+        v = math.isqrt((2**63 - 1) // sieve_mod.CHUNK) + past
+        n = 2 * sieve_mod.CHUNK + 3
+        t = DkTable(x=n, k=2, values=np.array([0] + [v] * n, dtype=np.int64))
+        assert n * v * v >= 2**63
+        assert square_sum(t) == n * v * v
 
 
 class TestApSums:
@@ -518,11 +522,14 @@ class TestTableGuards:
         with pytest.raises(DomainError, match="must lie in"):
             DkTable(x=2, k=2, values=np.array(values, dtype=np.int32))
 
-    @pytest.mark.parametrize("values", ([0] + [2**60] * 16, [0] + [-(2**63)] + [0] * 15))
+    @pytest.mark.parametrize(
+        "values", ([0] + [2**60] * 16, [0] + [-(2**63)] + [0] * 15, [0] * 16 + [-1], [-1])
+    )
     def test_int64_table_whose_sums_could_wrap_rejected(self, values):
-        # 16 * 2^60 = 2^64: total_sum and ap_sums used to read 0
+        # 16 * 2^60 = 2^64: total_sum and ap_sums used to read 0; a negative
+        # value reads 2^63 or more to the unsigned pass, even at x = 0
         with pytest.raises(DomainError, match="int64"):
-            DkTable(x=16, k=1, values=np.array(values, dtype=np.int64))
+            DkTable(x=len(values) - 1, k=1, values=np.array(values, dtype=np.int64))
 
     @pytest.mark.parametrize("dtype", (np.int32, np.int64))
     @pytest.mark.parametrize("length", (0, 4, 6))
@@ -533,7 +540,7 @@ class TestTableGuards:
     def test_int32_table_records_its_largest_value(self):
         values = np.array([0, 7, sieve_mod.INT32_TOP, 3], dtype=np.int32)
         assert DkTable(x=3, k=2, values=values).top == sieve_mod.INT32_TOP
-        assert DkTable(x=3, k=2, values=values.astype(np.int64)).top is None
+        assert DkTable(x=3, k=2, values=values.astype(np.int64)).top == sieve_mod.INT32_TOP
 
 
 class TestExpSum:
@@ -706,7 +713,15 @@ class TestNarrowLoading:
         loaded = read_table(path)
         assert loaded.values.dtype == dtype
         assert np.array_equal(loaded.values, table.values)
-        assert loaded.top == (int(table.values.max()) if dtype == np.int32 else None)
+        assert loaded.top == table.top == int(table.values.max())
+
+    @pytest.mark.parametrize("x", (362879, 362880))
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_top_is_the_largest_d_k(self, tmp_path, x, k):
+        table = sieve_dk(x, k)
+        path = tmp_path / "dk.dktb"
+        write_table(table, path)
+        assert table.top == read_table(path).top == d_k_max(x, k)
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_loaded_values_equal_the_sieved(self, tmp_path, k):

@@ -408,18 +408,6 @@ class TestVarianceExpansion:
         direct, expanded = variance_expansion_check(table_k2_1e4, 10**3, 50)
         assert direct == pytest.approx(expanded, rel=1e-9)
 
-    def test_both_sides_read_one_run_table(self, table_k2_1e4, monkeypatch):
-        calls, series = [], residues._local_series
-
-        def counting(columns, k, n):
-            calls.append((k, n))
-            return series(columns, k, n)
-
-        for module in (residues, stats):
-            monkeypatch.setattr(module, "_local_series", counting)
-        variance_expansion_check(table_k2_1e4, 10**3, 50)
-        assert calls == [(2, 2)]
-
     def test_desk_scale_k3(self, table_k3_1e4):
         direct, expanded = variance_expansion_check(table_k3_1e4, 10**4, 100)
         assert direct == pytest.approx(expanded, rel=1e-9)
