@@ -3,12 +3,13 @@
 Subcommands: sieve, main-term, variance, expsum, farey, verify.  Exit codes: 0
 success (all checks pass), 1 check failure, 2 usage error, 3 resource limit.
 Output is CSV or JSON with floats printed to 17 significant digits (round-trip
-safe).  --threads (else APVAR_THREADS, else the host CPU count) caps the
-sieve's tasks, one per thread and at most one per core, the caller's thread
-among them; below 1 is a usage error.  Class sums of a large table use every
-core whatever it is, with identical output.  verify checks its arguments,
-then reads or sieves one d_k table at the largest cutoff of its selected
-suites; each suite reads its own cutoff of that table.
+safe).  --threads, checked before any table is read or sieved (below 1 is a
+usage error), caps the sieve's tasks, one per thread and at most one per
+core, the caller's thread among them; without it the sieve uses every core.
+Class sums of a large table use every core whatever it is, with identical
+output.  verify checks its arguments, then reads or sieves one d_k table at
+the largest cutoff of its selected suites; each suite reads its own cutoff
+of that table.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import argparse
 import contextlib
 import itertools
 import json
-import os
 import sys
 
 import numpy as np
@@ -26,7 +26,7 @@ from . import checks, stats
 from . import farey as farey_mod
 from .errors import CertificateError, DomainError, ResourceError
 from .residues import ap_main_term, eval_logpoly, logpoly_json, m_poly
-from .sieve import WORKERS, ap_sums, exp_sum, read_table, sieve_dk, total_sum, write_table
+from .sieve import ap_sums, exp_sum, read_table, sieve_dk, total_sum, write_table
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -41,20 +41,6 @@ _WRITE_BLOCK = 2**16  # strings per _emit write, or variance JSON values: 1-2 MB
 
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
-
-
-def _resolve_threads(value) -> int:
-    if value is None:
-        env = os.environ.get("APVAR_THREADS")
-        if not env:
-            return WORKERS
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise DomainError(f"APVAR_THREADS={env!r} is not an integer") from exc
-    if value < 1:
-        raise DomainError(f"thread count must be at least 1, got {value}")
-    return value
 
 
 def _output(out_path):
@@ -105,7 +91,7 @@ def _csv_lines(columns) -> bytes:
     return cells.ravel()[keep.ravel()].tobytes()
 
 
-def _load_or_sieve(args, x: int, k: int, threads: int):
+def _load_or_sieve(args, x: int, k: int):
     if x < 1:
         raise DomainError(f"cutoff must be at least 1, got {x}")
     if getattr(args, "table", None):
@@ -115,12 +101,11 @@ def _load_or_sieve(args, x: int, k: int, threads: int):
                 f"cached table holds k={table.k}, x={table.x}; need k={k}, x>={x}"
             )
         return table
-    return sieve_dk(x, k, threads=threads)
+    return sieve_dk(x, k, threads=args.threads)
 
 
 def cmd_sieve(args) -> int:
-    threads = _resolve_threads(args.threads)
-    table = sieve_dk(args.x, args.k, threads=threads)
+    table = sieve_dk(args.x, args.k, threads=args.threads)
     write_table(table, args.out)
     print(f"wrote {args.out}: x={table.x} k={table.k} total={total_sum(table)}")
     return EXIT_OK
@@ -144,8 +129,7 @@ def cmd_main_term(args) -> int:
 def cmd_variance(args) -> int:
     if not 1 <= args.Q <= args.x:
         raise DomainError(f"need 1 <= Q <= x, got Q={args.Q}, x={args.x}")
-    threads = _resolve_threads(args.threads)
-    table = _load_or_sieve(args, args.x, args.k, threads)
+    table = _load_or_sieve(args, args.x, args.k)
     rep = stats.variance_total(table, args.x, args.Q)
     if args.format == "json":
         # json.dumps(payload, indent=2), per_q written _WRITE_BLOCK values at a time
@@ -165,8 +149,7 @@ def cmd_variance(args) -> int:
 def cmd_expsum(args) -> int:
     if args.q < 1:
         raise DomainError(f"modulus must be >= 1, got {args.q}")
-    threads = _resolve_threads(args.threads)
-    table = _load_or_sieve(args, args.x, args.k, threads)
+    table = _load_or_sieve(args, args.x, args.k)
     cls = ap_sums(table, args.q, args.x)
     s = exp_sum(cls, args.a)
     if args.format == "json":
@@ -187,7 +170,6 @@ def cmd_farey(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    threads = _resolve_threads(args.threads)
     suites = SUITES[:-1] if args.suite == "all" else (args.suite,)
     # Arguments first, then the one table at the largest cutoff, before any suite runs.
     if args.budget < 0:
@@ -210,7 +192,7 @@ def cmd_verify(args) -> int:
             300 if args.gamma is None else args.gamma, budget=args.budget
         )
     if cutoffs:
-        table = _load_or_sieve(args, max(cutoffs), args.k, threads)
+        table = _load_or_sieve(args, max(cutoffs), args.k)
     rows = []
     if "identities" in suites:
         rows += [
@@ -296,6 +278,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "threads", None) is not None and args.threads < 1:
+            raise DomainError(f"thread count must be at least 1, got {args.threads}")
         return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,11 +3,12 @@
 sieve_dk fills values[n] = d_k(n) for all n <= x in one multiplicative
 pass over fixed-size segments, whatever k is.  Each segment is written to a
 disjoint slice of the output, so running segments on threads (_on_cores,
-which also runs a large class-sum pass's row blocks) is bitwise identical
-to running them serially.  On top of the table sit exact prefix/class
-aggregates, the exact autocorrelation C(h) = sum_n d_k(n) d_k(n+h) from
-one FFT with its congruence sums for every modulus at once, and the
-exponential sums S_X(a/q) assembled from the class sums in O(q).
+which also runs a large class-sum pass's row blocks, on every core by
+default) is bitwise identical to running them serially.  On top of the
+table sit exact prefix/class aggregates, the exact autocorrelation
+C(h) = sum_n d_k(n) d_k(n+h) from one FFT with its congruence sums for
+every modulus at once, and the exponential sums S_X(a/q) assembled from the
+class sums in O(q).
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from .errors import CertificateError, DomainError, ResourceError
 
 # At x = 10^7 on two cores 2^19 ties 2^20 and 2^18 is about 15% slower.
 DEFAULT_SEGMENT_SIZE = 1 << 19
-# The most tasks _on_cores runs at once, the caller's thread included, and
-# the CLI's default thread count.
+# The most tasks _on_cores runs at once, the caller's thread included.
 WORKERS = os.cpu_count() or 1
 # Class sums reduce rows of at least this many values: numpy's column sum
 # over rows of a few values is up to ten times slower than over wide rows.
@@ -110,7 +110,7 @@ class ExpSumValue:
         return complex(self.re, self.im)
 
 
-def _on_cores(fn, parts: list) -> list:
+def _on_cores(fn, parts: range) -> list:
     """[fn(part) for part in parts]: the first part on the caller's thread,
     each other on a thread of its own that ends before this returns (so one
     part starts none); the first failing part's exception is raised here."""
@@ -135,20 +135,21 @@ def _on_cores(fn, parts: list) -> list:
     return out
 
 
-def _sieve_segment(seg: np.ndarray, lo: int, k: int, primes: list[int], scratch) -> None:
-    """seg[i] = d_k(lo + i) for lo+i in [lo, hi], hi = lo + len(seg) - 1;
-    seg holds ones on entry.
+def _sieve_segment(out: np.ndarray, lo: int, k: int, primes: list[int], scratch) -> None:
+    """out[i] = d_k(lo + i) for lo+i in [lo, hi], hi = lo + len(out) - 1.
 
     Each prime power p^a <= hi with p <= sqrt(hi) scales the entries it
     divides by d_k(p^a) / d_k(p^(a-1)), exactly, since they already hold
     d_k(p^(a-1)) as a factor, and multiplies their smooth part by p.  What
     is left of n is 1 or one prime above sqrt(hi) (two would pass hi), so n
     has that prime, worth d_k(p) = k, exactly when its smooth part is not n.
-    scratch: the task's int32 smooth and int32 offsets 0, 1, ...
+    scratch: the task's segment buffer (int32 is exact: no step takes an
+    entry past its final d_k(n)), int32 smooth and int32 offsets 0, 1, ...
     """
-    hi = lo + len(seg) - 1
-    smooth, offsets = (buf[: len(seg)] for buf in scratch)
+    hi = lo + len(out) - 1
+    seg, smooth, offsets = (buf[: len(out)] for buf in scratch)
     grow = [math.comb(a + k - 1, k - 1) for a in range(hi.bit_length())]
+    seg.fill(1)
     smooth.fill(1)
     for p in primes:
         if p * p > hi:
@@ -168,22 +169,25 @@ def _sieve_segment(seg: np.ndarray, lo: int, k: int, primes: list[int], scratch)
     smooth *= k - 1
     smooth += 1
     seg *= smooth
+    out[:] = seg
 
 
 def sieve_dk(
     x: int,
     k: int,
     *,
-    threads: int = 1,
+    threads: int | None = None,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
 ) -> DkTable:
     """Exact d_k(n) for all n <= x, in one pass whatever k is (_sieve_segment).
 
     Segments go round-robin into min(threads, WORKERS, segments) tasks, one
     per thread (_on_cores), each writing its own slices, so tables are
-    bit-identical at any thread count and segment size.  The table is the
-    one large allocation; it and each task's O(segment_size) scratch raise
-    ResourceError when memory runs out.
+    bit-identical at any thread count and segment size; threads=None means
+    every core, min(WORKERS, segments) tasks.  Each task sieves into one
+    segment buffer, int32 unless d_k_max(x, k) >= 2^31, and copies it into
+    the int64 table.  The table is the one large allocation; it and each
+    task's O(segment_size) scratch raise ResourceError when memory runs out.
     """
     if not 1 <= x < 2**31:  # the smooth parts are int32
         raise DomainError(f"sieve limit must lie in 1..2^31-1, got {x}")
@@ -191,26 +195,27 @@ def sieve_dk(
         raise DomainError(f"fold parameter must lie in 1..8, got {k}")
     if segment_size < 1:
         raise DomainError("segment size must be positive")
-    if threads < 1:
+    if threads is not None and threads < 1:
         raise DomainError(f"thread count must be positive, got {threads}")
     los = range(1, x + 1, segment_size)
-    tasks = min(threads, WORKERS, len(los))
+    tasks = min(threads or WORKERS, WORKERS, len(los))
     primes = primes_up_to(math.isqrt(x)).tolist()
+    size = min(segment_size, x)
+    dtype = np.dtype(np.int32 if d_k_max(x, k) < 2**31 else np.int64)
 
-    def fill(task_los):
+    def fill(task):
         # Once per task: scratch allocated per segment in sieve threads left
         # up to 4 MB more peak RSS behind in the allocator.
-        size = min(segment_size, x)
-        scratch = (np.empty(size, np.int32), np.arange(size, dtype=np.int32))
-        for lo in task_los:
+        scratch = (np.empty(size, dtype), np.empty(size, np.int32), np.arange(size, dtype=np.int32))
+        for lo in los[task::tasks]:
             _sieve_segment(values[lo : min(lo + segment_size, x + 1)], lo, k, primes, scratch)
 
     try:
         values = np.ones(x + 1, dtype=np.int64)
         if k > 1:
-            _on_cores(fill, [los[i::tasks] for i in range(tasks)])
+            _on_cores(fill, range(tasks))
     except MemoryError as exc:
-        need = 8 * (x + 1) + 8 * min(segment_size, x) * tasks  # table, scratch
+        need = 8 * (x + 1) + (8 + dtype.itemsize) * size * tasks  # table, scratch
         raise ResourceError(f"sieve of {x} values needs ~{need} bytes") from exc
     values[0] = 0
     return DkTable(x=x, k=k, values=values)
@@ -282,10 +287,10 @@ def autocorrelation(values: np.ndarray) -> np.ndarray:
         limbs = [(values >> (width * i)) & ((1 << width) - 1) for i in range(count - 1)]
         limbs.append(values >> (width * (count - 1)) if count > 1 else values)
         norms = [exact_square_sum(limb) for limb in limbs]
-        bounds = {
+        bounds = {  # (i, count - 1) ... (i, i): spectrum i's last product is its own square
             (i, j): fft_error_bound((1 if i == j else 2) * math.sqrt(norms[i] * norms[j]), size)
             for i in range(count)
-            for j in range(i, count)
+            for j in range(count - 1, i - 1, -1)
         }
         if max(bounds.values()) < 0.5:
             break
@@ -295,15 +300,17 @@ def autocorrelation(values: np.ndarray) -> np.ndarray:
     out = np.zeros(x, dtype=object if wide else np.int64)
     spectra = [np.fft.rfft(limb, size) for limb in limbs]
     del limbs
-    # The transforms dominate peak memory: work in place, free early.
+    # The transforms dominate peak memory: a zero-imaginary complex product spares irfft a copy.
     for (i, j), bound in bounds.items():
-        if i == j:  # |F|^2 as re^2 + im^2, within the bound's product rounding
-            product = np.square(spectra[i].real)
-            product += np.square(spectra[i].imag)
+        if i == j:  # |F|^2 as re^2 + im^2 in spectrum i, whose last use this is
+            product, spectra[i] = spectra[i], None
+            np.square(product.real, out=product.real)
+            product.real += np.square(product.imag)
         else:  # corr(l_i, l_j) + corr(l_j, l_i)
-            product = (spectra[i].conj() * spectra[j]).real * 2.0
-        if j == count - 1:  # the last product that needs spectrum i
-            spectra[i] = None
+            product = spectra[i].conj()
+            product *= spectra[j]
+            product.real *= 2.0
+        product.imag = 0.0
         raw = np.fft.irfft(product, size)[:x]
         del product
         rounded = np.rint(raw)
@@ -369,23 +376,22 @@ def congruence_sums(table: DkTable, x: int, Q: int) -> np.ndarray:
     return out
 
 
-def _block_sums(rows: np.ndarray, step: int) -> np.ndarray:
-    """rows.sum(axis=0) in int64, from the column sums of every `step` rows
-    accumulated in rows' dtype, which the caller's step keeps from wrapping."""
-    out = rows[:step].sum(axis=0, dtype=rows.dtype).astype(np.int64, copy=False)
-    for lo in range(step, len(rows), step):
-        out += rows[lo : lo + step].sum(axis=0, dtype=rows.dtype)
-    return out
-
-
 def _column_sums(rows: np.ndarray, step: int) -> np.ndarray:
-    """_block_sums over one block of whole rows per core (_on_cores), of
-    SPLIT values or more each; exact partials add in block order.  On two
-    cores two blocks lose at 2^21 values and break even near 2^22."""
+    """rows.sum(axis=0) in int64 from one block of whole rows per core
+    (_on_cores), of SPLIT values or more each, summed `step` rows at a time
+    in rows' dtype, which the caller's step keeps from wrapping; the exact
+    partials add in block order.  On two cores two blocks lose at 2^21
+    values and break even near 2^22."""
     parts = max(1, min(WORKERS, rows.size // SPLIT, len(rows)))
-    cut = [len(rows) * i // parts for i in range(parts + 1)]  # not np.array_split: 3 us a call
-    blocks = [rows[lo:hi] for lo, hi in zip(cut, cut[1:])]
-    first, *rest = _on_cores(lambda block: _block_sums(block, step), blocks)
+
+    def block(i):
+        own = rows[len(rows) * i // parts : len(rows) * (i + 1) // parts]
+        out = own[:step].sum(axis=0, dtype=own.dtype).astype(np.int64, copy=False)
+        for lo in range(step, len(own), step):
+            out += own[lo : lo + step].sum(axis=0, dtype=own.dtype)
+        return out
+
+    first, *rest = _on_cores(block, range(parts))
     return sum(rest, first)
 
 
@@ -441,7 +447,8 @@ def exp_sum(cls: ResidueClassSums, a: int) -> ExpSumValue:
     n = np.arange(max(B, rows), dtype=np.int64)
     lo = (2 * math.pi / q) * (n[:B] * r % q)
     hi = (2 * math.pi / q) * (n[:rows] * (r * B % q) % q)
-    re, im = (w.reshape(rows, 1, B) * np.stack((np.cos(lo), np.sin(lo)))).sum(axis=2).T
+    w = w.reshape(rows, B)
+    re, im = (w * np.cos(lo)).sum(axis=1), (w * np.sin(lo)).sum(axis=1)
     hc, hs = np.cos(hi), np.sin(hi)
     val_re = float((re * hc).sum() - (im * hs).sum())
     val_im = float((re * hs).sum() + (im * hc).sum())

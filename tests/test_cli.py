@@ -925,36 +925,43 @@ class TestExitCodes:
 
 
 class TestThreadResolution:
-    def test_env_variable_is_honoured(self, monkeypatch):
-        from apvar.cli import _resolve_threads
-
-        monkeypatch.setenv("APVAR_THREADS", "3")
-        assert _resolve_threads(None) == 3
-        assert _resolve_threads(5) == 5  # flag overrides the environment
-
-    def test_bad_env_value_is_usage_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("APVAR_THREADS", "many")
-        code, _, err = run(capsys, "variance", "--k", "2", "--x", "50", "--Q", "2")
-        assert code == EXIT_USAGE
-
-    @pytest.mark.parametrize(
-        "flag, env",
-        ((["--threads", "0"], None), (["--threads", "-3"], None), ([], "0")),
-        ids=("flag-0", "flag-minus-3", "env-0"),
-    )
-    def test_thread_count_below_one_is_usage_error(self, monkeypatch, capsys, flag, env):
-        if env is None:
-            monkeypatch.delenv("APVAR_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("APVAR_THREADS", env)
-        code, out, err = run(capsys, "variance", "--k", "2", "--x", "50", "--Q", "2", *flag)
+    @pytest.mark.parametrize("flag", ("0", "-3"), ids=("flag-0", "flag-minus-3"))
+    def test_thread_count_below_one_is_usage_error(self, capsys, flag):
+        argv = ("variance", "--k", "2", "--x", "50", "--Q", "2", "--threads", flag)
+        code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert out == "" and "thread count" in err
 
-    def test_defaults_to_cpu_count(self, monkeypatch):
-        from apvar.cli import _resolve_threads
+    @pytest.mark.parametrize("exists", (True, False), ids=("table", "missing-table"))
+    def test_thread_count_is_checked_before_the_table_is_read(self, tmp_path, capsys, exists):
+        path = tmp_path / "t.dktb"
+        if exists:
+            write_table(sieve_dk(50, 2), path)
+        for argv in (
+            ("variance", "--k", "2", "--x", "50", "--Q", "2"),
+            ("expsum", "--k", "2", "--x", "50", "--q", "3", "--a", "1"),
+            ("verify", "--suite", "dirichlet", "--x", "50"),
+        ):
+            code, out, err = run(capsys, *argv, "--table", str(path), "--threads", "0")
+            assert code == EXIT_USAGE, argv
+            assert out == "" and "thread count" in err
 
-        monkeypatch.delenv("APVAR_THREADS", raising=False)
-        import os
-
-        assert _resolve_threads(None) == (os.cpu_count() or 1)
+    def test_defaults_to_cpu_count(self, tmp_path):
+        # without --threads the sieve takes its default, one task per core:
+        # with three cores and three segments, two threads start beside the
+        # caller's, counted in a fresh interpreter
+        code = (
+            "import threading\nimport apvar.sieve\nfrom apvar.cli import main\n"
+            "apvar.sieve.WORKERS = 3\n"
+            "started, start = [], threading.Thread.start\n"
+            "threading.Thread.start = lambda t: (started.append(t), start(t))[1]\n"
+            "x = str(3 * apvar.sieve.DEFAULT_SEGMENT_SIZE)\n"
+            f"assert main(['sieve', '--k', '2', '--x', x, '--out', {str(tmp_path / 't')!r}]) == 0\n"
+            "print(len(started))"
+        )
+        src = str(Path(cli_mod.__file__).parents[1])  # the apvar under test
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout.splitlines()[-1] == "2"

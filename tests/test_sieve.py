@@ -135,6 +135,24 @@ class TestSieve:
                 sieve_dk(10**6, 2, threads=threads, segment_size=1000)
         assert sieve_dk(10, 1).values[1:].tolist() == [1] * 10  # k = 1 needs no scratch
 
+    def test_int64_segments_when_d_k_passes_int32(self, monkeypatch):
+        # d_8 to 2^31 - 1 reaches 1.18e11; a claimed bound of 2^31 makes the
+        # tasks sieve in int64 segments, with the same table
+        want = sieve_dk(30000, 8, segment_size=1000).values
+        dtypes, segment = set(), sieve_mod._sieve_segment
+
+        def recorded(out, lo, k, primes, scratch):
+            dtypes.add(scratch[0].dtype)
+            segment(out, lo, k, primes, scratch)
+
+        monkeypatch.setattr(sieve_mod, "_sieve_segment", recorded)
+        assert np.array_equal(sieve_dk(30000, 8, segment_size=1000).values, want)
+        assert dtypes == {np.dtype(np.int32)}
+        dtypes.clear()
+        monkeypatch.setattr(sieve_mod, "d_k_max", lambda x, k: 2**31)
+        assert np.array_equal(sieve_dk(30000, 8, segment_size=1000).values, want)
+        assert dtypes == {np.dtype(np.int64)}
+
     def test_limit_beyond_int32_smooth_parts_rejected(self):
         with pytest.raises(DomainError, match="2\\^31"):
             sieve_dk(2**31, 2)
@@ -336,34 +354,40 @@ class TestPooledApSums:
 
     def test_split_equals_the_serial_reduction(self, monkeypatch):
         # 100 rows of 5000 int32 values near INT32_TOP cut into blocks of
-        # 34, 33 and 33 rows: the cuts at rows 34 and 67 fall inside int32
+        # 33, 33 and 34 rows: the cuts at rows 33 and 66 fall inside int32
         # chunks of 32 rows
         q, X = 5000, 100 * 5000 + 123
         values = np.random.default_rng(29).integers(*NEAR_TOP, X + 1, endpoint=True)
         values[0] = 0
         table = narrow_table(values)
         assert (2**31 - 1) // table.top == 32
-        blocks, block_sums = [], sieve_mod._block_sums
+        partials, on_cores = [], sieve_mod._on_cores
 
-        def counted(rows, *args):
-            blocks.append(len(rows))
-            return block_sums(rows, *args)
+        def recorded(fn, parts):
+            partials.extend(out := on_cores(fn, parts))
+            return out
 
-        monkeypatch.setattr(sieve_mod, "_block_sums", counted)
+        monkeypatch.setattr(sieve_mod, "_on_cores", recorded)
         monkeypatch.setattr(sieve_mod, "SPLIT", 100000)
         got = ap_sums(table, q, X).sums
-        assert sorted(blocks) == [33, 33, 34]
+        rows = values[1 : 100 * q + 1].reshape(100, q)
+        want = [rows[lo:hi].sum(axis=0) for lo, hi in ((0, 33), (33, 66), (66, 100))]
+        assert len(partials) == 3
+        assert all(np.array_equal(a, b) for a, b in zip(partials, want))
         assert np.array_equal(got, int64_class_sums(values, q, X))
 
     def test_a_worker_error_reaches_the_caller(self, large_table, monkeypatch):
-        block_sums = sieve_mod._block_sums
+        on_cores = sieve_mod._on_cores
 
-        def fail_off_the_caller(rows, *args):
-            if threading.current_thread() is not threading.main_thread():
-                raise MemoryError
-            return block_sums(rows, *args)
+        def fail_off_the_caller(fn, parts):
+            def part(i):
+                if threading.current_thread() is not threading.main_thread():
+                    raise MemoryError
+                return fn(i)
 
-        monkeypatch.setattr(sieve_mod, "_block_sums", fail_off_the_caller)
+            return on_cores(part, parts)
+
+        monkeypatch.setattr(sieve_mod, "_on_cores", fail_off_the_caller)
         with pytest.raises(MemoryError):
             ap_sums(large_table[0], 1000, LARGE_X)
 
@@ -389,9 +413,10 @@ class TestPooledApSums:
     "call",
     (
         "sieve_dk(30000, 3, segment_size=1000, threads=8)",
+        "sieve_dk(30000, 3, segment_size=1000)",
         "X = 2**23\nap_sums(DkTable(x=X, k=2, values=np.ones(X + 1, np.int32)), 1000, X)",
     ),
-    ids=("sieve_dk", "ap_sums"),
+    ids=("sieve_dk", "sieve_dk-default", "ap_sums"),
 )
 def test_three_cores_run_three_tasks_on_two_threads(call):
     # one task per core, the caller's thread running the first: however many
@@ -492,6 +517,21 @@ class TestNarrowApSums:
         values = table_k3_1e4.values[1:]
         want = sieve_mod.autocorrelation(values)
         assert np.array_equal(sieve_mod.autocorrelation(values.astype(np.int32)), want)
+
+    @pytest.mark.parametrize(
+        "low, top, products", ((0, 2**40, 6), (-(2**40), 2**40, 6)), ids=("three-limb", "signed")
+    )
+    def test_autocorrelation_matches_python_ints(self, monkeypatch, low, top, products):
+        # 2000 values below 2^40 in magnitude take three limbs, six FFT
+        # products; C[h] from Python-int dot products of the shifted values
+        values = np.random.default_rng(35).integers(low, top, 2000)
+        irfft, calls = np.fft.irfft, []
+        monkeypatch.setattr(np.fft, "irfft", lambda *a: calls.append(1) or irfft(*a))
+        got = sieve_mod.autocorrelation(values)
+        assert got.dtype == object and len(calls) == products
+        wide = values.astype(object)
+        want = [np.dot(wide[: len(wide) - h], wide[h:]) for h in range(len(wide))]
+        assert got.tolist() == want
 
 
 @pytest.mark.parametrize("k", (1, 2, 3))
