@@ -20,7 +20,6 @@ from .farey import (
     FareyArc,
     denominator_counts,
     dissection,
-    farey_sequence,
     verify_containment,
 )
 from .residues import (
@@ -29,7 +28,6 @@ from .residues import (
     eval_logpoly,
     f_star,
     local_correction_series,
-    logpoly_json,
     m_poly,
     zeta_power_series,
 )

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: sieve, main-term, variance, expsum, farey, verify.  Exit codes: 0
-success (all checks pass), 1 check failure, 2 usage error, 3 resource limit.
+success (all checks pass), 1 check failure, 2 usage error, 3 resource limit;
+an I/O error (a missing or unreadable --table, a directory, an --out in a
+missing directory) also exits 1, with "i/o error" on stderr.
 Output is CSV or JSON with floats printed to 17 significant digits (round-trip
 safe).  --threads, checked before any table is read or sieved (below 1 is a
 usage error), caps the sieve's tasks, one per thread and at most one per
@@ -25,7 +27,7 @@ import numpy as np
 from . import checks, stats
 from . import farey as farey_mod
 from .errors import CertificateError, DomainError, ResourceError
-from .residues import ap_main_term, eval_logpoly, logpoly_json, m_poly
+from .residues import ap_main_term, eval_logpoly, m_poly
 from .sieve import ap_sums, exp_sum, read_table, sieve_dk, total_sum, write_table
 
 EXIT_OK = 0
@@ -115,8 +117,8 @@ def cmd_main_term(args) -> int:
     f = ap_main_term(args.q, args.a, args.k)
     m = m_poly(args.q, args.k)
     payload = {
-        "f": logpoly_json(f, k=args.k, q=args.q, a=args.a),
-        "M": logpoly_json(m, k=args.k, q=args.q),
+        "f": {"k": args.k, "q": args.q, "a": args.a, "coeffs": f.tolist()},
+        "M": {"k": args.k, "q": args.q, "coeffs": m.tolist()},
     }
     if args.x is not None:
         payload["f"]["value_at_x"] = eval_logpoly(f, args.x)

@@ -24,7 +24,7 @@ neighbours.  The arcs around 0/1 and 1/1 are the same arc up to
 periodicity; it is kept once, attached to 0/1, its left end the mediant
 with the periodic predecessor -1/gamma.  Mediants of Farey neighbours are
 in lowest terms, so the raw mediant pairs are the reduced endpoints.
-Fraction objects are built only by farey_sequence and dissection.
+Fraction objects are built only by dissection.
 """
 
 from __future__ import annotations
@@ -173,16 +173,6 @@ def _arcs(a, q) -> tuple[np.ndarray, ...]:
     the arcs centred at the inner fractions of a window."""
     mn, md = a[:-1] + a[1:], q[:-1] + q[1:]
     return a[1:-1], q[1:-1], mn[:-1], md[:-1], mn[1:], md[1:]
-
-
-def farey_sequence(gamma: int) -> list[Fraction]:
-    """All reduced a/q with q <= gamma in [0, 1], increasing."""
-    _check_order(gamma, 1)
-    return [
-        Fraction(num, den)
-        for a, q in _slices(gamma)
-        for num, den in zip(a.tolist(), q.tolist())
-    ]
 
 
 def arc_slices(gamma: int) -> Iterator[tuple[np.ndarray, ...]]:

@@ -171,19 +171,19 @@ def local_correction_series(
     return _frozen(series[:, beta])
 
 
-def correction_table(lattice: DivisorLattice, k: int, n: int, local=None) -> np.ndarray:
+def correction_table(lattice: DivisorLattice, k: int, local=None) -> np.ndarray:
     """The correction series of every row (q, delta) of a divisor lattice.
 
-    coeffs[r] holds the first n Taylor coefficients about s=1 of the product
-    over p^alpha || q of local_correction_series(p, alpha, v_p(delta), k, n).
+    coeffs[r] holds the first k Taylor coefficients about s=1 of the product
+    over p^alpha || q of local_correction_series(p, alpha, v_p(delta), k, k).
     local is _local_series of the lattice's columns, built here unless the
     caller holds it (an engine run builds it once for all its blocks).  One
     pass per prime rank of q multiplies each row by the series of its column
-    there, or by 1 where q has fewer primes.  Built (n, rows), returned
+    there, or by 1 where q has fewer primes.  Built (k, rows), returned
     transposed.
     """
     if local is None:
-        local = _local_series(lattice.columns, k, n)
+        local = _local_series(lattice.columns, k, k)
     one = local.shape[1] - 1  # the column of the series 1
     coeffs = local.take(np.full(len(lattice.delta), one), axis=1)
     for r, (row, column, _) in enumerate(lattice.links):
@@ -236,15 +236,6 @@ def eval_logpoly(poly: np.ndarray, x: float) -> np.ndarray | float:
     return acc
 
 
-def logpoly_json(poly: np.ndarray, *, k: int, q: int, a: int | None = None) -> dict:
-    """JSON-ready mapping with coefficients in increasing degree."""
-    out = {"k": k, "q": q}
-    if a is not None:
-        out["a"] = a
-    out["coeffs"] = poly.tolist()
-    return out
-
-
 @lru_cache(maxsize=None)
 def _pole_series(k: int) -> np.ndarray:
     """g = (u zeta(1+u))^k / (1+u), k terms, read-only."""
@@ -262,7 +253,7 @@ def density_polys(lattice: DivisorLattice, k: int, local=None) -> np.ndarray:
     of X^u C g; so with h = C g, the (log X)^j coefficient is h[k-1-j] / j!.
     local, k terms, passes to correction_table.
     """
-    h = _mul(correction_table(lattice, k, k, local).T, _pole_series(k)[:, None])
+    h = _mul(correction_table(lattice, k, local).T, _pole_series(k)[:, None])
     return (h[::-1] / np.array([math.factorial(j) for j in range(k)])[:, None]).T
 
 

@@ -25,7 +25,7 @@ from .arith import d_k_max, primes_up_to
 from .errors import CertificateError, DomainError, ResourceError
 
 # At x = 10^7 on two cores 2^19 ties 2^20 and 2^18 is about 15% slower.
-DEFAULT_SEGMENT_SIZE = 1 << 19
+SEGMENT_SIZE = 1 << 19
 # The most tasks _on_cores runs at once, the caller's thread included.
 WORKERS = os.cpu_count() or 1
 # Class sums reduce rows of at least this many values: numpy's column sum
@@ -142,9 +142,10 @@ def _sieve_segment(out: np.ndarray, lo: int, k: int, primes: list[int], scratch)
     divides by d_k(p^a) / d_k(p^(a-1)), exactly, since they already hold
     d_k(p^(a-1)) as a factor, and multiplies their smooth part by p.  What
     is left of n is 1 or one prime above sqrt(hi) (two would pass hi), so n
-    has that prime, worth d_k(p) = k, exactly when its smooth part is not n.
-    scratch: the task's segment buffer (int32 is exact: no step takes an
-    entry past its final d_k(n)), int32 smooth and int32 offsets 0, 1, ...
+    has that prime, worth d_k(p) = k, exactly when its smooth part is not n;
+    that last product goes straight into out.  scratch: the task's segment
+    buffer (int32 is exact: no step takes an entry past its final d_k(n)),
+    int32 smooth and int32 offsets 0, 1, ...
     """
     hi = lo + len(out) - 1
     seg, smooth, offsets = (buf[: len(out)] for buf in scratch)
@@ -168,39 +169,32 @@ def _sieve_segment(out: np.ndarray, lo: int, k: int, primes: list[int], scratch)
     np.not_equal(smooth, offsets, out=smooth)  # 1 where the prime is left
     smooth *= k - 1
     smooth += 1
-    seg *= smooth
-    out[:] = seg
+    np.multiply(seg, smooth, out=out)
 
 
-def sieve_dk(
-    x: int,
-    k: int,
-    *,
-    threads: int | None = None,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-) -> DkTable:
+def sieve_dk(x: int, k: int, *, threads: int | None = None) -> DkTable:
     """Exact d_k(n) for all n <= x, in one pass whatever k is (_sieve_segment).
 
     Segments go round-robin into min(threads, WORKERS, segments) tasks, one
     per thread (_on_cores), each writing its own slices, so tables are
-    bit-identical at any thread count and segment size; threads=None means
+    bit-identical at any thread count and SEGMENT_SIZE; threads=None means
     every core, min(WORKERS, segments) tasks.  Each task sieves into one
-    segment buffer, int32 unless d_k_max(x, k) >= 2^31, and copies it into
-    the int64 table.  The table is the one large allocation; it and each
-    task's O(segment_size) scratch raise ResourceError when memory runs out.
+    segment buffer, int32 unless d_k_max(x, k) >= 2^31, and writes each
+    segment's product straight into its slice of the int64 table, so every
+    entry is written once.  The table is the one large allocation; it and
+    each task's O(SEGMENT_SIZE) scratch raise ResourceError when memory
+    runs out.
     """
     if not 1 <= x < 2**31:  # the smooth parts are int32
         raise DomainError(f"sieve limit must lie in 1..2^31-1, got {x}")
     if not 1 <= k <= 8:
         raise DomainError(f"fold parameter must lie in 1..8, got {k}")
-    if segment_size < 1:
-        raise DomainError("segment size must be positive")
     if threads is not None and threads < 1:
         raise DomainError(f"thread count must be positive, got {threads}")
-    los = range(1, x + 1, segment_size)
+    los = range(1, x + 1, SEGMENT_SIZE)
     tasks = min(threads or WORKERS, WORKERS, len(los))
     primes = primes_up_to(math.isqrt(x)).tolist()
-    size = min(segment_size, x)
+    size = min(SEGMENT_SIZE, x)
     dtype = np.dtype(np.int32 if d_k_max(x, k) < 2**31 else np.int64)
 
     def fill(task):
@@ -208,11 +202,13 @@ def sieve_dk(
         # up to 4 MB more peak RSS behind in the allocator.
         scratch = (np.empty(size, dtype), np.empty(size, np.int32), np.arange(size, dtype=np.int32))
         for lo in los[task::tasks]:
-            _sieve_segment(values[lo : min(lo + segment_size, x + 1)], lo, k, primes, scratch)
+            _sieve_segment(values[lo : min(lo + SEGMENT_SIZE, x + 1)], lo, k, primes, scratch)
 
     try:
-        values = np.ones(x + 1, dtype=np.int64)
-        if k > 1:
+        if k == 1:
+            values = np.ones(x + 1, dtype=np.int64)
+        else:  # every entry is written by its segment
+            values = np.empty(x + 1, dtype=np.int64)
             _on_cores(fill, range(tasks))
     except MemoryError as exc:
         need = 8 * (x + 1) + (8 + dtype.itemsize) * size * tasks  # table, scratch

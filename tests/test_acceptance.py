@@ -20,6 +20,7 @@ from apvar import (
     growth_study,
     m_poly,
     ramanujan_sum,
+    sieve,
     sieve_dk,
     square_sum,
     total_sum,
@@ -292,11 +293,12 @@ def test_criterion_11_growth_study():
     assert elapsed < 180.0
 
 
-def test_criterion_12_determinism(capsys):
+def test_criterion_12_determinism(capsys, monkeypatch):
     """Thread count never changes results: sieve tables bit for bit,
     growth rows exactly, CLI reports byte for byte."""
-    sieve_1 = sieve_dk(40000, 3, segment_size=4096, threads=1)
-    sieve_n = sieve_dk(40000, 3, segment_size=4096, threads=MAX_THREADS)
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 4096)  # 4096-value segments
+    sieve_1 = sieve_dk(40000, 3, threads=1)
+    sieve_n = sieve_dk(40000, 3, threads=MAX_THREADS)
     tables_equal = np.array_equal(sieve_1.values, sieve_n.values)
 
     grid = [(x, round(x**0.75)) for x in (2**14, 2**15)]

@@ -955,7 +955,7 @@ class TestThreadResolution:
             "apvar.sieve.WORKERS = 3\n"
             "started, start = [], threading.Thread.start\n"
             "threading.Thread.start = lambda t: (started.append(t), start(t))[1]\n"
-            "x = str(3 * apvar.sieve.DEFAULT_SEGMENT_SIZE)\n"
+            "x = str(3 * apvar.sieve.SEGMENT_SIZE)\n"
             f"assert main(['sieve', '--k', '2', '--x', x, '--out', {str(tmp_path / 't')!r}]) == 0\n"
             "print(len(started))"
         )

@@ -14,10 +14,14 @@ from apvar import (
     dissection,
     euler_phi,
     farey,
-    farey_sequence,
     verify_containment,
 )
 from apvar.errors import CertificateError
+
+
+def farey_fractions(gamma):
+    """F_gamma as Fraction objects, from the certified slices of the library."""
+    return [Fraction(*f) for a, q in farey._slices(gamma) for f in zip(a.tolist(), q.tolist())]
 
 
 def brute_force_sequence(gamma):
@@ -101,7 +105,7 @@ def mutate_slices(monkeypatch, mutate):
 
 class TestFareySequence:
     def test_order_one(self):
-        assert farey_sequence(1) == [Fraction(0), Fraction(1)]
+        assert farey_fractions(1) == [Fraction(0), Fraction(1)]
 
     def test_order_five(self):
         expected = [
@@ -117,28 +121,28 @@ class TestFareySequence:
             Fraction(4, 5),
             Fraction(1),
         ]
-        assert farey_sequence(5) == expected
+        assert farey_fractions(5) == expected
 
     def test_zero_order_rejected(self):
         with pytest.raises(DomainError):
-            farey_sequence(0)
+            denominator_counts(0)
 
     @pytest.mark.parametrize("gamma", (1, 2, 3, 7, 12, 25, 64, 101))
     def test_matches_brute_force(self, gamma):
-        assert farey_sequence(gamma) == brute_force_sequence(gamma)
+        assert farey_fractions(gamma) == brute_force_sequence(gamma)
 
     def test_length_at_hundred(self):
-        assert len(farey_sequence(100)) == 1 + sum(euler_phi(q) for q in range(1, 101)) == 3045
+        assert len(farey_fractions(100)) == 1 + sum(euler_phi(q) for q in range(1, 101)) == 3045
 
     def test_strictly_increasing(self):
-        seq = farey_sequence(40)
+        seq = farey_fractions(40)
         assert all(a < b for a, b in zip(seq, seq[1:]))
 
     def test_order_beyond_float64_separation_rejected(self):
         # past MAX_ORDER the float64 sort could not separate neighbours; the
         # guard fires before anything is generated
         assert farey.MAX_ORDER == 2**22
-        for make in (farey_sequence, dissection, denominator_counts):
+        for make in (dissection, denominator_counts):
             with pytest.raises(DomainError):
                 make(farey.MAX_ORDER + 1)
 
@@ -231,7 +235,7 @@ class TestSlices:
     def test_sliced_results_match_one_slice(self, monkeypatch, slice_size):
         gamma = 61
         whole = (
-            farey_sequence(gamma),
+            farey_fractions(gamma),
             dissection(gamma),
             verify_containment(gamma),
             denominator_counts(gamma),
@@ -239,7 +243,7 @@ class TestSlices:
         monkeypatch.setattr(farey, "SLICE", slice_size)
         assert len(list(farey._slices(gamma))) > 1
         sliced = (
-            farey_sequence(gamma),
+            farey_fractions(gamma),
             dissection(gamma),
             verify_containment(gamma),
             denominator_counts(gamma),
@@ -315,7 +319,7 @@ class TestDissection:
     def test_endpoints_already_reduced_as_mediants(self):
         # mediants of Farey neighbours are in lowest terms, so reduced
         # Fraction objects carry exactly the mediant numerator/denominator
-        seq = farey_sequence(30)
+        seq = farey_fractions(30)
         for prev, cur in zip(seq, seq[1:]):
             m_num = prev.numerator + cur.numerator
             m_den = prev.denominator + cur.denominator
@@ -445,4 +449,4 @@ class TestLengthHistogram:
             length += counts[g]
             assert length == 1 + phi_sum
         for g in (1, 2, 17, 120, 200):
-            assert len(farey_sequence(g)) == 1 + sum(euler_phi(q) for q in range(1, g + 1))
+            assert len(farey_fractions(g)) == 1 + sum(euler_phi(q) for q in range(1, g + 1))

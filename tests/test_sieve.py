@@ -78,24 +78,46 @@ class TestSieve:
             for p in (2, 3, 97, 997):
                 assert t.values[p] == k
 
-    def test_small_segments_equal_whole_run(self):
+    def test_small_segments_equal_whole_run(self, monkeypatch):
         base = sieve_dk(5000, 3)
-        segmented = sieve_dk(5000, 3, segment_size=64)
+        monkeypatch.setattr(sieve_mod, "SEGMENT_SIZE", 64)
+        segmented = sieve_dk(5000, 3)
         assert np.array_equal(base.values, segmented.values)
 
     def test_threaded_run_is_bitwise_identical(self, monkeypatch):
         monkeypatch.setattr(sieve_mod, "WORKERS", 8)  # 8 tasks whatever the host's cores
-        serial = sieve_dk(30000, 3, segment_size=1024, threads=1)
-        threaded = sieve_dk(30000, 3, segment_size=1024, threads=8)
+        monkeypatch.setattr(sieve_mod, "SEGMENT_SIZE", 1024)
+        serial = sieve_dk(30000, 3, threads=1)
+        threaded = sieve_dk(30000, 3, threads=8)
         assert np.array_equal(serial.values, threaded.values)
 
     @pytest.mark.parametrize("threads", (2, 3))
     def test_round_robin_tasks_are_bitwise_identical(self, threads, monkeypatch):
         # 30 segments split round-robin into 2 or 3 tasks, one per core
         monkeypatch.setattr(sieve_mod, "WORKERS", 3)
-        serial = sieve_dk(30000, 4, segment_size=1000, threads=1)
-        dealt = sieve_dk(30000, 4, segment_size=1000, threads=threads)
+        monkeypatch.setattr(sieve_mod, "SEGMENT_SIZE", 1000)
+        serial = sieve_dk(30000, 4, threads=1)
+        dealt = sieve_dk(30000, 4, threads=threads)
         assert np.array_equal(serial.values, dealt.values)
+
+    @pytest.mark.parametrize("segment", (1000, sieve_mod.SEGMENT_SIZE), ids=("1000", "default"))
+    @pytest.mark.parametrize("threads", (1, 3))
+    def test_every_entry_is_written(self, threads, segment, monkeypatch):
+        # a table that starts as -1 everywhere: any entry no segment writes stays -1
+        empty = np.empty
+
+        def filled(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            out.fill(-1)
+            return out
+
+        monkeypatch.setattr(np, "empty", filled)
+        monkeypatch.setattr(sieve_mod, "WORKERS", 3)
+        monkeypatch.setattr(sieve_mod, "SEGMENT_SIZE", segment)
+        for k in range(2, 9):
+            got = sieve_dk(3000, k, threads=threads).values
+            assert got[0] == 0
+            assert got[1:].tolist() == [d_k_of(n, k) for n in range(1, 3001)], k
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -112,33 +134,43 @@ class TestSieve:
     def test_sieve_threads_end_with_the_call(self):
         # a fresh interpreter, so that no thread of an earlier test counts
         started, left = thread_counts(
-            "import apvar.sieve\napvar.sieve.WORKERS = 2\n"
-            "sieve_dk(30000, 3, segment_size=1000, threads=2)"
+            "import apvar.sieve\napvar.sieve.WORKERS = 2\napvar.sieve.SEGMENT_SIZE = 1000\n"
+            "sieve_dk(30000, 3, threads=2)"
         )
         assert started >= 1 and left == 0
 
     def test_memory_exhaustion_reports_required_bytes(self, monkeypatch):
-        def explode(*args, **kwargs):
-            raise MemoryError
+        empty = np.empty
 
-        monkeypatch.setattr(np, "ones", explode)  # the table
+        def table_explodes(shape, *args, **kwargs):
+            if shape == 10**6 + 1:
+                raise MemoryError
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", table_explodes)
         with pytest.raises(ResourceError, match=r"needs ~\d+ bytes"):
             sieve_dk(10**6, 2)
 
     def test_segment_scratch_failure_is_resource_error(self, monkeypatch):
-        def explode(*args, **kwargs):
-            raise MemoryError
+        empty = np.empty
 
-        monkeypatch.setattr(np, "empty", explode)  # each task's scratch
+        def scratch_explodes(shape, *args, **kwargs):
+            if shape == 1000:  # each task's scratch, not the table
+                raise MemoryError
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", scratch_explodes)
+        monkeypatch.setattr(sieve_mod, "SEGMENT_SIZE", 1000)
         for threads in (1, 2):  # raised in the caller, then in a sieve thread too
             with pytest.raises(ResourceError, match=r"needs ~\d+ bytes"):
-                sieve_dk(10**6, 2, threads=threads, segment_size=1000)
+                sieve_dk(10**6, 2, threads=threads)
         assert sieve_dk(10, 1).values[1:].tolist() == [1] * 10  # k = 1 needs no scratch
 
     def test_int64_segments_when_d_k_passes_int32(self, monkeypatch):
         # d_8 to 2^31 - 1 reaches 1.18e11; a claimed bound of 2^31 makes the
         # tasks sieve in int64 segments, with the same table
-        want = sieve_dk(30000, 8, segment_size=1000).values
+        monkeypatch.setattr(sieve_mod, "SEGMENT_SIZE", 1000)
+        want = sieve_dk(30000, 8).values
         dtypes, segment = set(), sieve_mod._sieve_segment
 
         def recorded(out, lo, k, primes, scratch):
@@ -146,11 +178,11 @@ class TestSieve:
             segment(out, lo, k, primes, scratch)
 
         monkeypatch.setattr(sieve_mod, "_sieve_segment", recorded)
-        assert np.array_equal(sieve_dk(30000, 8, segment_size=1000).values, want)
+        assert np.array_equal(sieve_dk(30000, 8).values, want)
         assert dtypes == {np.dtype(np.int32)}
         dtypes.clear()
         monkeypatch.setattr(sieve_mod, "d_k_max", lambda x, k: 2**31)
-        assert np.array_equal(sieve_dk(30000, 8, segment_size=1000).values, want)
+        assert np.array_equal(sieve_dk(30000, 8).values, want)
         assert dtypes == {np.dtype(np.int64)}
 
     def test_limit_beyond_int32_smooth_parts_rejected(self):
@@ -182,7 +214,9 @@ class TestMultiplicativeSieve:
     @example(x=5000, k=2, segment_size=600, threads=2)
     @settings(max_examples=40, deadline=None)
     def test_matches_both_oracles(self, x, k, segment_size, threads):
-        got = sieve_dk(x, k, threads=threads, segment_size=segment_size).values
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sieve_mod, "SEGMENT_SIZE", segment_size)
+            got = sieve_dk(x, k, threads=threads).values
         assert got[0] == 0
         assert got[1:].tolist() == naive_convolved_values(x, k)
         assert got[1:].tolist() == [d_k_of(n, k) for n in range(1, x + 1)]
@@ -412,8 +446,8 @@ class TestPooledApSums:
 @pytest.mark.parametrize(
     "call",
     (
-        "sieve_dk(30000, 3, segment_size=1000, threads=8)",
-        "sieve_dk(30000, 3, segment_size=1000)",
+        "apvar.sieve.SEGMENT_SIZE = 1000\nsieve_dk(30000, 3, threads=8)",
+        "apvar.sieve.SEGMENT_SIZE = 1000\nsieve_dk(30000, 3)",
         "X = 2**23\nap_sums(DkTable(x=X, k=2, values=np.ones(X + 1, np.int32)), 1000, X)",
     ),
     ids=("sieve_dk", "sieve_dk-default", "ap_sums"),
