@@ -8,9 +8,11 @@ those modules at run time (such as a tracer's) see the calls made here.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from . import arith, farey, stats
+from . import arith, farey, residues, stats
 from .errors import DomainError, ResourceError
 
 IDENTITY_TOL = stats.IDENTITY_TOL
@@ -43,6 +45,7 @@ def _worst(rows, name: str) -> dict:
 
 def parseval(table, x: int) -> dict:
     """Plancherel identity for the class errors at cutoff x, worst q <= 50."""
+    residues.density_tables(range(1, 51), table.k)
     rows = (
         _check_row("", *stats.parseval_check(table, q, x), IDENTITY_TOL, q=q)
         for q in range(1, 51)
@@ -59,6 +62,7 @@ def variance_expansion(table, x: int, Q: int, *, budget: int) -> dict:
 
 def density_square_sum(x: int, k: int) -> dict:
     """sum_a f(q, a)^2 against q f*(q) at x, worst q <= 60."""
+    residues.density_tables(range(1, 61), k)
     rows = (
         _check_row(
             "", *stats.density_square_sum_check(q, float(x), k), IDENTITY_TOL, q=q
@@ -72,13 +76,13 @@ def ramanujan_orthogonality() -> dict:
     """sum_a c_d1(a) c_d2(a) = q phi(d1) [d1 = d2] exactly for d1, d2 | q <= 100.
 
     c_d(a) depends on a only through gcd(a, q) for d | q, so each Ramanujan
-    sum is evaluated once per pair of divisors of q, and the exact int64
-    columns c_d(a), a = 1..q, are gathered through the gcd index of q.
+    sum c_d(g) is evaluated once over all q, and the exact int64 columns
+    c_d(a), a = 1..q, are gathered through the gcd index of q.
     """
-    bad = []
+    c, bad = functools.cache(lambda d, g: arith.ramanujan_sum(d, g)), []
     for q in range(1, 101):
         ds = arith.divisors(q)
-        pairs = np.array([[arith.ramanujan_sum(d, g) for g in ds] for d in ds], dtype=np.int64)
+        pairs = np.array([[c(d, g) for g in ds] for d in ds], dtype=np.int64)
         cols = pairs[:, arith.gcd_index(ds)]
         want = np.diag([q * arith.euler_phi(d) for d in ds])
         bad += [(q, ds[i], ds[j]) for i, j in np.argwhere(cols @ cols.T != want).tolist()]
@@ -157,6 +161,7 @@ def dirichlet(table, x: int) -> dict:
     """Partial sums of d_k(n)/n^2 over n <= x, gcd(n, q) = delta, plus their
     predicted tail, against the full series; worst of q <= 30, delta | q.
     The raw_* keys describe the same comparison without the tail."""
+    residues.density_tables(range(1, 31), table.k)
     rows, raw = [], []
     for q in range(1, 31):
         for delta, partial, tail, full in stats.dirichlet_sums(table, q, x):

@@ -12,7 +12,9 @@ degree; eval_logpoly evaluates one, or a whole table row by row.
 density_polys builds the class-mass polynomial P(q, delta) of every row
 (q, delta | q) of a divisor lattice at once, the mass X*P of the n <= X with
 gcd(n, q) = delta, from the local Euler series of the lattice's columns
-(built for it, or once for a whole engine run and passed in).  Three
+(built for it, or once for a whole engine run and passed in).  The density
+tables of a list of moduli come from one lattice (density_tables), which
+m_poly fills for the divisors of q and each check sweep for its moduli.  Three
 closely related polynomial families come out of the same residue
 (read-only arrays, since caches hand them to every caller):
 
@@ -253,18 +255,34 @@ def density_polys(lattice: DivisorLattice, k: int, local=None) -> np.ndarray:
     of X^u C g; so with h = C g, the (log X)^j coefficient is h[k-1-j] / j!.
     local, k terms, passes to correction_table.
     """
-    h = _mul(correction_table(lattice, k, local).T, _pole_series(k)[:, None])
+    g = _pole_series(k)  # checks k before any table is built
+    h = _mul(correction_table(lattice, k, local).T, g[:, None])
     return (h[::-1] / np.array([math.factorial(j) for j in range(k)])[:, None]).T
 
 
-@lru_cache(maxsize=None)
+_TABLES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def density_tables(moduli, k: int) -> None:
+    """Cache the density tables at k of the moduli that lack one, from one
+    divisor_lattice and one density_polys, as read-only views of its rows."""
+    todo = [q for q in moduli if (q, k) not in _TABLES]
+    if not todo:
+        return
+    lattice = divisor_lattice(todo)
+    polys, start = density_polys(lattice, k), lattice.start.tolist()
+    order = np.lexsort((lattice.delta, np.arange(len(todo)).repeat(np.diff(start))))
+    rows = [_frozen(a[order]) for a in (lattice.delta, lattice.phi, polys)]
+    for q, a, b in zip(todo, start, start[1:]):
+        _TABLES[q, k] = tuple(r[a:b] for r in rows)
+
+
 def _residue_polys(q: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The density table of q, read-only: (delta, phi, polys) with delta the
-    divisors of q ascending, phi = phi(q/delta) and P(q, delta) their rows:
-    the lattice of q sorted, for the callers that search or walk delta."""
-    lattice = divisor_lattice([q])
-    polys, order = density_polys(lattice, k), np.argsort(lattice.delta)
-    return tuple(_frozen(a[order]) for a in (lattice.delta, lattice.phi, polys))
+    """The density table of q, read-only: the divisors delta of q ascending,
+    phi(q/delta) and the rows P(q, delta); density_tables([q], k) on a miss."""
+    if (q, k) not in _TABLES:
+        density_tables([q], k)
+    return _TABLES[q, k]
 
 
 def ap_main_term(q: int, a: int, k: int) -> np.ndarray:
@@ -289,14 +307,15 @@ def m_poly(q: int, k: int) -> np.ndarray:
     Defined through the divisor-lattice recursion
         M(q) = (q/phi(q)) * ( f(q, q) - sum_{d|q, d<q} phi(d) M(d) / d ),
     base M(1) = f(1, 1); the transform f(q, a) = sum_{d|q} c_d(a) M(d) / d
-    is verified in the test suite.  ap_main_term checks k.
+    is verified in the test suite.  density_polys checks k.
     """
     if q < 1:
         raise DomainError(f"modulus must be >= 1, got {q}")
+    density_tables(ds := divisors(q), k)  # every table the recursion reads
     acc = ap_main_term(q, q, k)
     # phi(d) for the divisors d of q ascending: phi(q/delta) read backwards
     _, phi, _ = _residue_polys(q, k)
-    for d, phi_d in zip(divisors(q)[:-1], phi[:0:-1].tolist()):
+    for d, phi_d in zip(ds[:-1], phi[:0:-1].tolist()):
         acc = acc - (phi_d / d) * m_poly(d, k)
     return _frozen((q / int(phi[0])) * acc)
 

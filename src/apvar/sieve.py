@@ -114,8 +114,6 @@ def _on_cores(fn, parts: range) -> list:
     """[fn(part) for part in parts]: the first part on the caller's thread,
     each other on a thread of its own that ends before this returns (so one
     part starts none); the first failing part's exception is raised here."""
-    if len(parts) == 1:
-        return [fn(parts[0])]
     out, errors = [None] * len(parts), {}
 
     def run(i):
@@ -379,16 +377,19 @@ def _column_sums(rows: np.ndarray, step: int) -> np.ndarray:
     partials add in block order.  On two cores two blocks lose at 2^21
     values and break even near 2^22."""
     parts = max(1, min(WORKERS, rows.size // SPLIT, len(rows)))
-
-    def block(i):
-        own = rows[len(rows) * i // parts : len(rows) * (i + 1) // parts]
-        out = own[:step].sum(axis=0, dtype=own.dtype).astype(np.int64, copy=False)
-        for lo in range(step, len(own), step):
-            out += own[lo : lo + step].sum(axis=0, dtype=own.dtype)
-        return out
-
-    first, *rest = _on_cores(block, range(parts))
+    if parts == 1:
+        return _step_sums(rows, step)
+    blocks = [rows[len(rows) * i // parts : len(rows) * (i + 1) // parts] for i in range(parts)]
+    first, *rest = _on_cores(lambda i: _step_sums(blocks[i], step), range(parts))
     return sum(rest, first)
+
+
+def _step_sums(rows: np.ndarray, step: int) -> np.ndarray:
+    """rows.sum(axis=0) in int64, summed `step` rows at a time in rows' dtype."""
+    out = rows[:step].sum(axis=0, dtype=rows.dtype).astype(np.int64, copy=False)
+    for lo in range(step, len(rows), step):
+        out += rows[lo : lo + step].sum(axis=0, dtype=rows.dtype)
+    return out
 
 
 def ap_sums(table: DkTable, q: int, X: int) -> ResidueClassSums:

@@ -6,6 +6,7 @@ import pytest
 from apvar import (
     DomainError,
     ap_main_term,
+    checks,
     correction_value_at,
     d_k_of,
     divisors,
@@ -16,6 +17,7 @@ from apvar import (
     local_correction_series,
     m_poly,
     ramanujan_sum,
+    residues,
     zeta_power_series,
 )
 from apvar.arith import columns_up_to, divisor_lattice, gcd_index
@@ -346,6 +348,47 @@ class TestDensityTable:
         for a in (1, 7, 12, 90, 360):
             i = divisors(360).index(math.gcd(360, a))
             assert ap_main_term(360, a, 4).tolist() == (360 / phi[i] * polys[i]).tolist()
+
+
+    @staticmethod
+    def one_modulus_table(q, k):
+        lattice = divisor_lattice([q])
+        polys, order = residues.density_polys(lattice, k), np.argsort(lattice.delta)
+        return tuple(a[order] for a in (lattice.delta, lattice.phi, polys))
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_many_moduli_from_one_lattice_equal_one_modulus_tables(self, monkeypatch, k):
+        # q <= 300, then the divisors of 2^60 and 720720 over a filled cache
+        monkeypatch.setattr(residues, "_TABLES", {})
+        for moduli in (range(1, 301), divisors(2**60), divisors(720720)):
+            residues.density_tables(moduli, k)
+            for q in moduli:
+                for got, want in zip(_residue_polys(q, k), self.one_modulus_table(q, k)):
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape), q
+                    assert got.tobytes() == want.tobytes(), q
+
+    @pytest.mark.parametrize(
+        "run",
+        (
+            lambda t: checks.parseval(t, 10**4),
+            lambda t: checks.density_square_sum(10**4, t.k),
+            lambda t: checks.dirichlet(t, 10**4),
+            lambda t: m_poly(720720, 8),
+        ),
+        ids=("parseval", "density_square_sum", "dirichlet", "m_poly"),
+    )
+    def test_a_cold_sweep_builds_one_lattice(self, monkeypatch, table_k3_1e4, run):
+        built = []
+
+        def counting(moduli, *args):
+            built.append(list(moduli))
+            return divisor_lattice(moduli, *args)
+
+        monkeypatch.setattr(residues, "_TABLES", {})
+        monkeypatch.setattr(residues, "divisor_lattice", counting)
+        m_poly.cache_clear()
+        run(table_k3_1e4)
+        assert len(built) == 1
 
 
 class TestMPoly:

@@ -487,7 +487,7 @@ class TestDirichletPartialSums:
             for module in (arith, residues, stats):
                 if getattr(module, name, None) is fn:
                     monkeypatch.setattr(module, name, counting(name, fn))
-        residues._residue_polys.cache_clear()
+        monkeypatch.setattr(residues, "_TABLES", {})
         table = sieve_dk(10**3, 2)
         for q in range(1, 31):
             dirichlet_sums(table, q, 10**3)
