@@ -1,14 +1,15 @@
 """Exact elementary number theory.
 
 Factorization (by trial division: one integer at a time in `factorize`, a
-whole block of moduli at once in `divisor_lattice`), the classical
-multiplicative functions (Mobius, Euler phi and its sieve, the k-fold
-divisor function), the primes up to n, Ramanujan sums, divisor
-enumeration, the gcd classes of a modulus, and the divisor lattice of a
-set of moduli: its rows (q, delta | q) and, one prime rank at a time, each
-row's column and link to the row of delta p.  One function lays out the
-columns (p, alpha, beta) of prime powers, for a lattice's own or for every
-one up to n.  Everything here is exact integer arithmetic.
+whole block of moduli at once in `divisor_lattice`, each exponent one
+division per power), the classical multiplicative functions (Mobius, Euler
+phi and its sieve, one pass per prime, the k-fold divisor function), the
+primes up to n, Ramanujan sums, divisor enumeration, the gcd classes of a
+modulus, and the divisor lattice of a set of moduli: its rows (q, delta |
+q) and, one prime rank at a time, each row's column and link to the row of
+delta p.  One function lays out the columns (p, alpha, beta) of prime
+powers, for a lattice's own or for every one up to n.  Everything here is
+exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -60,25 +61,14 @@ def euler_phi(n: int) -> int:
 
 
 def totients(n: int) -> np.ndarray:
-    """phi(m) for m = 0..n as an int64 array (phi(0) = 0), by one sieve.
-
-    Each prime p <= B = isqrt(n) takes one strided pass.  A prime above B
-    divides each m <= n at most once and is the only such prime of m, so
-    they all go in one pass per multiplier j <= n // (B + 1), about 2
-    sqrt(n) passes in all.  phi[m] -= phi[m] // p is exact in any order.
-    """
+    """phi(m) for m = 0..n as an int64 array (phi(0) = 0), by one sieve:
+    each prime p <= n (primes_up_to) takes one strided pass over its
+    multiples, phi[m] -= phi[m] // p, which is exact in any order."""
     if n < 0:
         raise DomainError(f"totient sieve needs n >= 0, got {n}")
     phi = np.arange(n + 1, dtype=np.int64)
-    B = math.isqrt(n)
-    for p in range(2, B + 1):
-        if phi[p] == p:  # untouched by every smaller prime, so p is prime
-            phi[p::p] -= phi[p::p] // p
-    # untouched above B: no prime factor up to B, so prime
-    big = B + 1 + np.flatnonzero(phi[B + 1 :] == np.arange(B + 1, n + 1))
-    for j in range(1, n // (B + 1) + 1):
-        p = big[: np.searchsorted(big, n // j, side="right")]
-        phi[j * p] -= phi[j * p] // p
+    for p in primes_up_to(n).tolist():
+        phi[p::p] -= phi[p::p] // p
     return phi
 
 
@@ -221,36 +211,15 @@ class DivisorLattice:
     links: tuple[tuple[np.ndarray, ...], ...]
 
 
-def _exponents(rest: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """alpha = v_p(rest) for each rest divisible by its p, leaving rest /
-    p^alpha, in about 2 log2 alpha passes: p^(2^i) divides out while it does,
-    squared while no larger than what is left (so nothing wraps), and then
-    each once more from the largest down, for the binary digits of the rest."""
-    alpha, levels = np.zeros_like(p), []
-    rows, power = np.arange(p.size), p
-    while rows.size:
-        rest[rows] //= power
-        alpha[rows] += 1 << len(levels)
-        levels.append((rows, power))
-        fits = power <= rest[rows] // power
-        rows, power = rows[fits], power[fits] ** 2
-        divides = rest[rows] % power == 0
-        rows, power = rows[divides], power[divides]
-    for i, (rows, power) in reversed(list(enumerate(levels))):
-        divides = rest[rows] % power == 0
-        rest[rows[divides]] //= power[divides]
-        alpha[rows[divides]] += 1 << i
-    return alpha
-
-
 def _prime_powers(moduli: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(owner, p, alpha), one row per p^alpha || moduli[owner], by owner and
     then p ascending: trial division of every modulus at once.
 
     Each pass tests the live cofactors against a run of primes as one
-    (cofactors x primes) remainder table.  A cofactor leaves once it is
-    below (t + 1)^2, with every prime up to t divided out of it, so it is
-    1 or the largest prime of its modulus.
+    (cofactors x primes) remainder table.  Each hit's exponent takes one
+    division pass per power of p, over the hits that p still divides.  A
+    cofactor leaves once it is below (t + 1)^2, with every prime up to t
+    divided out of it, so it is 1 or the largest prime of its modulus.
     Primes are sieved in stages, only as far as the live cofactors need, up
     to FACTOR_BOUND: a cofactor of (2^20 + 1)^2 or more is a ResourceError.
     """
@@ -271,7 +240,11 @@ def _prime_powers(moduli: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
             run, primes = np.split(primes, [max(1, _TRIAL_CELLS // live.size)])
             i, j = np.nonzero(cofactor[live, None] % run == 0)
             owner, p = live[i], run[j]
-            alpha = _exponents(cofactor[owner], p)
+            rest, alpha, rows = cofactor[owner], np.zeros_like(p), np.arange(p.size)
+            while rows.size:
+                rest[rows] //= p[rows]
+                alpha[rows] += 1
+                rows = rows[rest[rows] % p[rows] == 0]
             np.floor_divide.at(cofactor, owner, p**alpha)
             found.append((owner, p, alpha))
             live = live[cofactor[live] >= (int(run[-1]) + 1) ** 2]

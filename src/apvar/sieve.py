@@ -171,7 +171,7 @@ def _sieve_segment(out: np.ndarray, lo: int, k: int, primes: list[int], scratch)
 
 
 def sieve_dk(x: int, k: int, *, threads: int | None = None) -> DkTable:
-    """Exact d_k(n) for all n <= x, in one pass whatever k is (_sieve_segment).
+    """Exact d_k(n) for all n <= x, in one pass for every k (_sieve_segment).
 
     Segments go round-robin into min(threads, WORKERS, segments) tasks, one
     per thread (_on_cores), each writing its own slices, so tables are
@@ -203,11 +203,8 @@ def sieve_dk(x: int, k: int, *, threads: int | None = None) -> DkTable:
             _sieve_segment(values[lo : min(lo + SEGMENT_SIZE, x + 1)], lo, k, primes, scratch)
 
     try:
-        if k == 1:
-            values = np.ones(x + 1, dtype=np.int64)
-        else:  # every entry is written by its segment
-            values = np.empty(x + 1, dtype=np.int64)
-            _on_cores(fill, range(tasks))
+        values = np.empty(x + 1, dtype=np.int64)  # every entry is written by its segment
+        _on_cores(fill, range(tasks))
     except MemoryError as exc:
         need = 8 * (x + 1) + (8 + dtype.itemsize) * size * tasks  # table, scratch
         raise ResourceError(f"sieve of {x} values needs ~{need} bytes") from exc
@@ -465,9 +462,10 @@ def read_table(path) -> DkTable:
     """Read a table written by write_table, checking the header and then the
     file size before it allocates.  The header sets the width: int32 when
     d_k_max(x, k) <= INT32_TOP, else int64.  The u64 payload is read once,
-    CHUNK values at a time; a value above d_k_max(x, k) is a DomainError.  A
-    wrong value at or below the bound passes, and so does a table relabelled
-    with a larger k (a d_2 table labelled k = 3)."""
+    CHUNK values at a time; a value above d_k_max(x, k) is a DomainError.
+    Then values 1..min(x, CHUNK) must equal sieve_dk's for the header's k,
+    else DomainError (so a d_2 table labelled k = 3 fails at n = 2).  A
+    wrong value past n = CHUNK at or below the bound passes."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -498,4 +496,10 @@ def read_table(path) -> DkTable:
                 why = f"value {chunk[n - lo]} at n={n} exceeds {bound} = max d_{k}(n), n <= {x}"
                 raise DomainError(f"{path}: {why}")
             values[lo : lo + len(chunk)] = chunk  # exact: every value fits dtype
+    if x:
+        want = sieve_dk(min(x, CHUNK), k).values
+        bad = np.flatnonzero(values[: len(want)] != want)  # index n is n
+        if bad.size:
+            n = int(bad[0])
+            raise DomainError(f"{path}: value {values[n]} at n={n} is not d_{k}({n}) = {want[n]}")
     return DkTable(x=int(x), k=int(k), values=values)

@@ -19,6 +19,7 @@ from apvar import (
 )
 from apvar import arith, checks
 from apvar.arith import columns_up_to, divisor_lattice, gcd_index, primes_up_to, totients
+from apvar.farey import MAX_VERIFY_ORDER
 
 
 def trial_division(n):
@@ -253,7 +254,8 @@ class TestDivisors:
 class TestTotients:
     def test_matches_euler_phi(self):
         assert totients(0).tolist() == [0]
-        assert totients(2000).tolist() == [0] + [euler_phi(n) for n in range(1, 2001)]
+        for n in (2000, MAX_VERIFY_ORDER):
+            assert totients(n).tolist() == [0] + [euler_phi(m) for m in range(1, n + 1)], n
 
 
 class TestGcdIndex:
@@ -367,7 +369,7 @@ class TestPrimePowers:
         ),
     )
     def test_rows_match_factorize(self, moduli):
-        # every exponent int64 holds, each found by dividing out p^(2^i)
+        # every exponent int64 holds
         got = arith._prime_powers(np.array(moduli, dtype=np.int64))
         assert [col.tolist() for col in got] == prime_power_rows(moduli)
 

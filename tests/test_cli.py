@@ -895,6 +895,26 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert out == "" and err.startswith(f"error: {path}: value 135 at n=240 ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ("verify", "--suite", "identities", "--k", "3", "--x", "100000"),
+            ("variance", "--k", "3", "--x", "100000", "--Q", "100"),
+        ),
+        ids=("verify", "variance"),
+    )
+    def test_table_relabelled_with_a_larger_k_is_usage_error(self, tmp_path, capsys, argv):
+        # a d_2 table to 10^5 whose header says k = 3: every value lies within
+        # the d_3 bound, but d_2(2) = 2 is not d_3(2) = 3
+        path = tmp_path / "relabelled.dktb"
+        write_table(sieve_dk(10**5, 2), path)
+        blob = bytearray(path.read_bytes())
+        blob[16:20] = struct.pack("<I", 3)
+        path.write_bytes(bytes(blob))
+        code, out, err = run(capsys, *argv, "--table", str(path))
+        assert code == EXIT_USAGE
+        assert out == "" and err == f"error: {path}: value 2 at n=2 is not d_3(2) = 3\n"
+
     def test_header_beyond_file_size_is_usage_error(self, tmp_path, capsys):
         # the header claims 2^60 values; the size check runs before any
         # allocation, so this is a usage error, not a MemoryError

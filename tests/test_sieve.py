@@ -114,7 +114,7 @@ class TestSieve:
         monkeypatch.setattr(np, "empty", filled)
         monkeypatch.setattr(sieve_mod, "WORKERS", 3)
         monkeypatch.setattr(sieve_mod, "SEGMENT_SIZE", segment)
-        for k in range(2, 9):
+        for k in range(1, 9):
             got = sieve_dk(3000, k, threads=threads).values
             assert got[0] == 0
             assert got[1:].tolist() == [d_k_of(n, k) for n in range(1, 3001)], k
@@ -164,7 +164,6 @@ class TestSieve:
         for threads in (1, 2):  # raised in the caller, then in a sieve thread too
             with pytest.raises(ResourceError, match=r"needs ~\d+ bytes"):
                 sieve_dk(10**6, 2, threads=threads)
-        assert sieve_dk(10, 1).values[1:].tolist() == [1] * 10  # k = 1 needs no scratch
 
     def test_int64_segments_when_d_k_passes_int32(self, monkeypatch):
         # d_8 to 2^31 - 1 reaches 1.18e11; a claimed bound of 2^31 makes the
@@ -856,6 +855,14 @@ class TestNarrowLoading:
         path = tmp_path / "late_wrap.dktb"
         path.write_bytes(dktb(x, 2, [1] * (x - 1) + [2**63]))
         assert rejection(path).startswith(f"value {2**63} at n={x} exceeds {d_k_max(x, 2)} ")
+
+    def test_value_within_the_bound_that_is_not_d_k_rejected(self, tmp_path):
+        # d_2(5000) = 20 written as 7: no bound catches it, the sieve does
+        values = sieve_dk(10**4, 2).values[1:].tolist()
+        values[5000 - 1] = 7
+        path = tmp_path / "d2.dktb"
+        path.write_bytes(dktb(10**4, 2, values))
+        assert rejection(path) == "value 7 at n=5000 is not d_2(5000) = 20"
 
     def test_narrow_and_wide_tables_write_the_same_bytes(self, tmp_path):
         t = sieve_dk(3 * sieve_mod.CHUNK + 5, 3)
