@@ -1,15 +1,15 @@
 """Exact elementary number theory.
 
-Factorization (by trial division: one integer at a time in `factorize`, a
-whole block of moduli at once in `divisor_lattice`, each exponent one
-division per power), the classical multiplicative functions (Mobius, Euler
-phi and its sieve, one pass per prime, the k-fold divisor function), the
-primes up to n, Ramanujan sums, divisor enumeration, the gcd classes of a
-modulus, and the divisor lattice of a set of moduli: its rows (q, delta |
-q) and, one prime rank at a time, each row's column and link to the row of
-delta p.  One function lays out the columns (p, alpha, beta) of prime
-powers, for a lattice's own or for every one up to n.  Everything here is
-exact integer arithmetic.
+Factorization (by trial division by the primes up to FACTOR_BOUND: one
+integer at a time in `factorize`, a whole block of moduli at once in
+`divisor_lattice`, each exponent one division per power), the classical
+multiplicative functions (Mobius, Euler phi and its sieve, one pass per
+prime, the k-fold divisor function), the primes up to n, Ramanujan sums,
+divisor enumeration, the gcd classes of a modulus, and the divisor lattice
+of a set of moduli: its rows (q, delta | q) and, one prime rank at a time,
+each row's column and link to the row of delta p.  One function lays out
+the columns (p, alpha, beta) of prime powers, for a lattice's own or for
+every one up to n.  Everything here is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -22,28 +22,33 @@ import numpy as np
 
 from .errors import DomainError, ResourceError
 
-# divisor_lattice divides out the primes up to FACTOR_BOUND; a cofactor that
-# is still (FACTOR_BOUND + 1)^2 or more would need larger primes.
+# factorize and divisor_lattice divide out the primes up to FACTOR_BOUND; a
+# cofactor that is still (FACTOR_BOUND + 1)^2 or more would need larger primes.
 FACTOR_BOUND = 1 << 20
+_UNFACTORED = f"which trial division by the primes up to {FACTOR_BOUND} cannot factor"
 # Cofactors times primes in one trial-division pass: 512 KB of int64.
 _TRIAL_CELLS = 1 << 16
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Factor n into prime powers (p, a), a >= 1, with strictly increasing
-    primes, by trial division; factorize(1) is the empty list."""
+    primes, by trial division; factorize(1) is the empty list.  A cofactor
+    that divisor_lattice refuses is a ResourceError here too."""
     if n < 1:
         raise DomainError(f"cannot factorize {n}")
-    out, m, p = [], n, 2
+    out, m, p, top = [], n, 2, min(math.isqrt(n), FACTOR_BOUND)
     steps = itertools.chain((1, 2), itertools.cycle((2, 4)))  # 2, 3, then 6j +- 1
-    while p * p <= m:
+    while p <= top:
         if m % p == 0:
             a = 0
             while m % p == 0:
                 m //= p
                 a += 1
             out.append((p, a))
+            top = min(math.isqrt(m), FACTOR_BOUND)
         p += next(steps)
+    if m >= (FACTOR_BOUND + 1) ** 2:  # every prime up to FACTOR_BOUND is divided out
+        raise ResourceError(f"{n} leaves the cofactor {m}, {_UNFACTORED}")
     if m > 1:
         out.append((m, 1))
     return out
@@ -229,10 +234,8 @@ def _prime_powers(moduli: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     found = []
     while live.size:
         if tried >= FACTOR_BOUND:
-            raise ResourceError(
-                f"modulus {int(moduli[live[0]])} leaves the cofactor {int(cofactor[live[0]])},"
-                f" which trial division by the primes up to {FACTOR_BOUND} cannot factor"
-            )
+            n, m = int(moduli[live[0]]), int(cofactor[live[0]])
+            raise ResourceError(f"modulus {n} leaves the cofactor {m}, {_UNFACTORED}")
         top = min(math.isqrt(int(cofactor[live].max())), FACTOR_BOUND, max(1024, 16 * tried))
         primes = primes_up_to(top)
         primes = primes[primes > tried]

@@ -6,9 +6,9 @@ the residue at s=1 of
 
     X^(s-1)/s  *  zeta(s)^k  *  (local Euler corrections at primes p | q),
 
-and this module extracts it with truncated power series (k terms) in
-u = s-1.  Polynomials in log X are float64 coefficient arrays, increasing
-degree; eval_logpoly evaluates one, or a whole table row by row.
+and this module extracts it with power series in u = s-1 cut to k terms,
+all that a pole of order k reads.  Polynomials in log X are float64 arrays
+of coefficients, increasing degree; eval_logpoly evaluates one, or a table.
 density_polys builds the class-mass polynomial P(q, delta) of every row
 (q, delta | q) of a divisor lattice at once, the mass X*P of the n <= X with
 gcd(n, q) = delta, from the local Euler series of the lattice's columns
@@ -42,8 +42,8 @@ from .arith import DivisorLattice, divisor_lattice, divisors, factorize, prime_p
 from .errors import DomainError
 
 # Laurent coefficients of zeta about s=1:  zeta(s) = 1/u + sum_n c_n u^n
-# with c_n = (-1)^n g_n / n! and g_n the constants below (25+ digits each,
-# from a high-precision Euler-Maclaurin evaluation).
+# with c_n = (-1)^n g_n / n! and g_n the constants below (25+ digits each, from
+# a high-precision Euler-Maclaurin evaluation): g_0..g_6, all that k <= 8 reads.
 _STIELTJES = (
     0.5772156649015328606065121,
     -0.0728158454836767248605864,
@@ -52,15 +52,6 @@ _STIELTJES = (
     0.0023253700654673000574682,
     0.0007933238173010627017533,
     -0.0002387693454301996098724,
-    -0.0005272895670577510460741,
-    -0.0003521233538030395096021,
-    -0.0000343947744180880481779,
-    0.0002053328149090647946837,
-    0.0002701844395439035266729,
-    0.0001672729121051401933535,
-    -0.0000274638066037601588600,
-    -0.0002092092620592999458371,
-    -0.0002834686553202414466429,
 )
 _SERIES_PAIRS = 1 << 12  # pairs per pass of _local_series: a few MB of temporaries at k = 8
 
@@ -83,20 +74,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def zeta_power_series(k: int, n: int) -> np.ndarray:
-    """First n Taylor coefficients of (u zeta(1+u))^k about u=0.
+def zeta_power_series(k: int) -> np.ndarray:
+    """First k Taylor coefficients of (u zeta(1+u))^k about u=0.
 
     The pole of zeta(s)^k is u^-k times this series, whose constant term is
-    1; n terms need the expansion constants through index n-2.
+    1; k terms need the expansion constants through index k-2.
     """
     if not 1 <= k <= 8:
         raise DomainError(f"fold parameter must lie in 1..8, got {k}")
-    if not 1 <= n <= len(_STIELTJES) + 1:
-        raise DomainError(
-            f"{n} terms need expansion constants beyond index {len(_STIELTJES) - 1}"
-        )
     base = np.array(
-        [1.0] + [(-1.0) ** j * _STIELTJES[j] / math.factorial(j) for j in range(n - 1)]
+        [1.0] + [(-1.0) ** j * _STIELTJES[j] / math.factorial(j) for j in range(k - 1)]
     )
     out = base
     for _ in range(k - 1):
@@ -104,9 +91,9 @@ def zeta_power_series(k: int, n: int) -> np.ndarray:
     return out
 
 
-def _local_series(columns, k: int, n: int) -> np.ndarray:
+def _local_series(columns, k: int) -> np.ndarray:
     """The local factors of the arith.Columns `columns`, as
-    local_correction_series defines them: an (n, C + 1) array for C columns,
+    local_correction_series defines them: a (k, C + 1) array for C columns,
     whose last column is the series 1.  Built _SERIES_PAIRS pairs at a time
     and elementwise per column, so a column's bytes do not depend on which
     other pairs are built with it.
@@ -118,7 +105,7 @@ def _local_series(columns, k: int, n: int) -> np.ndarray:
             = x^alpha sum_{i<k} C(alpha+k-1, alpha+i) x^i (1 - x)^(k-1-i),
     a sum of positive terms at s = 1, however small x^alpha is.
     """
-    out = np.eye(n, columns.beta.size + 1, columns.beta.size)
+    out = np.eye(k, columns.beta.size + 1, columns.beta.size)
     ends = np.append(columns.first, columns.beta.size)
     for lo in range(0, columns.p.size, _SERIES_PAIRS):
         p, alpha = columns.p[lo : lo + _SERIES_PAIRS], columns.alpha[lo : lo + _SERIES_PAIRS]
@@ -127,15 +114,15 @@ def _local_series(columns, k: int, n: int) -> np.ndarray:
         top = max(int(alpha.max()), k)
         # x^j = p^-j exp(-j u log p) for j = 0..top: its u^i coefficient is
         # p^-j (-j log p)^i / i!, each power formed by products
-        x = np.empty((n, top + 1, p.size))
+        x = np.empty((k, top + 1, p.size))
         x[0, 0] = 1.0
         x[0, 1:] = 1.0 / p
         x[0] = np.multiply.accumulate(x[0])
         t = -np.arange(top + 1)[:, None] * np.array([math.log(v) for v in p.tolist()])
-        for i in range(1, n):
+        for i in range(1, k):
             x[i] = x[i - 1] * t / i
         # y[:, m] = (1 - x)^m for m = 0..k, and comb[a, r] = C(a + k - 1, r)
-        y = np.zeros((n, k + 1, p.size))
+        y = np.zeros((k, k + 1, p.size))
         y[0] = 1.0
         y[:, 1] -= x[:, 1]
         for m in range(2, k + 1):
@@ -154,22 +141,20 @@ def _local_series(columns, k: int, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def local_correction_series(
-    p: int, alpha: int, beta: int, k: int, n: int
-) -> np.ndarray:
+def local_correction_series(p: int, alpha: int, beta: int, k: int) -> np.ndarray:
     """Euler factor at p for the series restricted to v_p(n) pinned by (alpha, beta).
 
     With alpha = v_p(q) and beta = v_p(gcd), the restricted local factor is
         (1 - p^-s)^k * d_k(p^beta) p^(-beta*s)          if beta < alpha,
         1 - (1 - p^-s)^k * sum_{j<alpha} d_k(p^j) p^-js  if beta = alpha,
-    as its first n Taylor coefficients about s=1 (read-only, since the
+    as its first k Taylor coefficients about s=1 (read-only, since the
     cache hands the same array to every caller), with d_k(p^j) =
     C(j + k - 1, k - 1).  Value at s=1 is positive.  One column of the
     builder that correction_table runs over a whole lattice.
     """
     if alpha < 1 or beta < 0 or beta > alpha:
         raise DomainError(f"need 0 <= beta <= alpha with alpha >= 1, got ({alpha}, {beta})")
-    series = _local_series(prime_power_columns(np.array([p]), np.array([alpha])), k, n)
+    series = _local_series(prime_power_columns(np.array([p]), np.array([alpha])), k)
     return _frozen(series[:, beta])
 
 
@@ -177,7 +162,7 @@ def correction_table(lattice: DivisorLattice, k: int, local=None) -> np.ndarray:
     """The correction series of every row (q, delta) of a divisor lattice.
 
     coeffs[r] holds the first k Taylor coefficients about s=1 of the product
-    over p^alpha || q of local_correction_series(p, alpha, v_p(delta), k, k).
+    over p^alpha || q of local_correction_series(p, alpha, v_p(delta), k).
     local is _local_series of the lattice's columns, built here unless the
     caller holds it (an engine run builds it once for all its blocks).  One
     pass per prime rank of q multiplies each row by the series of its column
@@ -185,7 +170,7 @@ def correction_table(lattice: DivisorLattice, k: int, local=None) -> np.ndarray:
     transposed.
     """
     if local is None:
-        local = _local_series(lattice.columns, k, k)
+        local = _local_series(lattice.columns, k)
     one = local.shape[1] - 1  # the column of the series 1
     coeffs = local.take(np.full(len(lattice.delta), one), axis=1)
     for r, (row, column, _) in enumerate(lattice.links):
@@ -241,7 +226,7 @@ def eval_logpoly(poly: np.ndarray, x: float) -> np.ndarray | float:
 @lru_cache(maxsize=None)
 def _pole_series(k: int) -> np.ndarray:
     """g = (u zeta(1+u))^k / (1+u), k terms, read-only."""
-    return _frozen(_mul(zeta_power_series(k, k), np.resize([1.0, -1.0], k)))
+    return _frozen(_mul(zeta_power_series(k), np.resize([1.0, -1.0], k)))
 
 
 def density_polys(lattice: DivisorLattice, k: int, local=None) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import d_k_max, primes_up_to
+from .arith import _prime_powers, d_k_max, primes_up_to
 from .errors import CertificateError, DomainError, ResourceError
 
 # At x = 10^7 on two cores 2^19 ties 2^20 and 2^18 is about 15% slower.
@@ -42,6 +42,7 @@ CERTIFIED_MODULI = 64
 INT32_TOP = (2**31 - 1) // 32
 # Values widened to int64, or read through the DKTB buffer, at a time (512 KB).
 CHUNK = 1 << 16
+SAMPLED = 1 << 12  # positions past CHUNK that read_table factors: about 5 ms at x = 10^7
 
 _MAGIC = b"DKTB"
 _VERSION = 1
@@ -464,8 +465,10 @@ def read_table(path) -> DkTable:
     d_k_max(x, k) <= INT32_TOP, else int64.  The u64 payload is read once,
     CHUNK values at a time; a value above d_k_max(x, k) is a DomainError.
     Then values 1..min(x, CHUNK) must equal sieve_dk's for the header's k,
-    else DomainError (so a d_2 table labelled k = 3 fails at n = 2).  A
-    wrong value past n = CHUNK at or below the bound passes."""
+    and SAMPLED evenly spaced ones in (CHUNK, x], x included, d_k from the
+    exponents _prime_powers finds, else DomainError naming the first bad n
+    (so a d_2 table labelled k = 3 fails at n = 2).  A wrong value past
+    CHUNK, at or below the bound and off the sampled positions, passes."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -498,8 +501,16 @@ def read_table(path) -> DkTable:
             values[lo : lo + len(chunk)] = chunk  # exact: every value fits dtype
     if x:
         want = sieve_dk(min(x, CHUNK), k).values
-        bad = np.flatnonzero(values[: len(want)] != want)  # index n is n
+        n = np.arange(len(want))  # index n is n
+        if x > CHUNK:
+            tail = CHUNK + (x - CHUNK) * np.arange(1, SAMPLED + 1) // SAMPLED
+            owner, _, alpha = _prime_powers(tail)
+            at_power = np.array([math.comb(a + k - 1, k - 1) for a in range(alpha.max() + 1)])
+            d = np.ones(SAMPLED, dtype=np.int64)
+            np.multiply.at(d, owner, at_power[alpha])  # d_k(p^alpha) = C(alpha + k - 1, k - 1)
+            n, want = np.append(n, tail), np.append(want, d)
+        bad = np.flatnonzero(values[n] != want)
         if bad.size:
-            n = int(bad[0])
-            raise DomainError(f"{path}: value {values[n]} at n={n} is not d_{k}({n}) = {want[n]}")
+            i, m = int(bad[0]), int(n[bad[0]])
+            raise DomainError(f"{path}: value {values[m]} at n={m} is not d_{k}({m}) = {want[i]}")
     return DkTable(x=int(x), k=int(k), values=values)

@@ -106,7 +106,7 @@ def _moduli_blocks(tops, k: int) -> Iterator[tuple[np.ndarray, DivisorLattice, n
     built at the first block and read by every block.  None of it depends
     on x."""
     columns = columns_up_to(max(tops))
-    local = _local_series(columns, k, k)
+    local = _local_series(columns, k)
     lo = 1
     for top in sorted(set(tops)):
         while lo <= top:
@@ -372,7 +372,6 @@ class GrowthStudy:
     """Measured variance growth along a grid, with the fitted slope of
     log V against log(xQ)."""
 
-    k: int
     rows: tuple[tuple[int, int, float, float], ...]  # (x, Q, V, V/(xQ))
     slope: float
 
@@ -390,4 +389,4 @@ def growth_study(table: DkTable, points) -> GrowthStudy:
             [math.log(x * Q) for x, Q, _, _ in rows],
             [math.log(v) for _, _, v, _ in rows],
         )
-    return GrowthStudy(k=table.k, rows=tuple(rows), slope=slope)
+    return GrowthStudy(rows=tuple(rows), slope=slope)

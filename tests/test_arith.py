@@ -13,6 +13,7 @@ from apvar import (
     divisors,
     euler_phi,
     factorize,
+    m_poly,
     mobius,
     ramanujan_sum,
     sieve_dk,
@@ -158,6 +159,34 @@ class TestFactorize:
             fac = factorize(n)
             assert all(p < q for (p, _), (q, _) in zip(fac, fac[1:]))
             assert fac[0][0] == spf_table_1e7[n]
+
+    @pytest.mark.parametrize("f", (factorize, divisors, lambda q: m_poly(q, 2)))
+    def test_prime_past_the_trial_division_bound_is_resource_error(self, f):
+        # trial division would run to 2^30.5; it stops past FACTOR_BOUND
+        q = 2**61 - 1
+        with pytest.raises(ResourceError, match=f"^{q} leaves the cofactor {q}, which "):
+            f(q)
+
+    @pytest.mark.parametrize(
+        "q, stops",
+        (
+            (1099513724941, True),  # the least prime past (2^20 + 1)^2
+            (1048583**2, True),
+            (1048573**2, False),  # 1048573 and 1048583 are the primes around 2^20
+            (1048573 * 1048583, False),
+            (2**40 + 15, False),
+        ),
+    )
+    def test_bound_is_the_lattice_bound(self, q, stops):
+        # both stop at a cofactor of (2^20 + 1)^2 or more once the primes up
+        # to 2^20 are divided out, and factor everything below it
+        if stops:
+            for f in (factorize, lambda q: divisor_lattice([q])):
+                with pytest.raises(ResourceError, match="cannot factor$"):
+                    f(q)
+        else:
+            assert math.prod(p**a for p, a in factorize(q)) == q
+            assert sorted(divisor_lattice([q]).delta.tolist()) == divisors(q)
 
 
 class TestMultiplicativeFunctions:

@@ -915,6 +915,23 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert out == "" and err == f"error: {path}: value 2 at n=2 is not d_3(2) = 3\n"
 
+    def test_table_wrong_past_the_head_is_usage_error(self, tmp_path, capsys):
+        # d(100000) = 36 written as 35: within every bound, past n = 2^16,
+        # and at x, the last position read_table samples there
+        path = tmp_path / "d2.dktb"
+        write_table(sieve_dk(10**5, 2), path)
+        blob = bytearray(path.read_bytes())
+        blob[-8:] = struct.pack("<Q", 35)
+        path.write_bytes(bytes(blob))
+        why = "value 35 at n=100000 is not d_2(100000) = 36"
+        with pytest.raises(DomainError, match="value 35 at n=100000 is not d_2"):
+            read_table(path)
+        code, out, err = run(
+            capsys, "verify", "--suite", "dirichlet", "--k", "2", "--table", str(path)
+        )
+        assert code == EXIT_USAGE
+        assert out == "" and err == f"error: {path}: {why}\n"
+
     def test_header_beyond_file_size_is_usage_error(self, tmp_path, capsys):
         # the header claims 2^60 values; the size check runs before any
         # allocation, so this is a usage error, not a MemoryError

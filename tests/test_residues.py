@@ -66,7 +66,7 @@ class TestStieltjesTable:
 
     def test_all_constants_against_oracle(self):
         g = _STIELTJES
-        assert len(g) == 16
+        assert len(g) == 7  # g_0..g_6: k = 8 reads them all
         for n, value in enumerate(g):
             assert value == pytest.approx(stieltjes_oracle(n), abs=1e-18, rel=1e-15)
 
@@ -74,73 +74,76 @@ class TestStieltjesTable:
         g = _STIELTJES
         u = 0.5
         series = 1 / u + sum(
-            (-1) ** n * g[n] * u**n / math.factorial(n) for n in range(16)
+            (-1) ** n * g[n] * u**n / math.factorial(n) for n in range(7)
         )
         assert abs(series - zeta_euler_maclaurin(1.5)) < 1e-8
 
 
 class TestZetaPowerSeries:
     def test_simple_pole_residue(self):
-        assert zeta_power_series(1, 1)[0] == 1.0
+        assert list(zeta_power_series(1)) == [1.0]
 
     def test_first_expansion_coefficients(self):
-        s = zeta_power_series(1, 3)
-        assert s[0] == 1.0
-        assert s[1] == pytest.approx(GAMMA0, abs=1e-15)
-        assert s[2] == pytest.approx(-GAMMA1, abs=1e-15)
+        # (1 + g0 u - g1 u^2)^3 = 1 + 3 g0 u + (3 g0^2 - 3 g1) u^2 + ...
+        s = zeta_power_series(3)
+        assert len(s) == 3 and s[0] == 1.0
+        assert s[1] == pytest.approx(3 * GAMMA0, abs=1e-15)
+        assert s[2] == pytest.approx(3 * GAMMA0**2 - 3 * GAMMA1, abs=1e-15)
 
     def test_square_has_doubled_residue_coefficient(self):
-        s = zeta_power_series(2, 4)
-        assert s[0] == 1.0
+        s = zeta_power_series(2)
+        assert len(s) == 2 and s[0] == 1.0
         assert s[1] == pytest.approx(2 * GAMMA0, abs=1e-14)
 
     def test_principal_coefficient_always_one(self):
         for k in range(1, 9):
-            assert zeta_power_series(k, 3)[0] == pytest.approx(1.0, abs=1e-13)
+            assert zeta_power_series(k)[0] == pytest.approx(1.0, abs=1e-13)
 
     def test_powers_agree_with_base_powering(self):
-        base = zeta_power_series(1, 8)
-        powered = base
+        # u zeta(1+u) = 1 + sum_j (-1)^j g_j u^(j+1) / j!, g_j from the oracle
+        base = [(-1) ** j * stieltjes_oracle(j) / math.factorial(j) for j in range(7)]
+        base = powered = np.array([1.0, *base])
         for k in range(1, 9):
-            assert zeta_power_series(k, 8) == pytest.approx(powered, abs=1e-12)
+            assert zeta_power_series(k) == pytest.approx(powered[:k], abs=1e-12)
             powered = _mul(powered, base)
 
     def test_order_beyond_table_rejected(self):
-        assert len(zeta_power_series(8, 17)) == 17
-        for n in (0, 18):
+        # the table holds the constants of a pole of order k <= 8
+        assert len(zeta_power_series(8)) == 8
+        for k in (0, 9):
             with pytest.raises(DomainError):
-                zeta_power_series(1, n)
+                zeta_power_series(k)
 
 
 class TestLocalCorrection:
     def test_pinned_exponent_value(self):
-        s = local_correction_series(2, 1, 0, 2, 4)
+        s = local_correction_series(2, 1, 0, 2)
         assert s[0] == pytest.approx(0.25, abs=1e-15)
         with pytest.raises(ValueError):
             s[0] = 0.0  # the cache hands this array to every caller
 
     def test_free_exponent_complement(self):
-        s = local_correction_series(2, 1, 1, 2, 4)
+        s = local_correction_series(2, 1, 1, 2)
         assert s[0] == pytest.approx(0.75, abs=1e-15)
 
     @pytest.mark.parametrize("p", (2, 3, 7, 97))
     @pytest.mark.parametrize("k", (1, 2, 4))
     def test_alpha_one_cases_partition_unity(self, p, k):
-        pinned = local_correction_series(p, 1, 0, k, 6)
-        free = local_correction_series(p, 1, 1, k, 6)
-        assert pinned + free == pytest.approx([1.0] + [0.0] * 5, abs=1e-14)
+        pinned = local_correction_series(p, 1, 0, k)
+        free = local_correction_series(p, 1, 1, k)
+        assert pinned + free == pytest.approx([1.0] + [0.0] * (k - 1), abs=1e-14)
 
     def test_beta_above_alpha_rejected(self):
         with pytest.raises(DomainError):
-            local_correction_series(2, 1, 2, 2, 4)
+            local_correction_series(2, 1, 2, 2)
 
     def test_series_agrees_with_direct_value_near_expansion_point(self):
-        # evaluate the expansion at u = 0.1 (s = 1.1), close enough to the
+        # evaluate the k = 8 terms at u = 0.02 (s = 1.02), close enough to the
         # expansion point that the dropped tail is far below the tolerance
-        u = 0.1
-        for p, alpha, beta, k in ((2, 2, 1, 3), (3, 1, 0, 2), (5, 2, 2, 4)):
-            s = local_correction_series(p, alpha, beta, k, 16)
-            series_value = sum(s[j] * u**j for j in range(16))
+        u, k = 0.02, 8
+        for p, alpha, beta in ((2, 2, 1), (3, 1, 0), (5, 2, 2)):
+            s = local_correction_series(p, alpha, beta, k)
+            series_value = sum(s[j] * u**j for j in range(k))
             direct = correction_value_at(p**alpha, p**beta, k, 1.0 + u)
             assert series_value == pytest.approx(direct, rel=1e-12)
 
@@ -154,23 +157,23 @@ class TestConstrainedCorrection:
         s = correction_table(divisor_lattice([2]), 2)[0]  # delta = 1
         assert s[0] == pytest.approx(0.25, abs=1e-15)
 
-    @pytest.mark.parametrize(("k", "n"), ((3, 3), (8, 8)))
-    def test_rows_are_products_of_their_local_series(self, k, n):
+    @pytest.mark.parametrize("k", (3, 8))
+    def test_rows_are_products_of_their_local_series(self, k):
         # one table over many moduli, each row against its own local factors,
-        # n = k terms of each
+        # k terms of each
         moduli = [*range(1, 2049), 2**60, 720720, 10**12 + 39, 2**40 + 15]
         lattice = divisor_lattice(moduli)
         table = correction_table(lattice, k)
-        assert table.shape == (16242, n)
+        assert table.shape == (16242, k)
         for i, q in enumerate(moduli):
             fac = factorize(q)
             for row in range(lattice.start[i], lattice.start[i + 1]):
-                d, want = int(lattice.delta[row]), np.eye(1, n)[0]
+                d, want = int(lattice.delta[row]), np.eye(1, k)[0]
                 for p, alpha in fac:
                     beta = 0
                     while d % p ** (beta + 1) == 0:
                         beta += 1
-                    want = _mul(want, local_correction_series(p, alpha, beta, k, n))
+                    want = _mul(want, local_correction_series(p, alpha, beta, k))
                 assert np.array_equal(table[row], want), (q, d)
 
     @pytest.mark.parametrize("k", (2, 3, 8))
@@ -178,7 +181,7 @@ class TestConstrainedCorrection:
         # an engine run builds the local series of every p^alpha <= 2^12 once;
         # a lattice read against them gives each row the bytes of its own lattice
         columns = columns_up_to(2**12)
-        local = _local_series(columns, k, k)
+        local = _local_series(columns, k)
         blocks = [range(lo, lo + 1024) for lo in range(1, 2**12, 1024)]
         for moduli in (*blocks, [720720], [2**11], [30030 * 1024]):
             run, lone = divisor_lattice(moduli, columns), divisor_lattice(moduli)

@@ -864,6 +864,18 @@ class TestNarrowLoading:
         path.write_bytes(dktb(10**4, 2, values))
         assert rejection(path) == "value 7 at n=5000 is not d_2(5000) = 20"
 
+    @pytest.mark.parametrize("i", (1, 2048, 4096))
+    @pytest.mark.parametrize("k", (3, 8))
+    def test_sampled_value_past_the_head_that_is_not_d_k_rejected(self, tmp_path, k, i):
+        # the i-th of SAMPLED evenly spaced positions in (CHUNK, x]; the last is x
+        x = 3 * 10**5
+        n = sieve_mod.CHUNK + (x - sieve_mod.CHUNK) * i // sieve_mod.SAMPLED
+        values = sieve_dk(x, k).values[1:].tolist()
+        d, values[n - 1] = values[n - 1], values[n - 1] - 1
+        path = tmp_path / "dk.dktb"
+        path.write_bytes(dktb(x, k, values))
+        assert rejection(path) == f"value {d - 1} at n={n} is not d_{k}({n}) = {d}"
+
     def test_narrow_and_wide_tables_write_the_same_bytes(self, tmp_path):
         t = sieve_dk(3 * sieve_mod.CHUNK + 5, 3)
         wide, narrow = tmp_path / "wide.dktb", tmp_path / "narrow.dktb"

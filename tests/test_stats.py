@@ -571,9 +571,9 @@ class TestGrowthStudy:
         events = []
         series, build, use = residues._local_series, stats.divisor_lattice, stats._block_terms
 
-        def recording_series(columns, k, n):
+        def recording_series(columns, k):
             events.append(("series",))
-            return series(columns, k, n)
+            return series(columns, k)
 
         def recording_build(moduli, columns=None):
             events.append(("build", moduli[0], moduli[-1]))
